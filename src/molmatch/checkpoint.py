@@ -15,11 +15,14 @@ Layout (all integers little-endian):
 Tensors are stored as float32 regardless of compute precision, so a
 load reproduces values to float32 quantisation and save(load(save(x)))
 is byte-identical.  Checksum or magic mismatches are hard errors.
+Writes go to a temporary file beside the target that then replaces it,
+so a failed save leaves any previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -40,7 +43,7 @@ class CheckpointError(ValueError):
 def save_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> None:
     """Write named arrays plus JSON metadata.  Record order is sorted by
     name and the JSON is canonicalised, so identical inputs produce
-    byte-identical files."""
+    byte-identical files.  The file is replaced atomically."""
     meta = dict(metadata)
     meta.setdefault("format_version", FORMAT_VERSION)
     meta.setdefault("build", BUILD_TAG)
@@ -66,7 +69,17 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> Non
             out += struct.pack("<I", dim)
         out += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
         out += payload
-    Path(path).write_bytes(bytes(out))
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(out)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -100,7 +113,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: bad tensor name: {exc}") from None
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         (crc,) = struct.unpack("<I", take(4))

@@ -22,6 +22,7 @@ import numpy as np
 from . import metrics
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, load_config
+from .encoder import encode_frozen
 from .episodes import (
     DataError,
     EpisodeError,
@@ -257,18 +258,22 @@ def cmd_eval(args) -> int:
             continue
         collected: dict[str, list[float]] = {name: [] for name in metric_names}
         skipped_repeats = 0
+        # theta is frozen: encode the task once and slice it per episode
+        task_levels = encode_frozen([ex.graph for ex in task.examples], model.encoder)
         for rep in range(repeats):
             episode = _sample_episode(task, cfg, _eval_seed(seed, task_idx, rep))
             labels = [y for _, y in episode.query]
             if len(set(labels)) < 2:
                 skipped_repeats += 1
                 continue
+            picked = np.concatenate([episode.support_idx, episode.query_idx])
             probs = finetune_and_predict(
                 model,
                 episode.support,
                 [g for g, _ in episode.query],
                 cfg,
                 seed=_eval_seed(seed, task_idx, rep) + [1],
+                embeddings=[z[picked] for z in task_levels],
             )
             scores = probs[:, 0]
             collected["auroc"].append(metrics.auroc(scores, labels))
@@ -471,16 +476,14 @@ def cmd_export_embeddings(args) -> int:
     if not entries:
         raise DataError(f"{args.smiles}: no parseable molecules")
 
-    from .encoder import encode_multilevel
-
-    levels = encode_multilevel([g for _, g in entries], model.encoder.detach())
+    levels = encode_frozen([g for _, g in entries], model.encoder)
     hidden = levels[0].shape[1]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["molecule_index", "smiles", "layer"] + [f"dim_{i}" for i in range(hidden)])
         for layer, z in enumerate(levels, start=1):
             for mi, (smiles, _) in enumerate(entries):
-                writer.writerow([mi, smiles, layer] + [f"{v:.8f}" for v in z.values[mi]])
+                writer.writerow([mi, smiles, layer] + [f"{v:.8f}" for v in z[mi]])
 
     if args.pca:
         k = args.pca
@@ -490,7 +493,7 @@ def cmd_export_embeddings(args) -> int:
         base = str(Path(args.out).with_suffix(""))
         variance_rows = []
         for layer, z in enumerate(levels, start=1):
-            proj, ratios = metrics.pca_project(z.values, k)
+            proj, ratios = metrics.pca_project(z, k)
             with open(f"{base}.pca_layer{layer}.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["molecule_index"] + [f"pc_{i + 1}" for i in range(k)])

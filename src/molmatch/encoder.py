@@ -26,7 +26,14 @@ from .tensor import (
     segment_mean,
 )
 
-__all__ = ["GinLayerParams", "EncoderParams", "GraphBatch", "gin_layer", "encode_multilevel"]
+__all__ = [
+    "GinLayerParams",
+    "EncoderParams",
+    "GraphBatch",
+    "gin_layer",
+    "encode_multilevel",
+    "encode_frozen",
+]
 
 _ONE = Tensor(1.0)
 
@@ -219,3 +226,12 @@ def encode_multilevel(
             h = dropout(h, dropout_rate, rng)
         levels.append(segment_mean(h, batch.mol_ids, batch.n_mols))
     return levels
+
+
+def encode_frozen(graphs: list[MolGraph] | GraphBatch, params: EncoderParams) -> list[np.ndarray]:
+    """Inference-mode ``encode_multilevel`` through a detached copy of
+    ``params``: the same per-layer rows as plain arrays, with no autodiff
+    graph recorded.  Theta is frozen wherever only w adapts, so a
+    molecule's rows depend on nothing but the molecule and can be reused.
+    """
+    return [z.values for z in encode_multilevel(graphs, params.detach())]

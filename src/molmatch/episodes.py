@@ -68,6 +68,9 @@ class Episode:
     support: list[tuple[MolGraph, int]]
     query: list[tuple[MolGraph, int]]
     protocol: str
+    # rows of the task's examples behind ``support`` and ``query``, in order
+    support_idx: np.ndarray
+    query_idx: np.ndarray
 
 
 @dataclass
@@ -187,7 +190,9 @@ def sample_episode_balanced(task: TaskRecord, support_size: int, query_size: int
         raise EpisodeError(f"task {task.task_id}: no examples left for the query set")
     rng.shuffle(rest)
     query = rest[: min(query_size, rest.size)]
-    return Episode(task.task_id, _pairs(task, support), _pairs(task, query), "balanced")
+    return Episode(
+        task.task_id, _pairs(task, support), _pairs(task, query), "balanced", support, query
+    )
 
 
 def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: int, seed) -> Episode:
@@ -219,7 +224,9 @@ def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: i
         raise EpisodeError(f"task {task.task_id}: no examples left for the query set")
     rng.shuffle(rest)
     query = rest[: min(query_size, rest.size)]
-    return Episode(task.task_id, _pairs(task, support_arr), _pairs(task, query), "unbalanced")
+    return Episode(
+        task.task_id, _pairs(task, support_arr), _pairs(task, query), "unbalanced", support_arr, query
+    )
 
 
 def _same_class(task: TaskRecord, i: int, j: int) -> bool:

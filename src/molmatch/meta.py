@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .config import RunConfig, TrainConfig
-from .encoder import EncoderParams, encode_multilevel
+from .encoder import EncoderParams, encode_frozen
 from .episodes import (
     Episode,
     EpisodeError,
@@ -28,9 +28,9 @@ from .episodes import (
     sample_episode_balanced,
     sample_episode_unbalanced,
 )
-from .matcher import MatchParams, fuse, match_layer, predict_detailed
+from .matcher import LayerPrediction, MatchParams, fuse, match_layer, predict_detailed
 from .smiles import MolGraph
-from .tensor import Tensor, backward, cross_entropy, gather_rows
+from .tensor import Tensor, backward, cross_entropy
 
 __all__ = [
     "NumericalError",
@@ -131,13 +131,19 @@ def split_support(examples: list, fraction: float, seed) -> tuple[list, list]:
     least one example of every multi-member class on each side.
     Single-member classes go to the support side.
     """
+    support_idx, query_idx = _split_rows([label for _, label in examples], fraction, seed)
+    return [examples[i] for i in support_idx], [examples[i] for i in query_idx]
+
+
+def _split_rows(labels, fraction: float, seed) -> tuple[list[int], list[int]]:
+    """``split_support`` on row numbers: sorted (support, query) rows."""
     if not 0 < fraction < 1:
         raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
-    if not examples:
+    if not len(labels):
         raise ValueError("cannot split an empty example list")
     rng = np.random.default_rng(seed)
     by_class: dict[int, list[int]] = {}
-    for i, (_, label) in enumerate(examples):
+    for i, label in enumerate(labels):
         by_class.setdefault(int(label), []).append(i)
 
     support_idx: list[int] = []
@@ -170,7 +176,7 @@ def split_support(examples: list, fraction: float, seed) -> tuple[list, list]:
 
     support_idx.sort()
     query_idx.sort()
-    return [examples[i] for i in support_idx], [examples[i] for i in query_idx]
+    return support_idx, query_idx
 
 
 def episode_loss(
@@ -201,12 +207,18 @@ def episode_loss(
     return cross_entropy(probs, _onehot([y for _, y in query]))
 
 
-def _match_from_embeddings(z_support, z_query, y_support, match_params):
+def _match_from_embeddings(
+    z_support: list[Tensor], z_query: list[Tensor], y_support: Tensor, match_params: MatchParams
+) -> tuple[Tensor, list[LayerPrediction]]:
     preds = [
         match_layer(zq, zs, y_support, match_params, layer)
         for layer, (zq, zs) in enumerate(zip(z_query, z_support))
     ]
-    return fuse(preds, match_params)
+    return fuse(preds, match_params), preds
+
+
+def _rows(levels: list[np.ndarray], rows) -> list[Tensor]:
+    return [Tensor(z[rows]) for z in levels]
 
 
 def inner_adapt(
@@ -226,23 +238,45 @@ def inner_adapt(
     """
     if not support:
         raise ValueError("inner_adapt: empty adaptation support set")
+    pairs = list(support) + list(queries)
+    n_s = len(support)
+    return _adapt_on_rows(
+        match_params,
+        encode_frozen([g for g, _ in pairs], encoder_params),
+        np.asarray([y for _, y in pairs], dtype=np.float64),
+        np.arange(n_s),
+        np.arange(n_s, len(pairs)),
+        cfg,
+        task_id,
+    )
+
+
+def _adapt_on_rows(
+    match_params: MatchParams,
+    levels: list[np.ndarray],
+    labels: np.ndarray,
+    support_rows,
+    query_rows,
+    cfg: TrainConfig,
+    task_id: str,
+) -> AdaptedParams:
+    """The inner loop of ``inner_adapt`` on precomputed frozen embeddings:
+    ``levels[l][r]`` is row r's layer-l embedding and ``labels[r]`` its
+    label."""
     w_tau = match_params.clone(requires_grad=True)
     history: list[float] = []
-    if not queries:
+    if not len(query_rows):
         log.debug("task %s: no adaptation queries; skipping inner loop", task_id)
         return AdaptedParams(w_tau, task_id, float("nan"), history)
 
-    frozen = encoder_params.detach()
-    graphs = [g for g, _ in support] + [g for g, _ in queries]
-    levels = encode_multilevel(graphs, frozen)
-    n_s = len(support)
-    z_support = [gather_rows(z, np.arange(0, n_s)) for z in levels]
-    z_query = [gather_rows(z, np.arange(n_s, z.shape[0])) for z in levels]
-    y_s = Tensor(np.asarray([y for _, y in support], dtype=np.float64).reshape(-1, 1))
-    target = _onehot([y for _, y in queries])
+    z_support = _rows(levels, support_rows)
+    z_query = _rows(levels, query_rows)
+    y_s = Tensor(labels[support_rows].reshape(-1, 1))
+    target = _onehot(labels[query_rows])
 
     def loss_of(w: MatchParams) -> Tensor:
-        return cross_entropy(_match_from_embeddings(z_support, z_query, y_s, w), target)
+        probs, _ = _match_from_embeddings(z_support, z_query, y_s, w)
+        return cross_entropy(probs, target)
 
     for _ in range(cfg.inner_steps):
         loss = loss_of(w_tau)
@@ -344,6 +378,7 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     optimizer = make_optimizer(cfg.train.optimizer, cfg.train.meta_lr, cfg.train.weight_decay)
     logs: list[EpochLog] = []
     best_val = -np.inf
+    best_model = None
     stale = 0
 
     for epoch in range(cfg.train.max_epochs):
@@ -385,6 +420,7 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
             entry.val_metric = _validation_metric(model, registry, cfg, epoch)
             if entry.val_metric > best_val:
                 best_val = entry.val_metric
+                best_model = model
                 stale = 0
             else:
                 stale += 1
@@ -394,7 +430,8 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
         if cfg.train.early_stop and stale >= cfg.train.patience:
             log.info("early stop at epoch %d (no improvement for %d epochs)", epoch, stale)
             break
-    return model, logs
+    # The optimizer returns fresh arrays, so the snapshot is never overwritten.
+    return (model if best_model is None else best_model), logs
 
 
 def _validation_metric(model: ModelParams, registry: Registry, cfg: RunConfig, epoch: int) -> float:
@@ -427,8 +464,12 @@ def finetune_and_predict(
     query_graphs: list[MolGraph],
     cfg: RunConfig,
     seed,
+    *,
+    embeddings: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    probs, _ = finetune_and_predict_detailed(model, support_set, query_graphs, cfg, seed)
+    probs, _ = finetune_and_predict_detailed(
+        model, support_set, query_graphs, cfg, seed, embeddings=embeddings
+    )
     return probs
 
 
@@ -438,9 +479,18 @@ def finetune_and_predict_detailed(
     query_graphs: list[MolGraph],
     cfg: RunConfig,
     seed,
+    *,
+    embeddings: list[np.ndarray] | None = None,
 ):
     """Inference: adapt w on a split of the labelled set, then predict
     the queries with the full labelled set as attention support.
+
+    Theta is frozen here, so the support and queries are encoded once,
+    without an autodiff graph, and both the inner loop and the final
+    match slice those rows.  ``embeddings`` supplies the rows instead:
+    ``encode_frozen`` output for the support graphs followed by the
+    query graphs, so a caller scoring many episodes of one task encodes
+    each molecule once.
 
     Returns ([n_query, 2] probabilities, per-layer predictions).  Theta
     is never modified.
@@ -449,15 +499,23 @@ def finetune_and_predict_detailed(
         raise ValueError("finetune_and_predict: empty support set")
     if not query_graphs:
         raise ValueError("finetune_and_predict: empty query list")
-    s_fine, q_fine = split_support(support_set, cfg.train.support_split_fraction, seed)
-    adapted = inner_adapt(
-        model.encoder, model.matcher, s_fine, q_fine, cfg.train, task_id="finetune"
+    n_s = len(support_set)
+    n_rows = n_s + len(query_graphs)
+    if embeddings is None:
+        embeddings = encode_frozen(
+            [g for g, _ in support_set] + list(query_graphs), model.encoder
+        )
+    elif any(z.shape[0] != n_rows for z in embeddings):
+        raise ValueError(f"finetune_and_predict: embeddings must have {n_rows} rows")
+    labels = np.asarray([y for _, y in support_set], dtype=np.float64)
+    s_fine, q_fine = _split_rows(labels, cfg.train.support_split_fraction, seed)
+    adapted = _adapt_on_rows(
+        model.matcher, embeddings, labels, s_fine, q_fine, cfg.train, task_id="finetune"
     )
-    probs, layer_preds = predict_detailed(
-        [g for g, _ in support_set],
-        [y for _, y in support_set],
-        query_graphs,
-        model.encoder,
-        adapted.w_tau,
+    probs, layer_preds = _match_from_embeddings(
+        _rows(embeddings, slice(0, n_s)),
+        _rows(embeddings, slice(n_s, n_rows)),
+        Tensor(labels.reshape(-1, 1)),
+        adapted.w_tau.detach(),
     )
-    return probs.values.copy(), layer_preds
+    return probs.values, layer_preds

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .encoder import encode_multilevel
+from .encoder import encode_frozen
 from .episodes import TaskRecord
 from .matcher import MatchParams
 from .meta import KEY_EPISODE, KEY_SPLIT, ModelParams, _sample_episode, inner_adapt, split_support
@@ -70,8 +70,7 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
         vec = _flatten_params(adapted.w_tau) - _flatten_params(model.matcher)
         return TaskVector(task.task_id, vec, mode)
     graphs = [g for g, _ in episode.support]
-    levels = encode_multilevel(graphs, model.encoder.detach())
-    vec = np.concatenate([z.values.mean(axis=0) for z in levels])
+    vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
     return TaskVector(task.task_id, vec, mode)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from molmatch.episodes import Registry, TaskExample, TaskRecord
 from molmatch.smiles import graph_from_smiles
 
@@ -34,6 +36,12 @@ def chain_task(task_id: str, n: int, n_pos: int, split: str = "train") -> TaskRe
     """n distinct molecules; the first n_pos are labelled positive."""
     smiles = distinct_smiles(n)
     return make_task(task_id, [(s, 1 if i < n_pos else 0) for i, s in enumerate(smiles)], split)
+
+
+def first_name_offset(raw: bytes) -> int:
+    """Byte offset of the first tensor name in a checkpoint file."""
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    return 12 + meta_len + 4 + 2  # magic+version+length, metadata, record count, name length
 
 
 def make_registry(train: list[TaskRecord], valid=(), test=()) -> Registry:

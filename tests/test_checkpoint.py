@@ -1,8 +1,12 @@
+import errno
+import io
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from molmatch import checkpoint
 from molmatch.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -10,6 +14,7 @@ from molmatch.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from helpers import first_name_offset
 
 
 def sample_tensors():
@@ -124,3 +129,44 @@ class TestCorruption:
     def test_overlong_name_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="name too long"):
             save_checkpoint(tmp_path / "x.ckpt", {"n" * 70000: np.zeros(1)}, {})
+
+    def test_tensor_name_corruption_rejected(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[first_name_offset(raw)] = 0xFF  # never valid UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="bad tensor name"):
+            load_checkpoint(path)
+
+
+class _HalfWrite(io.FileIO):
+    """A file that runs out of space halfway through the first write."""
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EIO, "I/O error")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "target, attr, fake",
+        [
+            (checkpoint, "open", _HalfWrite),
+            (os, "replace", _fail_replace),
+        ],
+        ids=["write", "replace"],
+    )
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, target, attr, fake):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, sample_tensors(), {"seed": 0})
+        before = path.read_bytes()
+        monkeypatch.setattr(target, attr, fake, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"other": np.ones(3)}, {"seed": 1})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind

@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from molmatch import cli, encoder
 from molmatch.cli import _save_model, main
+from molmatch.encoder import encode_multilevel
+from molmatch.meta import finetune_and_predict
+from helpers import first_name_offset
 from molmatch.config import RunConfig
 from molmatch.meta import init_model
 
@@ -168,6 +172,45 @@ class TestEval:
         assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"]),
                      "--support-size", "40"]) == 3
         capsys.readouterr()
+
+    def test_corrupt_tensor_name_is_data_error(self, workspace, tmp_path, capsys):
+        raw = bytearray(workspace["ckpt"].read_bytes())
+        raw[first_name_offset(raw)] = 0xFF  # never valid UTF-8
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(bytes(raw))
+        assert main(["eval", "--ckpt", str(corrupt), "--data", str(workspace["data"])]) == 3
+        assert "bad tensor name" in capsys.readouterr().err
+
+    def test_cached_task_rows_match_graph_path(self, workspace, monkeypatch, capsys):
+        worst = []
+
+        def checked(model, support_set, query_graphs, cfg, seed, *, embeddings):
+            cached = finetune_and_predict(
+                model, support_set, query_graphs, cfg, seed, embeddings=embeddings
+            )
+            encoded = finetune_and_predict(model, support_set, query_graphs, cfg, seed)
+            worst.append(float(np.max(np.abs(cached - encoded))))
+            return cached
+
+        monkeypatch.setattr(cli, "finetune_and_predict", checked)
+        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"])]) == 0
+        capsys.readouterr()
+        assert len(worst) == 4  # 2 tasks x 2 repeats
+        assert max(worst) <= 1e-12
+
+    def test_each_task_molecule_encoded_once(self, workspace, monkeypatch, capsys):
+        seen = []
+
+        def counting(graphs, params, **kwargs):
+            seen.extend(graphs)
+            return encode_multilevel(graphs, params, **kwargs)
+
+        monkeypatch.setattr(encoder, "encode_multilevel", counting)
+        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"])]) == 0
+        capsys.readouterr()
+        assert len({id(g) for g in seen}) == len(seen)
+        expected = [s for i in range(2) for s in task_file_smiles(workspace, "test", i)]
+        assert sorted(g.source_smiles for g in seen) == sorted(expected)
 
     def test_nan_checkpoint_is_numerical_abort(self, workspace, tmp_path, capsys):
         cfg = tiny_run_config()

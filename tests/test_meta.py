@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from molmatch import encoder
 from molmatch.config import RunConfig
+from molmatch.encoder import encode_frozen, encode_multilevel
 from molmatch.episodes import EpisodeError, sample_episode_balanced
 from molmatch.matcher import predict
 from molmatch.meta import (
@@ -302,6 +304,21 @@ class TestMetaTrain:
         assert 0 < len(logs) < 30
         assert all(entry.val_metric is not None for entry in logs)
 
+    def test_early_stopping_returns_best_validation_snapshot(self):
+        registry = make_registry(
+            [chain_task("a", 10, 4), chain_task("b", 9, 5)],
+            valid=[chain_task("v", 10, 5)],
+        )
+        stopped, logs = meta_train(
+            registry, tiny_cfg(meta_lr=0.05, early_stop=True, patience=2, max_epochs=30)
+        )
+        scores = [entry.val_metric for entry in logs]
+        best_epoch = scores.index(max(scores))
+        assert best_epoch + 1 < len(logs) < 30  # stopped, and after the best epoch
+        plain, _ = meta_train(registry, tiny_cfg(meta_lr=0.05, max_epochs=best_epoch + 1))
+        for name, t in plain.tensors().items():
+            assert stopped.tensors()[name].values.tobytes() == t.values.tobytes(), name
+
     def test_on_epoch_callback_sees_every_entry(self):
         cfg = tiny_cfg(meta_lr=0.0)
         seen = []
@@ -354,6 +371,36 @@ class TestFinetuneAndPredict:
         np.testing.assert_array_equal(a, b)
         c = finetune_and_predict(self.model, self.support_set, self.query_graphs, self.cfg, seed=4)
         assert not np.array_equal(a, c)
+
+    def test_encodes_once_without_autodiff_graph(self, monkeypatch):
+        outputs = []
+
+        def recording(graphs, params, **kwargs):
+            levels = encode_multilevel(graphs, params, **kwargs)
+            outputs.append((len(graphs), levels))
+            return levels
+
+        monkeypatch.setattr(encoder, "encode_multilevel", recording)
+        finetune_and_predict(self.model, self.support_set, self.query_graphs, self.cfg, seed=0)
+        assert [n for n, _ in outputs] == [len(self.support_set) + len(self.query_graphs)]
+        for _, levels in outputs:
+            assert all(not z.requires_grad for z in levels)
+
+    def test_embeddings_must_cover_support_and_queries(self):
+        graphs = [g for g, _ in self.support_set] + self.query_graphs
+        levels = encode_frozen(graphs, self.model.encoder)
+        supplied = finetune_and_predict(
+            self.model, self.support_set, self.query_graphs, self.cfg, seed=0, embeddings=levels
+        )
+        encoded = finetune_and_predict(
+            self.model, self.support_set, self.query_graphs, self.cfg, seed=0
+        )
+        np.testing.assert_array_equal(supplied, encoded)
+        with pytest.raises(ValueError, match="embeddings must have 14 rows"):
+            finetune_and_predict(
+                self.model, self.support_set, self.query_graphs, self.cfg, seed=0,
+                embeddings=[z[:-1] for z in levels],
+            )
 
     def test_detailed_exposes_per_layer_predictions(self):
         probs, layer_preds = finetune_and_predict_detailed(
