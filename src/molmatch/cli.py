@@ -174,6 +174,16 @@ def _load_model(path) -> tuple[ModelParams, RunConfig, dict]:
     return model, cfg, meta
 
 
+def _trained_epochs(logs) -> int:
+    """Epochs behind the weights ``meta_train`` returned: with validation
+    it keeps the snapshot of the first best ``val_metric``, else the last."""
+    best, best_val = None, -np.inf
+    for entry in logs:
+        if entry.val_metric is not None and entry.val_metric > best_val:
+            best, best_val = entry.epoch, entry.val_metric
+    return len(logs) if best is None else best + 1
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
@@ -206,7 +216,8 @@ def cmd_train(args) -> int:
             )
 
     model, logs = meta_train(registry, cfg, on_epoch=report)
-    _save_model(args.out, model, cfg, epoch=len(logs))
+    epochs = _trained_epochs(logs)
+    _save_model(args.out, model, cfg, epoch=epochs)
 
     log_path = args.log or f"{args.out}.log.csv"
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
@@ -221,12 +232,30 @@ def cmd_train(args) -> int:
                     "" if entry.val_metric is None else f"{entry.val_metric:.10g}",
                 ]
             )
-    print(f"saved checkpoint to {args.out} after {len(logs)} epochs", file=sys.stderr)
+    best = "" if epochs == len(logs) else f" (best validation after epoch {epochs})"
+    print(f"saved checkpoint to {args.out} after {len(logs)} epochs{best}", file=sys.stderr)
     return EXIT_OK
 
 
 def _eval_seed(base: int, task_idx: int, repeat: int) -> list[int]:
     return [base, KEY_EVAL, task_idx, repeat]
+
+
+def _encode_episode_rows(task, episodes, encoder, batch_size: int):
+    """Frozen per-layer rows of every task example the episodes use.
+
+    Returns (sorted example indices, one [n_used, hidden] array per
+    layer).  Encoding runs in batches of at most ``batch_size``
+    molecules, so memory stays at one episode's whatever the task size.
+    """
+    if not episodes:
+        return np.zeros(0, dtype=np.int64), []
+    used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for e in episodes]))
+    chunks = [
+        encode_frozen([task.examples[i].graph for i in used[start : start + batch_size]], encoder)
+        for start in range(0, used.size, batch_size)
+    ]
+    return used, [np.concatenate(layer) for layer in zip(*chunks)]
 
 
 def cmd_eval(args) -> int:
@@ -257,16 +286,22 @@ def cmd_eval(args) -> int:
             rows.append({"task_id": task.task_id, "status": "skipped:protocol"})
             continue
         collected: dict[str, list[float]] = {name: [] for name in metric_names}
-        skipped_repeats = 0
-        # theta is frozen: encode the task once and slice it per episode
-        task_levels = encode_frozen([ex.graph for ex in task.examples], model.encoder)
+        episodes = []
         for rep in range(repeats):
             episode = _sample_episode(task, cfg, _eval_seed(seed, task_idx, rep))
+            if len({y for _, y in episode.query}) >= 2:
+                episodes.append((rep, episode))
+        skipped_repeats = repeats - len(episodes)
+        # theta is frozen: encode each molecule the episodes use once, then slice
+        used, task_levels = _encode_episode_rows(
+            task,
+            [e for _, e in episodes],
+            model.encoder,
+            cfg.protocol.support_size + cfg.protocol.query_size,
+        )
+        for rep, episode in episodes:
             labels = [y for _, y in episode.query]
-            if len(set(labels)) < 2:
-                skipped_repeats += 1
-                continue
-            picked = np.concatenate([episode.support_idx, episode.query_idx])
+            picked = np.searchsorted(used, np.r_[episode.support_idx, episode.query_idx])
             probs = finetune_and_predict(
                 model,
                 episode.support,

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from molmatch import cli, encoder
+from molmatch.checkpoint import load_checkpoint
 from molmatch.cli import _save_model, main
 from molmatch.encoder import encode_multilevel
+from molmatch.episodes import load_registry
 from molmatch.meta import finetune_and_predict
 from helpers import first_name_offset
 from molmatch.config import RunConfig
@@ -58,6 +60,16 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data, "config": config, "ckpt": ckpt}
 
 
+@pytest.fixture(scope="module")
+def large_tasks(tmp_path_factory):
+    """Test tasks of 40 molecules: more than the tiny protocol's two
+    episodes (support 4 + at most 8 queries each) can use."""
+    data = tmp_path_factory.mktemp("cli-large") / "data"
+    assert main(["synth", "--out", str(data), "--train", "0", "--test", "2",
+                 "--molecules", "40", "--seed", "0"]) == 0
+    return data
+
+
 def read_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
@@ -89,6 +101,23 @@ class TestTrain:
         assert log_rows[0] == ["epoch", "mean_outer_loss", "wall_seconds", "val_metric"]
         assert len(log_rows) == 3  # two epochs
         assert float(log_rows[1][1]) > 0
+
+    def test_early_stopped_checkpoint_records_best_epoch(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--train", "3", "--valid", "2", "--test", "0",
+                     "--molecules", "12", "--seed", "0"]) == 0
+        config = tmp_path / "stop.cfg"
+        config.write_text(
+            TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 20\nearly_stop = true\npatience = 2"),
+            encoding="utf-8",
+        )
+        ckpt = tmp_path / "stop.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(data), "--out", str(ckpt)]) == 0
+        scores = [float(r[3]) for r in read_csv((tmp_path / "stop.ckpt.log.csv").read_text())[1:]]
+        best_epoch = scores.index(max(scores))
+        assert best_epoch + 1 < len(scores) < 20  # stopped, and after the best epoch
+        assert load_checkpoint(ckpt)[1]["epoch"] == best_epoch + 1
+        assert f"best validation after epoch {best_epoch + 1}" in capsys.readouterr().err
 
     def test_retraining_is_byte_identical(self, workspace, tmp_path):
         again = tmp_path / "again.ckpt"
@@ -181,7 +210,9 @@ class TestEval:
         assert main(["eval", "--ckpt", str(corrupt), "--data", str(workspace["data"])]) == 3
         assert "bad tensor name" in capsys.readouterr().err
 
-    def test_cached_task_rows_match_graph_path(self, workspace, monkeypatch, capsys):
+    @pytest.mark.parametrize("data", ["data", "large_data"])
+    def test_cached_task_rows_match_graph_path(self, workspace, large_tasks, data, monkeypatch,
+                                               capsys):
         worst = []
 
         def checked(model, support_set, query_graphs, cfg, seed, *, embeddings):
@@ -193,24 +224,51 @@ class TestEval:
             return cached
 
         monkeypatch.setattr(cli, "finetune_and_predict", checked)
-        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"])]) == 0
+        root = {"data": workspace["data"], "large_data": large_tasks}[data]
+        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(root)]) == 0
         capsys.readouterr()
         assert len(worst) == 4  # 2 tasks x 2 repeats
         assert max(worst) <= 1e-12
 
-    def test_each_task_molecule_encoded_once(self, workspace, monkeypatch, capsys):
-        seen = []
+    @staticmethod
+    def encoded_batches(monkeypatch, ckpt, data):
+        batches = []
 
         def counting(graphs, params, **kwargs):
-            seen.extend(graphs)
+            batches.append(list(graphs))
             return encode_multilevel(graphs, params, **kwargs)
 
         monkeypatch.setattr(encoder, "encode_multilevel", counting)
-        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"])]) == 0
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
+        return batches
+
+    def test_each_task_molecule_encoded_once(self, workspace, monkeypatch, capsys):
+        seen = sum(self.encoded_batches(monkeypatch, workspace["ckpt"], workspace["data"]), [])
         capsys.readouterr()
         assert len({id(g) for g in seen}) == len(seen)
+        # 12-molecule tasks: every episode uses the whole task
         expected = [s for i in range(2) for s in task_file_smiles(workspace, "test", i)]
         assert sorted(g.source_smiles for g in seen) == sorted(expected)
+
+    def test_large_tasks_encode_only_sampled_molecules(self, workspace, large_tasks, monkeypatch,
+                                                       capsys):
+        batches = self.encoded_batches(monkeypatch, workspace["ckpt"], large_tasks)
+        capsys.readouterr()
+        _, cfg, _ = cli._load_model(workspace["ckpt"])
+        expected = []
+        for task_idx, task in enumerate(sorted(load_registry(large_tasks).split_tasks("test"),
+                                               key=lambda t: t.task_id)):
+            used = set()
+            for rep in range(cfg.protocol.eval_repeats):
+                episode = cli._sample_episode(task, cfg, cli._eval_seed(cfg.train.seed, task_idx, rep))
+                used.update(np.r_[episode.support_idx, episode.query_idx].tolist())
+            assert len(used) < len(task.examples)  # tasks outgrow the episodes
+            expected += [task.examples[i].graph.source_smiles for i in used]
+        seen = sum(batches, [])
+        assert len({id(g) for g in seen}) == len(seen)
+        assert sorted(g.source_smiles for g in seen) == sorted(expected)
+        batch_cap = cfg.protocol.support_size + cfg.protocol.query_size
+        assert max(len(b) for b in batches) <= batch_cap
 
     def test_nan_checkpoint_is_numerical_abort(self, workspace, tmp_path, capsys):
         cfg = tiny_run_config()

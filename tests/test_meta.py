@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from molmatch import encoder
+from molmatch.cli import _trained_epochs
 from molmatch.config import RunConfig
 from molmatch.encoder import encode_frozen, encode_multilevel
 from molmatch.episodes import EpisodeError, sample_episode_balanced
@@ -315,6 +316,7 @@ class TestMetaTrain:
         scores = [entry.val_metric for entry in logs]
         best_epoch = scores.index(max(scores))
         assert best_epoch + 1 < len(logs) < 30  # stopped, and after the best epoch
+        assert _trained_epochs(logs) == best_epoch + 1
         plain, _ = meta_train(registry, tiny_cfg(meta_lr=0.05, max_epochs=best_epoch + 1))
         for name, t in plain.tensors().items():
             assert stopped.tensors()[name].values.tobytes() == t.values.tobytes(), name
