@@ -66,6 +66,12 @@ def _rng(*keys) -> np.random.Generator:
     return np.random.default_rng([int(k) for k in keys])
 
 
+def _check_finite_grads(gmap: dict[str, np.ndarray], task_id: str) -> None:
+    for name, g in gmap.items():
+        if not np.isfinite(g).all():
+            raise NumericalError(f"task {task_id}: non-finite gradient for {name}")
+
+
 @dataclass
 class ModelParams:
     """Shared encoder (theta) plus matching parameters (w)."""
@@ -286,14 +292,14 @@ def _adapt_on_rows(
         history.append(value)
         names = w_tau.tensors()
         grads = backward(loss, params=names.values(), write_grad=False)
+        gmap = {name: grads[t] for name, t in names.items() if t.requires_grad}
+        _check_finite_grads(gmap, task_id)
         if cfg.alpha == 0.0:
             w_tau = w_tau.replace_values({})
             continue
-        updates = {}
-        for name, tensor in names.items():
-            if tensor.requires_grad:
-                updates[name] = tensor.values - cfg.alpha * grads[tensor]
-        w_tau = w_tau.replace_values(updates)
+        w_tau = w_tau.replace_values(
+            {name: names[name].values - cfg.alpha * g for name, g in gmap.items()}
+        )
 
     final = loss_of(w_tau).item()
     if not np.isfinite(final):
@@ -355,6 +361,7 @@ def _outer_task_step(
     gmap = {
         name: grads[tensor] for name, tensor in watched.items() if tensor.requires_grad
     }
+    _check_finite_grads(gmap, task.task_id)
     return value, gmap
 
 

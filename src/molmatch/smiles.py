@@ -44,6 +44,8 @@ ORGANIC_TWO = ("Cl", "Br")
 ORGANIC_ONE = set("BCNOPSFI")
 AROMATIC_ORGANIC = set("bcnops")
 AROMATIC_BRACKET = {"b", "c", "n", "o", "p", "s", "se", "as"}
+# ASCII only: str.isdigit() also accepts characters such as "²" that int() rejects
+DIGITS = frozenset("0123456789")
 BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                 "/": "single", "\\": "single"}
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
@@ -84,11 +86,11 @@ def tokenize(smiles: str) -> list[Token]:
         elif c in BOND_SYMBOLS:
             tokens.append(Token("bond", i, order=BOND_SYMBOLS[c]))
             i += 1
-        elif c.isdigit():
+        elif c in DIGITS:
             tokens.append(Token("ring", i, label=int(c)))
             i += 1
         elif c == "%":
-            if i + 2 >= n or not (smiles[i + 1].isdigit() and smiles[i + 2].isdigit()):
+            if i + 2 >= n or smiles[i + 1] not in DIGITS or smiles[i + 2] not in DIGITS:
                 raise SmilesError("'%' must be followed by two digits", i)
             tokens.append(Token("ring", i, label=int(smiles[i + 1 : i + 3])))
             i += 3
@@ -114,7 +116,7 @@ def _scan_bracket(s: str, start: int) -> tuple[Token, int]:
     def fail(msg: str, pos: int):
         raise SmilesError(msg, pos)
 
-    while i < n and s[i].isdigit():  # isotope, ignored
+    while i < n and s[i] in DIGITS:  # isotope, ignored
         i += 1
     if i >= n:
         fail("unterminated bracket atom", start)
@@ -142,7 +144,7 @@ def _scan_bracket(s: str, start: int) -> tuple[Token, int]:
                 i += 1
         elif c == "H":
             i += 1
-            if i < n and s[i].isdigit():
+            if i < n and s[i] in DIGITS:
                 h_count = int(s[i])
                 i += 1
             else:
@@ -150,7 +152,7 @@ def _scan_bracket(s: str, start: int) -> tuple[Token, int]:
         elif c in "+-":
             sign = 1 if c == "+" else -1
             i += 1
-            if i < n and s[i].isdigit():
+            if i < n and s[i] in DIGITS:
                 charge = sign * int(s[i])
                 i += 1
             else:
@@ -160,9 +162,9 @@ def _scan_bracket(s: str, start: int) -> tuple[Token, int]:
                     i += 1
         elif c == ":":
             i += 1
-            if i >= n or not s[i].isdigit():
+            if i >= n or s[i] not in DIGITS:
                 fail("atom class ':' must be followed by digits", i - 1)
-            while i < n and s[i].isdigit():
+            while i < n and s[i] in DIGITS:
                 i += 1
         else:
             fail(f"unexpected character {c!r} in bracket atom", i)

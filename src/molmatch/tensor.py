@@ -226,6 +226,47 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp)
 
 
+# Block size of _grouped_row_sum in float64 elements: each block's
+# accumulator and slot temporary hold at most this many (512 KB), so they
+# stay in cache and the op's extra memory does not grow with the input.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _grouped_row_sum(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """``out[j]`` = the sum of the rows ``values[i]`` with ``index[i] == j``.
+
+    Bit-identical to adding the rows into zeros one at a time, in input
+    order (an unbuffered ufunc ``at``), without that path's per-element
+    cost.  The buckets are ranked by size, largest first, and each one
+    lists its input rows in input order (the slot table).  Slot ``k``
+    holds every bucket's k-th row, and the buckets that have one form a
+    prefix of the ranking.  Adding slot after slot into zeros adds each
+    bucket's rows in input order for any row width, which a reduction
+    over a padded slot axis does not (numpy sums a contiguous axis
+    pairwise).  Ranked buckets are summed a block of rows at a time.
+    """
+    d = values.shape[1]
+    out = np.zeros((n, d), dtype=np.float64)
+    if not index.size:
+        return out
+    counts = np.bincount(index, minlength=n)
+    by_bucket = np.argsort(index, kind="stable")  # input rows grouped by bucket
+    rank = np.argsort(-counts, kind="stable")  # buckets, largest first
+    first = (np.cumsum(counts) - counts)[rank]  # each ranked bucket's start in by_bucket
+    size = counts[rank]
+    filled = int(np.count_nonzero(size))
+    step = max(1, _BLOCK_ELEMENTS // max(1, d))
+    for lo in range(0, filled, step):
+        hi = min(lo + step, filled)
+        acc = np.zeros((hi - lo, d), dtype=np.float64)
+        for k in range(int(size[lo])):
+            m = int(np.count_nonzero(size[lo:hi] > k))
+            # rows are in range by construction; "clip" skips the bounds check
+            acc[:m] += values.take(by_bucket[first[lo : lo + m] + k], axis=0, mode="clip")
+        out[rank[lo:hi]] = acc
+    return out
+
+
 def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     """Mean of the rows of ``a`` grouped by ``segment_ids``.
 
@@ -244,8 +285,7 @@ def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     empty = np.nonzero(counts == 0)[0]
     if empty.size:
         raise ValueError(f"segment_mean: segment {int(empty[0])} is empty")
-    out = np.zeros((n_segments, a.values.shape[1]), dtype=np.float64)
-    np.add.at(out, ids, a.values)
+    out = _grouped_row_sum(a.values, ids, n_segments)
     out /= counts[:, None]
 
     def vjp(g):
@@ -263,9 +303,7 @@ def gather_rows(a: Tensor, index) -> Tensor:
     n_rows = a.values.shape[0]
 
     def vjp(g):
-        out = np.zeros((n_rows, g.shape[1]), dtype=np.float64)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_grouped_row_sum(g, idx, n_rows),)
 
     return _make(a.values[idx], (a,), vjp)
 
@@ -277,13 +315,11 @@ def scatter_add_rows(a: Tensor, index, n_rows: int) -> Tensor:
         raise ValueError("scatter_add_rows: index must have one entry per row")
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise ValueError("scatter_add_rows: index out of range")
-    out = np.zeros((n_rows, a.values.shape[1]), dtype=np.float64)
-    np.add.at(out, idx, a.values)
 
     def vjp(g):
         return (g[idx],)
 
-    return _make(out, (a,), vjp)
+    return _make(_grouped_row_sum(a.values, idx, n_rows), (a,), vjp)
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
+from molmatch import meta
 from molmatch.episodes import Registry, TaskExample, TaskRecord
 from molmatch.smiles import graph_from_smiles
 
@@ -46,3 +49,17 @@ def first_name_offset(raw: bytes) -> int:
 
 def make_registry(train: list[TaskRecord], valid=(), test=()) -> Registry:
     return Registry(tasks={"train": list(train), "valid": list(valid), "test": list(test)})
+
+
+def poison_first_gradient(monkeypatch) -> None:
+    """Make ``meta.backward`` return an ``inf`` gradient for the first
+    parameter each sweep is asked about."""
+    real = meta.backward
+
+    def backward(loss, params=None, write_grad=True):
+        params = list(params)
+        grads = real(loss, params=params, write_grad=write_grad)
+        grads[params[0]] = np.full_like(grads[params[0]], np.inf)
+        return grads
+
+    monkeypatch.setattr(meta, "backward", backward)

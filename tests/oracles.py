@@ -57,6 +57,15 @@ def assert_grads_match(analytic: dict, numeric: dict, tol: float = REL_TOL):
         assert err < tol, f"{name}: relative gradient error {err:.3e} >= {tol}"
 
 
+def add_at_rows(values, index, n: int) -> np.ndarray:
+    """Row sums by bucket through ``np.add.at``: each input row added into
+    a zero row in input order, the reference for the grouped-row ops."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((n, values.shape[1]), dtype=np.float64)
+    np.add.at(out, np.asarray(index, dtype=np.int64), values)
+    return out
+
+
 def auroc_bruteforce(scores, labels) -> float:
     """Pairwise definition: P(pos outranks neg), ties counting 1/2."""
     s = [float(v) for v in scores]

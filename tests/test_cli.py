@@ -11,7 +11,7 @@ from molmatch.cli import _save_model, main
 from molmatch.encoder import encode_multilevel
 from molmatch.episodes import load_registry
 from molmatch.meta import finetune_and_predict
-from helpers import first_name_offset
+from helpers import first_name_offset, poison_first_gradient
 from molmatch.config import RunConfig
 from molmatch.meta import init_model
 
@@ -278,6 +278,15 @@ class TestEval:
         _save_model(poisoned, model, cfg, epoch=0)
         assert main(["eval", "--ckpt", str(poisoned), "--data", str(workspace["data"])]) == 4
         capsys.readouterr()
+
+    def test_nonfinite_gradient_is_numerical_abort(self, workspace, tmp_path, monkeypatch, capsys):
+        poison_first_gradient(monkeypatch)
+        assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "m.ckpt")]) == 4
+        assert "non-finite gradient" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"])]) == 4
+        assert "non-finite gradient" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -19,7 +19,7 @@ from molmatch.meta import (
 )
 from molmatch.tensor import backward
 from oracles import REL_TOL, fd_gradients, grad_rel_error
-from helpers import chain_task, make_registry
+from helpers import chain_task, make_registry, poison_first_gradient
 
 
 def tiny_cfg(**train_overrides):
@@ -176,6 +176,14 @@ class TestInnerAdapt:
                 self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train
             )
 
+    def test_nonfinite_gradient_raises_before_update(self, monkeypatch):
+        poison_first_gradient(monkeypatch)
+        with pytest.raises(NumericalError, match="task t: non-finite gradient for wq0"):
+            inner_adapt(
+                self.model.encoder, self.model.matcher, self.support, self.queries,
+                self.cfg.train, task_id="t",
+            )
+
 
 class TestEpisodeLoss:
     def test_zero_fusion_gives_ln2_per_query(self):
@@ -320,6 +328,12 @@ class TestMetaTrain:
         plain, _ = meta_train(registry, tiny_cfg(meta_lr=0.05, max_epochs=best_epoch + 1))
         for name, t in plain.tensors().items():
             assert stopped.tensors()[name].values.tobytes() == t.values.tobytes(), name
+
+    def test_nonfinite_outer_gradient_raises(self, monkeypatch):
+        # no inner steps, so the outer step's sweep is the only one
+        poison_first_gradient(monkeypatch)
+        with pytest.raises(NumericalError, match=r"task \w+: non-finite gradient for encoder.input_w"):
+            meta_train(self.registry(), tiny_cfg(inner_steps=0))
 
     def test_on_epoch_callback_sees_every_entry(self):
         cfg = tiny_cfg(meta_lr=0.0)

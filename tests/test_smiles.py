@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molmatch.smiles import (
     DEFAULT_SCHEMA,
@@ -299,3 +301,29 @@ class TestFuzz:
                 featurize(mol)  # never raises on parseable input
             except SmilesError as exc:
                 assert 0 <= exc.position <= max(len(mutated), 1)
+
+    # SMILES-like characters plus non-ASCII digits and letters, which
+    # str.isdigit / str.isupper accept but int() or the grammar may not
+    SMILES_TEXT = st.text(
+        alphabet=st.sampled_from(list("CNOSPFIBrlcnosHe()[]=#-+:0123456789%@./\\") + ["²", "٣", "߀", "Σ", "é"]),
+        max_size=40,
+    )
+
+    @staticmethod
+    def _parse_or_located_error(text: str):
+        try:
+            mol = parse(text)
+        except SmilesError as exc:
+            assert 0 <= exc.position <= len(text), (text, exc.position)
+        else:
+            assert mol.n_atoms >= 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(max_size=40))
+    def test_arbitrary_text_parses_or_raises_smiles_error(self, text):
+        self._parse_or_located_error(text)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(SMILES_TEXT)
+    def test_smiles_like_text_parses_or_raises_smiles_error(self, text):
+        self._parse_or_located_error(text)

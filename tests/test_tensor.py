@@ -1,10 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from molmatch import tensor as tensor_module
 from molmatch.tensor import (
     Tensor,
+    _grouped_row_sum,
     add,
     backward,
     concat_cols,
@@ -21,7 +27,7 @@ from molmatch.tensor import (
     sum_all,
     transpose,
 )
-from oracles import assert_grads_match, fd_gradients
+from oracles import add_at_rows, assert_grads_match, fd_gradients
 
 
 def leaf(rng, *shape):
@@ -327,3 +333,69 @@ class TestBackwardSemantics:
         b = Tensor(np.ones(2), requires_grad=True)
         assert not add(a, a).requires_grad
         assert add(a, b).requires_grad
+
+
+@st.composite
+def grouped_rows(draw):
+    """(values, index, n): rows in arbitrary bucket order, some buckets
+    empty, ``n`` up to 3 past the largest index, zero-length allowed."""
+    d = draw(st.integers(1, 4))
+    index = draw(st.lists(st.integers(0, 9), max_size=60))
+    n = (max(index) + 1 if index else 0) + draw(st.integers(0, 3))
+    finite = st.floats(min_value=-1e300, max_value=1e300, width=64)  # 60-row sums stay finite
+    values = draw(arrays(np.float64, (len(index), d), elements=finite))
+    return values, np.asarray(index, dtype=np.int64), n
+
+
+def _case(index, n, d, seed=0):
+    index = np.asarray(index, dtype=np.int64)
+    return np.random.default_rng(seed).normal(size=(index.size, d)), index, n
+
+
+class TestGroupedRowSum:
+    """The slot-table kernel behind scatter_add_rows, the gather_rows
+    VJP and segment_mean must reproduce np.add.at bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(grouped_rows())
+    @example(_case([], 0, 3))
+    @example(_case([], 4, 2))
+    @example(_case([3, 0, 3, 1, 0, 3], 7, 1))
+    @example(_case([2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0], 5, 1))
+    # 20 buckets of 12 rows, one column: numpy would sum such a padded slot axis pairwise
+    @example(_case(np.random.default_rng(1).permutation(np.repeat(np.arange(20), 12)), 20, 1))
+    def test_bitwise_equal_to_add_at(self, case):
+        values, index, n = case
+        ref = add_at_rows(values, index, n)
+        # the default block, then blocks of one row and of a few rows
+        for block in (tensor_module._BLOCK_ELEMENTS, 1, 5):
+            with mock.patch.object(tensor_module, "_BLOCK_ELEMENTS", block):
+                out = _grouped_row_sum(values, index, n)
+            assert np.array_equal(out, ref)
+            assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 300])
+    def test_long_buckets(self, d):
+        # a hub bucket with thousands of rows next to small ones; at
+        # d = 300 the 500 buckets span three blocks
+        rng = np.random.default_rng(7)
+        index = np.concatenate([np.zeros(3000, np.int64), rng.integers(0, 500, size=4000)])
+        rng.shuffle(index)
+        values = rng.normal(size=(index.size, d)) * 10.0 ** rng.integers(-8, 8, size=(index.size, 1))
+        ref = add_at_rows(values, index, 520)
+        assert _grouped_row_sum(values, index, 520).tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(grouped_rows())
+    def test_ops_equal_add_at_reference(self, case):
+        values, index, n = case
+        ref = add_at_rows(values, index, n)
+        assert scatter_add_rows(Tensor(values), index, n).values.tobytes() == ref.tobytes()
+        # sum_all and mul hand the gather VJP exactly ``values`` as its cotangent
+        a = Tensor(np.zeros((n, values.shape[1])), requires_grad=True)
+        grads = backward(weighted_sum(gather_rows(a, index), values), params=[a])
+        assert grads[a].tobytes() == ref.tobytes()
+        counts = np.bincount(index, minlength=n)
+        if n and counts.min() > 0:
+            mean = segment_mean(Tensor(values), index, n).values
+            assert mean.tobytes() == (ref / counts[:, None]).tobytes()
