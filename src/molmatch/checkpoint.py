@@ -109,6 +109,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         metadata = json.loads(bytes(take(meta_len)).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad metadata block: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -170,6 +170,12 @@ def _load_model(path) -> tuple[ModelParams, RunConfig, dict]:
         missing = sorted(expected - got)[:3]
         extra = sorted(got - expected)[:3]
         raise CheckpointError(f"{path}: tensor names mismatch (missing {missing}, extra {extra})")
+    for name, t in model.tensors().items():
+        if tensors[name].shape != t.shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"its config expects {t.shape}"
+            )
     model = model.replace_values({k: v.astype(np.float64) for k, v in tensors.items()})
     return model, cfg, meta
 

@@ -171,12 +171,25 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {name: dataclasses.asdict(getattr(cfg, name)) for name in _SECTIONS}
 
 
+def _typed(section: str, key: str, value, target_type: type):
+    """``value`` if it has the field's type; an int also serves a float field."""
+    ok = isinstance(value, target_type) or (target_type is float and isinstance(value, int))
+    if not ok or (target_type is not bool and isinstance(value, bool)):
+        raise ConfigError(f"[{section}] {key}: expected {target_type.__name__}, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("config snapshot must be a mapping")
     cfg = RunConfig()
     for section, cls in _SECTIONS.items():
         payload = data.get(section, {})
+        if not isinstance(payload, dict):
+            raise ConfigError(f"[{section}] must be a mapping")
         target = getattr(cfg, section)
         for f in dataclasses.fields(cls):
             if f.name in payload:
-                setattr(target, f.name, payload[f.name])
+                kind = type(getattr(target, f.name))
+                setattr(target, f.name, _typed(section, f.name, payload[f.name], kind))
     return cfg.validate()

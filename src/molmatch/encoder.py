@@ -2,6 +2,9 @@
 
 Each layer computes h_v <- MLP_l((1 + eps_l) * h_v + sum_u (h_u + e_uv))
 over the atom's neighbours, where e_uv embeds the bond's feature row.
+The embedding is linear, so the bond half of the sum is taken per atom:
+sum_u e_uv = (sum_u f_uv) @ bond_embed, with the summed bond features
+f_uv computed once per batch, not embedded per edge in every layer.
 After every layer the atom states are mean-pooled per molecule, so a
 forward pass yields one molecule embedding per layer.
 """
@@ -153,6 +156,8 @@ class GraphBatch:
 
     Bonds are expanded to directed edges in both directions so a single
     scatter-add realises the neighbour sum for every atom at once.
+    ``bond_sums`` holds each atom's summed incoming bond features, a
+    constant of the batch.
     """
 
     def __init__(self, graphs: list[MolGraph]):
@@ -182,10 +187,12 @@ class GraphBatch:
             self.edge_src = np.asarray(src, dtype=np.int64)
             self.edge_dst = np.asarray(dst, dtype=np.int64)
             self.edge_feats = Tensor(np.stack(bond_rows))
+            self.bond_sums = scatter_add_rows(self.edge_feats, self.edge_dst, self.n_atoms)
         else:
             self.edge_src = np.zeros(0, dtype=np.int64)
             self.edge_dst = np.zeros(0, dtype=np.int64)
             self.edge_feats = None
+            self.bond_sums = None
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -> Tensor:
@@ -195,9 +202,9 @@ def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -
     lp = params.layers[layer]
     self_term = mul(h, add(lp.eps, _ONE))
     if batch.n_edges:
-        bond_vecs = matmul(batch.edge_feats, lp.bond_embed)
-        messages = add(gather_rows(h, batch.edge_src), bond_vecs)
-        x = add(self_term, scatter_add_rows(messages, batch.edge_dst, batch.n_atoms))
+        neighbours = scatter_add_rows(gather_rows(h, batch.edge_src), batch.edge_dst, batch.n_atoms)
+        bonds = matmul(batch.bond_sums, lp.bond_embed)
+        x = add(self_term, add(neighbours, bonds))
     else:
         x = self_term  # isolated atoms: empty neighbour sum
     x = relu(add(matmul(x, lp.w1), lp.b1))

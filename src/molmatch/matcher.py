@@ -5,6 +5,11 @@ projects both, attends queries over the support rows and reads out a
 label estimate as the attention-weighted mean of the support labels.
 The per-layer estimates are fused by a learned affine map to two-class
 probabilities.  Class index 0 is the positive class throughout.
+
+All layers are matched in one pass over [L, n, d] stacks of their
+embeddings (``match_levels``), so a match records the same handful of
+autodiff nodes whatever the depth; ``match_layer`` and ``fuse`` are the
+one-layer and list forms of the same code.
 """
 
 from __future__ import annotations
@@ -19,15 +24,28 @@ from .smiles import MolGraph
 from .tensor import (
     Tensor,
     add,
+    batched_matmul,
     concat_cols,
     dropout,
+    gather_rows,
     matmul,
+    reshape,
     scale,
     softmax_rows,
+    stack,
     transpose,
 )
 
-__all__ = ["MatchParams", "LayerPrediction", "match_layer", "fuse", "predict", "predict_detailed"]
+__all__ = [
+    "MatchParams",
+    "LayerPrediction",
+    "match_layer",
+    "fuse",
+    "match_levels",
+    "layer_predictions",
+    "predict",
+    "predict_detailed",
+]
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -146,6 +164,59 @@ class LayerPrediction:
     attention: Tensor  # [n_query, n_support], rows sum to 1
 
 
+def _attend(
+    z_query: Tensor,
+    z_support: Tensor,
+    y_support: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    *,
+    training: bool,
+    dropout_rate: float,
+    rng: np.random.Generator | None,
+) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of queries over support labels, for
+    L layers at once.
+
+    ``z_query`` is [L, n_query, d] and ``z_support`` [L, n_support, d];
+    ``wq``/``wk`` are [d, d] (shared) or [L, d, d].  Returns the label
+    estimates [L, n_query, 1] and the attention [L, n_query, n_support].
+    """
+    if z_support.shape[1] == 0:
+        raise ValueError("match: empty support set")
+    if z_query.shape[2] != z_support.shape[2]:
+        raise ValueError(
+            f"match: query width {z_query.shape[2]} != support width {z_support.shape[2]}"
+        )
+    if y_support.shape != (z_support.shape[1], 1):
+        raise ValueError(f"match: y_support must be [{z_support.shape[1]}, 1]")
+    n_layers, n_query, d = z_query.shape
+    n_support = z_support.shape[1]
+    scores = scale(
+        batched_matmul(
+            batched_matmul(z_query, wq), batched_matmul(z_support, wk), transpose_b=True
+        ),
+        1.0 / math.sqrt(d),
+    )
+    attention = reshape(
+        softmax_rows(reshape(scores, (n_layers * n_query, n_support))),
+        (n_layers, n_query, n_support),
+    )
+    used = attention
+    if training and dropout_rate > 0.0:
+        # one [L, n_query, n_support] draw takes the generator's values in
+        # the same order as L successive per-layer draws
+        used = dropout(attention, dropout_rate, rng)
+    y_hat = batched_matmul(used, y_support)
+    if used is attention:
+        # A convex combination of the labels lies in their hull exactly,
+        # but softmax rows only sum to 1 up to rounding, so the product
+        # can spill one ulp past the boundary.  Snap it back.  Dropout
+        # rescaling leaves the simplex, so the training path is exempt.
+        np.clip(y_hat.values, y_support.values.min(), y_support.values.max(), out=y_hat.values)
+    return y_hat, attention
+
+
 def match_layer(
     z_query: Tensor,
     z_support: Tensor,
@@ -157,30 +228,39 @@ def match_layer(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> LayerPrediction:
-    """Scaled dot-product attention of queries over support labels."""
-    if z_support.shape[0] == 0:
-        raise ValueError("match_layer: empty support set")
-    if z_query.shape[1] != z_support.shape[1]:
-        raise ValueError(
-            f"match_layer: query width {z_query.shape[1]} != support width {z_support.shape[1]}"
-        )
-    if y_support.shape != (z_support.shape[0], 1):
-        raise ValueError(f"match_layer: y_support must be [{z_support.shape[0]}, 1]")
+    """Scaled dot-product attention of queries over support labels at
+    one layer: the one-layer case of ``match_levels``."""
+    (n_query, d), (n_support, d_s) = z_query.shape, z_support.shape
     wq, wk = params.qk(layer)
-    d = z_query.shape[1]
-    scores = scale(matmul(matmul(z_query, wq), transpose(matmul(z_support, wk))), 1.0 / math.sqrt(d))
-    attention = softmax_rows(scores)
-    used = attention
+    y_hat, attention = _attend(
+        reshape(z_query, (1, n_query, d)),
+        reshape(z_support, (1, n_support, d_s)),
+        y_support,
+        wq,
+        wk,
+        training=training,
+        dropout_rate=dropout_rate,
+        rng=rng,
+    )
+    return LayerPrediction(
+        y_hat=reshape(y_hat, (n_query, 1)), attention=reshape(attention, (n_query, n_support))
+    )
+
+
+def _fuse(
+    joint: Tensor,
+    params: MatchParams,
+    *,
+    training: bool,
+    dropout_rate: float,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """Affine-combine [n_query, n_layers] label estimates into [n_query, 2]
+    probabilities."""
     if training and dropout_rate > 0.0:
-        used = dropout(attention, dropout_rate, rng)
-    y_hat = matmul(used, y_support)
-    if used is attention:
-        # A convex combination of the labels lies in their hull exactly,
-        # but softmax rows only sum to 1 up to rounding, so the product
-        # can spill one ulp past the boundary.  Snap it back.  Dropout
-        # rescaling leaves the simplex, so the training path is exempt.
-        np.clip(y_hat.values, y_support.values.min(), y_support.values.max(), out=y_hat.values)
-    return LayerPrediction(y_hat=y_hat, attention=attention)
+        joint = dropout(joint, dropout_rate, rng)
+    logits = add(matmul(joint, params.wo), params.bias)
+    return softmax_rows(logits)
 
 
 def fuse(
@@ -197,10 +277,49 @@ def fuse(
             f"fuse: got {len(layer_preds)} layer predictions for {params.n_layers} fusion rows"
         )
     joint = concat_cols([lp.y_hat for lp in layer_preds])
-    if training and dropout_rate > 0.0:
-        joint = dropout(joint, dropout_rate, rng)
-    logits = add(matmul(joint, params.wo), params.bias)
-    return softmax_rows(logits)
+    return _fuse(joint, params, training=training, dropout_rate=dropout_rate, rng=rng)
+
+
+def match_levels(
+    z_query: Tensor,
+    z_support: Tensor,
+    y_support: Tensor,
+    params: MatchParams,
+    *,
+    training: bool = False,
+    dropout_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Match at every layer and fuse, all layers in one stacked pass.
+
+    ``z_query`` [L, n_query, d] and ``z_support`` [L, n_support, d]
+    stack the layers' embeddings.  Returns the fused [n_query, 2]
+    probabilities, the label estimates [L, n_query, 1] and the attention
+    [L, n_query, n_support]; ``layer_predictions`` splits the last two.
+    """
+    n_layers, n_query = z_query.shape[:2]
+    if n_layers != params.n_layers:
+        raise ValueError(f"match: got {n_layers} layers for {params.n_layers} fusion rows")
+    if params.shared_qk:
+        wq, wk = params.wq[0], params.wk[0]
+    else:
+        wq, wk = stack(params.wq), stack(params.wk)
+    y_hat, attention = _attend(
+        z_query, z_support, y_support, wq, wk,
+        training=training, dropout_rate=dropout_rate, rng=rng,
+    )
+    joint = transpose(reshape(y_hat, (n_layers, n_query)))
+    probs = _fuse(joint, params, training=training, dropout_rate=dropout_rate, rng=rng)
+    return probs, y_hat, attention
+
+
+def layer_predictions(y_hat: Tensor, attention: Tensor) -> list[LayerPrediction]:
+    """Per-layer views of ``match_levels``' stacked outputs, detached from
+    the graph."""
+    return [
+        LayerPrediction(y_hat=Tensor(y), attention=Tensor(a))
+        for y, a in zip(y_hat.values, attention.values)
+    ]
 
 
 def _labels_tensor(labels) -> Tensor:
@@ -240,18 +359,19 @@ def predict_detailed(
     y_s = _labels_tensor(support_labels)
     if y_s.shape[0] != n_s:
         raise ValueError(f"predict: {y_s.shape[0]} labels for {n_s} support graphs")
-    preds = []
-    for layer, z in enumerate(levels):
-        z_s = gather_slice(z, 0, n_s)
-        z_q = gather_slice(z, n_s, z.shape[0])
-        preds.append(
-            match_layer(
-                z_q, z_s, y_s, match_params, layer,
-                training=training, dropout_rate=matcher_dropout, rng=rng,
-            )
-        )
-    probs = fuse(preds, match_params, training=training, dropout_rate=matcher_dropout, rng=rng)
-    return probs, preds
+    n_layers, (n_rows, d) = len(levels), levels[0].shape
+    flat = reshape(stack(levels), (n_layers * n_rows, d))
+    first = n_rows * np.arange(n_layers)[:, None]  # each layer's first row in flat
+
+    def rows(start: int, stop: int) -> Tensor:
+        picked = gather_rows(flat, (first + np.arange(start, stop)).reshape(-1))
+        return reshape(picked, (n_layers, stop - start, d))
+
+    probs, y_hat, attention = match_levels(
+        rows(n_s, n_rows), rows(0, n_s), y_s, match_params,
+        training=training, dropout_rate=matcher_dropout, rng=rng,
+    )
+    return probs, layer_predictions(y_hat, attention)
 
 
 def predict(
@@ -266,10 +386,3 @@ def predict(
         support_graphs, support_labels, query_graphs, encoder_params, match_params, **kwargs
     )
     return probs
-
-
-def gather_slice(t: Tensor, start: int, stop: int) -> Tensor:
-    """Row slice as a differentiable gather."""
-    from .tensor import gather_rows
-
-    return gather_rows(t, np.arange(start, stop, dtype=np.int64))

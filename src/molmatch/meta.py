@@ -28,7 +28,7 @@ from .episodes import (
     sample_episode_balanced,
     sample_episode_unbalanced,
 )
-from .matcher import LayerPrediction, MatchParams, fuse, match_layer, predict_detailed
+from .matcher import MatchParams, layer_predictions, match_levels, predict_detailed
 from .smiles import MolGraph
 from .tensor import Tensor, backward, cross_entropy
 
@@ -213,18 +213,9 @@ def episode_loss(
     return cross_entropy(probs, _onehot([y for _, y in query]))
 
 
-def _match_from_embeddings(
-    z_support: list[Tensor], z_query: list[Tensor], y_support: Tensor, match_params: MatchParams
-) -> tuple[Tensor, list[LayerPrediction]]:
-    preds = [
-        match_layer(zq, zs, y_support, match_params, layer)
-        for layer, (zq, zs) in enumerate(zip(z_query, z_support))
-    ]
-    return fuse(preds, match_params), preds
-
-
-def _rows(levels: list[np.ndarray], rows) -> list[Tensor]:
-    return [Tensor(z[rows]) for z in levels]
+def _rows(stacked: np.ndarray, rows) -> Tensor:
+    """Rows of every layer of a frozen [L, n, d] stack, as one leaf."""
+    return Tensor(np.ascontiguousarray(stacked[:, rows]))
 
 
 def inner_adapt(
@@ -248,7 +239,7 @@ def inner_adapt(
     n_s = len(support)
     return _adapt_on_rows(
         match_params,
-        encode_frozen([g for g, _ in pairs], encoder_params),
+        np.stack(encode_frozen([g for g, _ in pairs], encoder_params)),
         np.asarray([y for _, y in pairs], dtype=np.float64),
         np.arange(n_s),
         np.arange(n_s, len(pairs)),
@@ -259,7 +250,7 @@ def inner_adapt(
 
 def _adapt_on_rows(
     match_params: MatchParams,
-    levels: list[np.ndarray],
+    stacked: np.ndarray,
     labels: np.ndarray,
     support_rows,
     query_rows,
@@ -267,21 +258,22 @@ def _adapt_on_rows(
     task_id: str,
 ) -> AdaptedParams:
     """The inner loop of ``inner_adapt`` on precomputed frozen embeddings:
-    ``levels[l][r]`` is row r's layer-l embedding and ``labels[r]`` its
-    label."""
+    ``stacked[l, r]`` is row r's layer-l embedding and ``labels[r]`` its
+    label.  Support and query rows are sliced once; every step matches
+    all layers in one stacked pass."""
     w_tau = match_params.clone(requires_grad=True)
     history: list[float] = []
     if not len(query_rows):
         log.debug("task %s: no adaptation queries; skipping inner loop", task_id)
         return AdaptedParams(w_tau, task_id, float("nan"), history)
 
-    z_support = _rows(levels, support_rows)
-    z_query = _rows(levels, query_rows)
+    z_support = _rows(stacked, support_rows)
+    z_query = _rows(stacked, query_rows)
     y_s = Tensor(labels[support_rows].reshape(-1, 1))
     target = _onehot(labels[query_rows])
 
     def loss_of(w: MatchParams) -> Tensor:
-        probs, _ = _match_from_embeddings(z_support, z_query, y_s, w)
+        probs, _, _ = match_levels(z_query, z_support, y_s, w)
         return cross_entropy(probs, target)
 
     for _ in range(cfg.inner_steps):
@@ -515,14 +507,15 @@ def finetune_and_predict_detailed(
     elif any(z.shape[0] != n_rows for z in embeddings):
         raise ValueError(f"finetune_and_predict: embeddings must have {n_rows} rows")
     labels = np.asarray([y for _, y in support_set], dtype=np.float64)
+    stacked = np.stack(embeddings)
     s_fine, q_fine = _split_rows(labels, cfg.train.support_split_fraction, seed)
     adapted = _adapt_on_rows(
-        model.matcher, embeddings, labels, s_fine, q_fine, cfg.train, task_id="finetune"
+        model.matcher, stacked, labels, s_fine, q_fine, cfg.train, task_id="finetune"
     )
-    probs, layer_preds = _match_from_embeddings(
-        _rows(embeddings, slice(0, n_s)),
-        _rows(embeddings, slice(n_s, n_rows)),
+    probs, y_hat, attention = match_levels(
+        _rows(stacked, slice(n_s, n_rows)),
+        _rows(stacked, slice(0, n_s)),
         Tensor(labels.reshape(-1, 1)),
         adapted.w_tau.detach(),
     )
-    return probs.values, layer_preds
+    return probs.values, layer_predictions(y_hat, attention)

@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Only the operations the matching model actually needs: matrix products,
-row softmax, segment means, gathers/scatters, elementwise arithmetic,
-ReLU, column concatenation, inverted-scaling dropout and a summed
-cross-entropy.  Op functions build the graph implicitly; ``backward``
-replays it once in reverse topological order.
+Only the operations the matching model actually needs: matrix products
+(single and stacked), reshapes and stacking, row softmax, segment means,
+gathers/scatters, elementwise arithmetic, ReLU, column concatenation,
+inverted-scaling dropout and a summed cross-entropy.  Op functions
+build the graph implicitly; ``backward`` replays it once in reverse
+topological order.
 
 Tensors are treated as immutable once created (the ``grad`` slot is the
 one exception), so parameter updates always construct fresh tensors and
@@ -24,7 +25,10 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "batched_matmul",
     "transpose",
+    "reshape",
+    "stack",
     "relu",
     "softmax_rows",
     "segment_mean",
@@ -192,6 +196,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(av @ bv, (a, b), vjp)
 
 
+def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Stacked products ``out[l] = a[l] @ b[l]`` over a leading axis of L.
+
+    Operands are [L, m, k] and [L, k, n].  A 2-d operand is shared by
+    all L products (numpy broadcasting), so its gradient is the sum of
+    the L per-product gradients, added in order l = 0, 1, ...  With
+    ``transpose_b`` the second operand is given as [..., n, k] and each
+    product uses its transpose; the transposed copy is made once here,
+    so each product runs on the same memory layout as ``matmul`` of a
+    ``transpose`` output.
+    """
+    av, bv = a.values, b.values
+    if transpose_b and bv.ndim >= 2:
+        bv = np.ascontiguousarray(np.swapaxes(bv, -1, -2))
+    if (
+        av.ndim not in (2, 3)
+        or bv.ndim not in (2, 3)
+        or max(av.ndim, bv.ndim) != 3
+        or av.shape[-1] != bv.shape[-2]
+        or (av.ndim == bv.ndim == 3 and av.shape[0] != bv.shape[0])
+    ):
+        raise ValueError(f"batched_matmul: incompatible shapes {a.shape} and {b.shape}")
+    na, nb = a.requires_grad, b.requires_grad
+
+    def vjp(g):
+        ga = gb = None
+        if na:
+            ga = np.matmul(g, np.swapaxes(bv, -1, -2))
+            if av.ndim == 2:
+                ga = ga.sum(axis=0)
+        if nb:
+            gb = np.matmul(np.swapaxes(av, -1, -2), g)
+            if bv.ndim == 2:
+                gb = gb.sum(axis=0)
+            if transpose_b:
+                gb = np.swapaxes(gb, -1, -2)
+        return ga, gb
+
+    return _make(np.matmul(av, bv), (a, b), vjp)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ValueError(f"transpose: expected a 2-d tensor, got shape {a.shape}")
@@ -200,6 +245,33 @@ def transpose(a: Tensor) -> Tensor:
         return (g.T,)
 
     return _make(a.values.T.copy(), (a,), vjp)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """The same values in C order under a new shape."""
+    shape = tuple(int(n) for n in shape)
+    if math.prod(shape) != a.values.size:
+        raise ValueError(f"reshape: cannot view shape {a.shape} as {shape}")
+    old = a.values.shape
+
+    def vjp(g):
+        return (g.reshape(old),)
+
+    return _make(a.values.reshape(shape), (a,), vjp)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shaped tensors along a new leading axis."""
+    if not tensors:
+        raise ValueError("stack: need at least one tensor")
+    shape = tensors[0].values.shape
+    if any(t.values.shape != shape for t in tensors):
+        raise ValueError("stack: all tensors must have the same shape")
+
+    def vjp(g):
+        return tuple(g)
+
+    return _make(np.stack([t.values for t in tensors]), tuple(tensors), vjp)
 
 
 def relu(a: Tensor) -> Tensor:

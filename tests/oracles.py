@@ -66,6 +66,37 @@ def add_at_rows(values, index, n: int) -> np.ndarray:
     return out
 
 
+def match_per_layer(z_query, z_support, y_support, params, *, training=False,
+                    dropout_rate=0.0, rng=None):
+    """Per-layer reference for the stacked matcher: one attention block
+    per layer on 2-d autodiff ops, then the fused probabilities.
+
+    ``z_query``/``z_support`` are lists of per-layer [n, d] tensors.  The
+    2-d ops are each checked against finite differences on their own, so
+    gradients through this graph are an independent reference for the
+    stacked ops.  Returns (probs, per-layer y_hat, per-layer attention).
+    """
+    from molmatch.tensor import add, concat_cols, dropout, matmul, scale, softmax_rows, transpose
+
+    drop = training and dropout_rate > 0.0
+    y_hats, attentions = [], []
+    for layer, (zq, zs) in enumerate(zip(z_query, z_support)):
+        wq, wk = params.qk(layer)
+        scores = matmul(matmul(zq, wq), transpose(matmul(zs, wk)))
+        attention = softmax_rows(scale(scores, 1.0 / np.sqrt(zq.shape[1])))
+        used = dropout(attention, dropout_rate, rng) if drop else attention
+        y_hat = matmul(used, y_support)
+        if not drop:
+            np.clip(y_hat.values, y_support.values.min(), y_support.values.max(), out=y_hat.values)
+        y_hats.append(y_hat)
+        attentions.append(attention)
+    joint = concat_cols(y_hats)
+    if drop:
+        joint = dropout(joint, dropout_rate, rng)
+    probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
+    return probs, y_hats, attentions
+
+
 def auroc_bruteforce(scores, labels) -> float:
     """Pairwise definition: P(pos outranks neg), ties counting 1/2."""
     s = [float(v) for v in scores]

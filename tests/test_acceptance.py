@@ -44,6 +44,7 @@ from molmatch.tensor import (
     Tensor,
     add,
     backward,
+    batched_matmul,
     concat_cols,
     cross_entropy,
     dropout,
@@ -51,10 +52,12 @@ from molmatch.tensor import (
     matmul,
     mul,
     relu,
+    reshape,
     scale,
     scatter_add_rows,
     segment_mean,
     softmax_rows,
+    stack,
     sum_all,
     transpose,
 )
@@ -167,6 +170,33 @@ def _op_cases(seed: int):
 
     su = tensors((4, 3))[0]
     cases["sum_all"] = ({"a": su}, lambda: mul(sum_all(su), Tensor(np.asarray(1.3))))
+
+    ba, bb = tensors((3, 2, 4), (3, 4, 2))
+    w10 = weight((3, 2, 2))
+    cases["batched_matmul"] = (
+        {"a": ba, "b": bb}, lambda: sum_all(mul(batched_matmul(ba, bb), w10))
+    )
+
+    sa3, sw = tensors((3, 2, 4), (4, 3))
+    w11 = weight((3, 2, 3))
+    cases["batched_matmul_shared_b"] = (
+        {"a": sa3, "b": sw}, lambda: sum_all(mul(batched_matmul(sa3, sw), w11))
+    )
+
+    ta, tb = tensors((3, 2, 4), (3, 5, 4))
+    w12 = weight((3, 2, 5))
+    cases["batched_matmul_transpose_b"] = (
+        {"a": ta, "b": tb},
+        lambda: sum_all(mul(batched_matmul(ta, tb, transpose_b=True), w12)),
+    )
+
+    ra = tensors((3, 4))[0]
+    w13 = weight((2, 6))
+    cases["reshape"] = ({"a": ra}, lambda: sum_all(mul(reshape(ra, (2, 6)), w13)))
+
+    ka, kb = tensors((2, 3), (2, 3))
+    w14 = weight((2, 2, 3))
+    cases["stack"] = ({"a": ka, "b": kb}, lambda: sum_all(mul(stack([ka, kb]), w14)))
 
     return cases
 

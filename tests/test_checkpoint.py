@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from molmatch import checkpoint
 from molmatch.checkpoint import (
@@ -14,6 +16,9 @@ from molmatch.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from molmatch.cli import _load_model, _save_model
+from molmatch.config import ConfigError, RunConfig
+from molmatch.meta import init_model
 from helpers import first_name_offset
 
 
@@ -170,3 +175,59 @@ class TestAtomicWrite:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+@pytest.fixture(scope="module")
+def model_checkpoint(tmp_path_factory):
+    """A tiny model's checkpoint bytes and a scratch path to write variants to."""
+    cfg = RunConfig()
+    cfg.encoder.layers = 1
+    cfg.encoder.hidden = 3
+    root = tmp_path_factory.mktemp("fuzz")
+    _save_model(root / "model.ckpt", init_model(cfg), cfg, epoch=0)
+    return (root / "model.ckpt").read_bytes(), root / "variant.ckpt"
+
+
+def _metadata_end(raw: bytes) -> int:
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    return 12 + meta_len
+
+
+@st.composite
+def damaged(draw, raw: bytes):
+    """``raw`` truncated (one case in four), or with one to three bytes
+    XOR-flipped.  Most flips land in the header and the metadata JSON,
+    whose config decides which tensors and shapes the reader expects."""
+    if draw(st.integers(0, 3)) == 0:
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    out = bytearray(raw)
+    header = st.integers(0, _metadata_end(raw) - 1)
+    anywhere = st.integers(0, len(raw) - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        out[draw(st.one_of(header, header, anywhere))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
+    @given(st.data())
+    def test_damaged_files_raise_only_reader_errors(self, model_checkpoint, data):
+        raw, path = model_checkpoint
+        path.write_bytes(data.draw(damaged(raw)))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+        try:
+            _load_model(path)
+        except (CheckpointError, ConfigError):
+            pass
+
+    def test_config_shape_mismatch_names_the_tensor(self, model_checkpoint):
+        raw, path = model_checkpoint
+        path.write_bytes(raw)
+        tensors, meta = load_checkpoint(path)
+        meta["config"]["encoder"]["hidden"] = 4
+        save_checkpoint(path, tensors, meta)
+        with pytest.raises(CheckpointError, match=r"tensor 'encoder\.input_w' has shape \(\d+, 3\).*\(\d+, 4\)"):
+            _load_model(path)

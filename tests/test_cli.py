@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from molmatch import cli, encoder
-from molmatch.checkpoint import load_checkpoint
+from molmatch.checkpoint import load_checkpoint, save_checkpoint
 from molmatch.cli import _save_model, main
 from molmatch.encoder import encode_multilevel
 from molmatch.episodes import load_registry
@@ -328,6 +328,17 @@ class TestPredict:
         assert len(rows) == 1 + 2 * 4  # layers x parseable queries
         for row in rows[1:]:
             np.testing.assert_allclose(sum(float(v) for v in row[2:]), 1.0, atol=1e-6)
+
+    def test_config_shape_mismatch_is_data_error(self, workspace, tmp_path, capsys):
+        support, query, _ = self.write_inputs(workspace, tmp_path)
+        tensors, meta = load_checkpoint(workspace["ckpt"])
+        meta["config"]["encoder"]["hidden"] = 5  # the tensors are 8 wide
+        mismatched = tmp_path / "mismatched.ckpt"
+        save_checkpoint(mismatched, tensors, meta)
+        assert main(["predict", "--ckpt", str(mismatched), "--support", str(support),
+                     "--query", str(query)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "tensor 'encoder.input_w'" in err
 
     def test_all_malformed_support_is_data_error(self, workspace, tmp_path, capsys):
         support = tmp_path / "support.jsonl"

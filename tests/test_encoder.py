@@ -110,6 +110,30 @@ class TestGinLayer:
         out = encode_multilevel([graph_from_smiles("CC")], params)[0]
         np.testing.assert_allclose(out.values, np.full((1, 4), 2.75), rtol=1e-14)
 
+    def test_matches_per_edge_message_sum(self):
+        # sum over incoming edges of (h_u + e_uv), each edge's bond
+        # embedded on its own, against the per-atom bond-sum form
+        params = small_params(seed=3, layers=1, hidden=6)
+        batch = GraphBatch([graph_from_smiles(s) for s in MOLS])
+        rng = np.random.default_rng(0)
+        h = rng.normal(size=(batch.n_atoms, 6))
+        lp = params.layers[0]
+        x = (1.0 + lp.eps.values) * h
+        for src, dst, feats in zip(batch.edge_src, batch.edge_dst, batch.edge_feats.values):
+            x[dst] += h[src] + feats @ lp.bond_embed.values
+        x = np.maximum(x @ lp.w1.values + lp.b1.values, 0.0)
+        expect = x @ lp.w2.values + lp.b2.values
+        out = gin_layer(Tensor(h), batch, params, 0)
+        np.testing.assert_allclose(out.values, expect, rtol=0, atol=1e-12)
+
+    def test_bond_sums_add_each_atoms_incoming_bonds(self):
+        batch = GraphBatch([graph_from_smiles("CC=O"), graph_from_smiles("C#N")])
+        expect = np.zeros((batch.n_atoms, DEFAULT_SCHEMA.d_bond))
+        for dst, feats in zip(batch.edge_dst, batch.edge_feats.values):
+            expect[dst] += feats
+        np.testing.assert_array_equal(batch.bond_sums.values, expect)
+        assert not batch.bond_sums.requires_grad
+
     def test_zero_weights_zero_output(self):
         params = small_params()
         zeros = {name: np.zeros(t.shape) for name, t in params.tensors().items()}

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from molmatch.encoder import EncoderParams
+from molmatch.encoder import EncoderParams, encode_multilevel
 from molmatch.matcher import (
     LayerPrediction,
     MatchParams,
     fuse,
+    layer_predictions,
     match_layer,
+    match_levels,
     predict,
     predict_detailed,
 )
 from molmatch.smiles import graph_from_smiles
-from molmatch.tensor import Tensor
+from molmatch.tensor import Tensor, backward, cross_entropy, stack
+from oracles import match_per_layer
 
 SUPPORT = ["CCO", "CC(=O)O", "c1ccccc1", "CCN"]
 QUERIES = ["CCC", "c1ccncc1"]
@@ -203,3 +206,86 @@ class TestPredict:
             predict([], [], graphs(QUERIES), enc, match)
         with pytest.raises(ValueError, match="empty query"):
             predict(graphs(SUPPORT), [1, 0, 1, 0], [], enc, match)
+
+
+MATCH_CASES = [
+    pytest.param(True, True, 0.0, id="shared"),
+    pytest.param(False, True, 0.0, id="per-layer-qk"),
+    pytest.param(True, False, 0.0, id="frozen-bias"),
+    pytest.param(True, True, 0.3, id="shared-dropout"),
+    pytest.param(False, False, 0.3, id="per-layer-qk-frozen-bias-dropout"),
+]
+
+
+class TestStackedMatch:
+    """``match_levels`` against the per-layer reference in ``oracles``."""
+
+    @pytest.mark.parametrize("share_qk, learn_bias, rate", MATCH_CASES)
+    def test_matches_per_layer_reference(self, share_qk, learn_bias, rate):
+        for seed in range(4):
+            rng = np.random.default_rng([31, seed])
+            n_layers, d, n_s, n_q = 3, 5, 6, 4
+            params = MatchParams.init(
+                n_layers, d, seed=seed, share_qk=share_qk, learn_bias=learn_bias
+            )
+            zq = [Tensor(rng.normal(size=(n_q, d)), requires_grad=True) for _ in range(n_layers)]
+            zs = [Tensor(rng.normal(size=(n_s, d)), requires_grad=True) for _ in range(n_layers)]
+            y_s = Tensor(rng.integers(0, 2, size=(n_s, 1)).astype(float))
+            target = Tensor(np.eye(2)[rng.integers(0, 2, size=n_q)])
+            kwargs = dict(training=rate > 0, dropout_rate=rate)
+
+            probs, y_hat, attention = match_levels(
+                stack(zq), stack(zs), y_s, params, rng=np.random.default_rng(seed), **kwargs
+            )
+            ref_probs, ref_y, ref_att = match_per_layer(
+                zq, zs, y_s, params, rng=np.random.default_rng(seed), **kwargs
+            )
+            np.testing.assert_allclose(probs.values, ref_probs.values, rtol=0, atol=1e-12)
+            preds = layer_predictions(y_hat, attention)
+            assert len(preds) == n_layers
+            for pred, y, att in zip(preds, ref_y, ref_att):
+                np.testing.assert_allclose(pred.y_hat.values, y.values, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pred.attention.values, att.values, rtol=0, atol=1e-12)
+
+            watched = list(params.tensors().values()) + zq + zs
+            grads = backward(cross_entropy(probs, target), params=watched, write_grad=False)
+            ref = backward(cross_entropy(ref_probs, target), params=watched, write_grad=False)
+            for t in watched:
+                if t.requires_grad:
+                    np.testing.assert_allclose(grads[t], ref[t], rtol=0, atol=1e-12)
+
+    def test_predict_detailed_matches_reference_on_encoded_levels(self):
+        enc = EncoderParams.init(3, 6, seed=2)
+        match = MatchParams.init(3, 6, seed=3, share_qk=False)
+        labels = [1, 0, 1, 0]
+        kwargs = dict(training=True, matcher_dropout=0.25, encoder_dropout=0.2)
+        probs, preds = predict_detailed(
+            graphs(SUPPORT), labels, graphs(QUERIES), enc, match,
+            rng=np.random.default_rng(9), **kwargs,
+        )
+        # the reference draws from the same generator in the same order:
+        # encoder dropout, then the matcher's per-layer and fusion masks
+        rng = np.random.default_rng(9)
+        levels = encode_multilevel(
+            graphs(SUPPORT + QUERIES), enc, training=True, dropout_rate=0.2, rng=rng
+        )
+        n_s = len(SUPPORT)
+        ref_probs, ref_y, ref_att = match_per_layer(
+            [Tensor(z.values[n_s:]) for z in levels],
+            [Tensor(z.values[:n_s]) for z in levels],
+            Tensor(np.asarray(labels, dtype=float).reshape(-1, 1)),
+            match,
+            training=True,
+            dropout_rate=0.25,
+            rng=rng,
+        )
+        np.testing.assert_allclose(probs.values, ref_probs.values, rtol=0, atol=1e-12)
+        for pred, y, att in zip(preds, ref_y, ref_att):
+            np.testing.assert_allclose(pred.y_hat.values, y.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pred.attention.values, att.values, rtol=0, atol=1e-12)
+
+    def test_layer_count_must_match_fusion_rows(self):
+        params = MatchParams.init(3, 2, seed=0)
+        z = Tensor(np.ones((2, 4, 2)))
+        with pytest.raises(ValueError, match="3 fusion rows"):
+            match_levels(z, z, Tensor(np.ones((4, 1))), params)

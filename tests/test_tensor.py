@@ -13,6 +13,7 @@ from molmatch.tensor import (
     _grouped_row_sum,
     add,
     backward,
+    batched_matmul,
     concat_cols,
     cross_entropy,
     dropout,
@@ -20,10 +21,12 @@ from molmatch.tensor import (
     matmul,
     mul,
     relu,
+    reshape,
     scale,
     scatter_add_rows,
     segment_mean,
     softmax_rows,
+    stack,
     sum_all,
     transpose,
 )
@@ -109,6 +112,29 @@ class TestForward:
         np.testing.assert_allclose(vals, [0.0, 1.0 / 0.6])
         assert abs(out.values.mean() - 1.0) < 0.05  # unbiased in expectation
 
+    def test_batched_matmul_is_per_slice_matmul(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+        shared_a, shared_b = rng.normal(size=(2, 4)), rng.normal(size=(4, 5))
+        cases = [
+            (batched_matmul(Tensor(a), Tensor(b)), [a[l] @ b[l] for l in range(3)]),
+            (batched_matmul(Tensor(shared_a), Tensor(b)), [shared_a @ b[l] for l in range(3)]),
+            (batched_matmul(Tensor(a), Tensor(shared_b)), [a[l] @ shared_b for l in range(3)]),
+            (
+                batched_matmul(Tensor(a), Tensor(b.swapaxes(1, 2).copy()), transpose_b=True),
+                [a[l] @ b[l] for l in range(3)],
+            ),
+        ]
+        for out, expect in cases:
+            np.testing.assert_allclose(out.values, np.stack(expect), rtol=1e-14, atol=1e-14)
+
+    def test_reshape_and_stack(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(reshape(a, (3, 2)).values, [[0, 1], [2, 3], [4, 5]])
+        out = stack([a, scale(a, 2.0)])
+        assert out.shape == (2, 2, 3)
+        np.testing.assert_array_equal(out.values[1], 2.0 * a.values)
+
     def test_operator_sugar(self):
         rng = np.random.default_rng(1)
         a, b = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2)))
@@ -123,6 +149,27 @@ class TestForwardErrors:
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+    def test_batched_matmul_shape_errors(self):
+        z = lambda *shape: Tensor(np.zeros(shape))
+        for a, b in [
+            (z(2, 3), z(3, 4)),  # neither operand stacked
+            (z(2, 2, 3), z(3, 2, 4)),  # stack lengths differ
+            (z(2, 2, 3), z(2, 4, 4)),  # inner widths differ
+            (z(2, 2, 2, 3), z(3, 4)),  # 4-d operand
+        ]:
+            with pytest.raises(ValueError, match="batched_matmul"):
+                batched_matmul(a, b)
+        with pytest.raises(ValueError, match="batched_matmul"):
+            batched_matmul(z(2, 2, 3), z(2, 3, 4), transpose_b=True)
+
+    def test_reshape_and_stack_errors(self):
+        with pytest.raises(ValueError, match="reshape"):
+            reshape(Tensor(np.zeros((2, 3))), (4, 2))
+        with pytest.raises(ValueError, match="stack"):
+            stack([])
+        with pytest.raises(ValueError, match="same shape"):
+            stack([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))])
 
     def test_add_incompatible_shapes(self):
         with pytest.raises(ValueError, match="incompatible"):
@@ -241,6 +288,49 @@ class TestGradients:
         idx = [1, 1, 0, 3, 3]
         w = rng.normal(size=(4, 3))
         self.check(lambda: weighted_sum(scatter_add_rows(a, idx, 4), w), {"a": a})
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, transpose_b",
+        [
+            ((3, 2, 4), (3, 4, 5), False),
+            ((2, 4), (3, 4, 5), False),  # shared first operand
+            ((3, 2, 4), (4, 5), False),  # shared second operand
+            ((3, 2, 4), (3, 5, 4), True),
+            ((3, 2, 4), (5, 4), True),  # shared and transposed
+        ],
+    )
+    def test_batched_matmul(self, a_shape, b_shape, transpose_b):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            a, b = leaf(rng, *a_shape), leaf(rng, *b_shape)
+            out_shape = batched_matmul(a, b, transpose_b=transpose_b).shape
+            w = rng.normal(size=out_shape)
+            self.check(
+                lambda: weighted_sum(batched_matmul(a, b, transpose_b=transpose_b), w),
+                {"a": a, "b": b},
+            )
+
+    def test_batched_matmul_shared_gradient_sums_in_layer_order(self):
+        rng = np.random.default_rng(5)
+        a, w = leaf(rng, 4, 3, 6), leaf(rng, 6, 2)
+        g = rng.normal(size=(4, 3, 2))
+        grads = backward(weighted_sum(batched_matmul(a, w), g), params=[w], write_grad=False)
+        expect = a.values[0].T @ g[0]
+        for layer in range(1, 4):
+            expect = expect + a.values[layer].T @ g[layer]
+        np.testing.assert_array_equal(grads[w], expect)
+
+    def test_reshape(self):
+        rng = np.random.default_rng(0)
+        a = leaf(rng, 3, 4)
+        w = rng.normal(size=(2, 2, 3))
+        self.check(lambda: weighted_sum(reshape(a, (2, 2, 3)), w), {"a": a})
+
+    def test_stack(self):
+        rng = np.random.default_rng(0)
+        a, b, c = leaf(rng, 2, 3), leaf(rng, 2, 3), leaf(rng, 2, 3)
+        w = rng.normal(size=(3, 2, 3))
+        self.check(lambda: weighted_sum(stack([a, b, c]), w), {"a": a, "b": b, "c": c})
 
     def test_concat_cols(self):
         rng = np.random.default_rng(0)
