@@ -56,6 +56,13 @@ WORKERS_ENV = "MOLMATCH_WORKERS"
 log = logging.getLogger("molmatch")
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="molmatch",
@@ -68,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file (defaults used when omitted)")
     p.add_argument("--data", required=True, help="dataset root with train/valid/test dirs")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.add_argument("--workers", type=int, help=f"worker cap (or env {WORKERS_ENV})")
     p.add_argument("--log", help="epoch log CSV path (default: <out>.log.csv)")
 
@@ -78,14 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support-size", type=int, help="override the checkpoint protocol")
     p.add_argument("--repeats", type=int, help="episodes per task (default from checkpoint)")
     p.add_argument("--protocol", choices=["balanced", "unbalanced"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
 
     p = sub.add_parser("predict", help="label queries from a labelled support file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--support", required=True, help="JSONL file of {smiles, label} records")
     p.add_argument("--query", required=True, help="text file with one SMILES per line")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--attention-out", help="also write per-layer attention rows as CSV")
 
     p = sub.add_parser("taskrel", help="export the task-relation matrix")
@@ -96,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="matrix CSV path")
     p.add_argument("--split", default="train", choices=["train", "valid", "test"])
     p.add_argument("--normalize", action="store_true", help="row-softmax the matrix before writing")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("export-embeddings", help="write per-layer molecule embeddings")
     p.add_argument("--ckpt", required=True)
@@ -110,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", type=int, default=0, dest="n_valid")
     p.add_argument("--test", type=int, default=20, dest="n_test")
     p.add_argument("--molecules", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -193,8 +200,6 @@ def _trained_epochs(logs) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
         cfg.train.seed = args.seed
     workers = args.workers
     if workers is None and os.environ.get(WORKERS_ENV):

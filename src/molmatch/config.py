@@ -73,8 +73,6 @@ class ProtocolConfig:
 class TaskRelConfig:
     metric: str = "cosine"  # dot | cosine | euclidean
     mode: str = "adapted-w-delta"  # adapted-w-delta | mean-support-embedding
-    normalize: bool = True  # row-softmax M before using it in updates
-    eta: float = 0.0  # shadow-block step size; the implicit mode is experimental
 
 
 @dataclass

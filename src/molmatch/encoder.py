@@ -11,11 +11,11 @@ forward pass yields one molecule embedding per layer.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .params import Params, uniform_init
 from .smiles import DEFAULT_SCHEMA, MolGraph
 from .tensor import (
     Tensor,
@@ -41,13 +41,10 @@ __all__ = [
 _ONE = Tensor(1.0)
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-@dataclass
+@dataclass(frozen=True)
 class GinLayerParams:
+    """Read-only view of one layer's tensors in an ``EncoderParams``."""
+
     w1: Tensor
     b1: Tensor
     w2: Tensor
@@ -56,21 +53,33 @@ class GinLayerParams:
     bond_embed: Tensor  # [d_bond, d]
 
 
-@dataclass
-class EncoderParams:
-    """All learnable state of the encoder (the theta side of the model)."""
+class EncoderParams(Params):
+    """All learnable state of the encoder (the theta side of the model):
+    ``input_w`` [d_atom, d], ``input_b`` [d] and per layer
+    ``layer{i}.w1``/``b1``/``w2``/``b2``/``eps``/``bond_embed``."""
 
-    input_w: Tensor  # [d_atom, d]
-    input_b: Tensor  # [d]
-    layers: list[GinLayerParams]
+    @property
+    def input_w(self) -> Tensor:
+        return self["input_w"]
+
+    @property
+    def input_b(self) -> Tensor:
+        return self["input_b"]
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return sum(name.endswith(".eps") for name in self._tensors)
 
     @property
     def hidden(self) -> int:
         return self.input_w.shape[1]
+
+    def layer(self, i: int) -> GinLayerParams:
+        return GinLayerParams(*(self[f"layer{i}.{f.name}"] for f in fields(GinLayerParams)))
+
+    @property
+    def layers(self) -> list[GinLayerParams]:
+        return [self.layer(i) for i in range(self.n_layers)]
 
     @staticmethod
     def init(
@@ -84,71 +93,22 @@ class EncoderParams:
         if n_layers < 1 or hidden < 1:
             raise ValueError("encoder needs n_layers >= 1 and hidden >= 1")
         rng = np.random.default_rng(seed)
-        t = lambda arr: Tensor(arr, requires_grad=True)
-        layers = []
-        for _ in range(n_layers):
-            layers.append(
-                GinLayerParams(
-                    w1=t(_uniform(rng, (hidden, hidden), hidden)),
-                    b1=t(_uniform(rng, (hidden,), hidden)),
-                    w2=t(_uniform(rng, (hidden, hidden), hidden)),
-                    b2=t(_uniform(rng, (hidden,), hidden)),
-                    eps=t(0.0),
-                    bond_embed=t(_uniform(rng, (d_bond, hidden), d_bond)),
-                )
-            )
-        return EncoderParams(
-            input_w=t(_uniform(rng, (d_atom, hidden), d_atom)),
-            input_b=t(_uniform(rng, (hidden,), d_atom)),
-            layers=layers,
-        )
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = {"input_w": self.input_w, "input_b": self.input_b}
-        for i, lp in enumerate(self.layers):
-            out[f"layer{i}.w1"] = lp.w1
-            out[f"layer{i}.b1"] = lp.b1
-            out[f"layer{i}.w2"] = lp.w2
-            out[f"layer{i}.b2"] = lp.b2
-            out[f"layer{i}.eps"] = lp.eps
-            out[f"layer{i}.bond_embed"] = lp.bond_embed
-        return out
-
-    def replace_values(self, values: dict[str, np.ndarray], requires_grad: bool = True) -> "EncoderParams":
-        """Functional update: fresh tensors built from ``values`` by name."""
-        current = self.tensors()
-        new = {}
-        for name, t in current.items():
-            v = values.get(name, t.values)
-            new[name] = Tensor(np.asarray(v, dtype=np.float64).reshape(t.shape),
-                               requires_grad=requires_grad and t.requires_grad)
-        layers = [
-            GinLayerParams(
-                w1=new[f"layer{i}.w1"],
-                b1=new[f"layer{i}.b1"],
-                w2=new[f"layer{i}.w2"],
-                b2=new[f"layer{i}.b2"],
-                eps=new[f"layer{i}.eps"],
-                bond_embed=new[f"layer{i}.bond_embed"],
-            )
-            for i in range(self.n_layers)
-        ]
-        return EncoderParams(input_w=new["input_w"], input_b=new["input_b"], layers=layers)
-
-    def clone(self, requires_grad: bool = True) -> "EncoderParams":
-        return self.replace_values({}, requires_grad=requires_grad)
-
-    def detach(self) -> "EncoderParams":
-        """Gradient-free view sharing values; used for frozen-theta passes."""
-        d = lambda t: t.detach()
-        return EncoderParams(
-            input_w=d(self.input_w),
-            input_b=d(self.input_b),
-            layers=[
-                GinLayerParams(d(lp.w1), d(lp.b1), d(lp.w2), d(lp.b2), d(lp.eps), d(lp.bond_embed))
-                for lp in self.layers
-            ],
-        )
+        # the layers draw before the input projection; the draw order fixes
+        # every seed's initial weights
+        layers = {}
+        for i in range(n_layers):
+            layers[f"layer{i}.w1"] = uniform_init(rng, (hidden, hidden), hidden)
+            layers[f"layer{i}.b1"] = uniform_init(rng, (hidden,), hidden)
+            layers[f"layer{i}.w2"] = uniform_init(rng, (hidden, hidden), hidden)
+            layers[f"layer{i}.b2"] = uniform_init(rng, (hidden,), hidden)
+            layers[f"layer{i}.eps"] = 0.0
+            layers[f"layer{i}.bond_embed"] = uniform_init(rng, (d_bond, hidden), d_bond)
+        values = {
+            "input_w": uniform_init(rng, (d_atom, hidden), d_atom),
+            "input_b": uniform_init(rng, (hidden,), d_atom),
+            **layers,
+        }
+        return EncoderParams({k: Tensor(v, requires_grad=True) for k, v in values.items()})
 
 
 class GraphBatch:
@@ -199,7 +159,7 @@ def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -
     """One message-passing layer over the batched graph."""
     if not 0 <= layer < params.n_layers:
         raise ValueError(f"gin_layer: layer index {layer} out of range [0, {params.n_layers})")
-    lp = params.layers[layer]
+    lp = params.layer(layer)
     self_term = mul(h, add(lp.eps, _ONE))
     if batch.n_edges:
         neighbours = scatter_add_rows(gather_rows(h, batch.edge_src), batch.edge_dst, batch.n_atoms)

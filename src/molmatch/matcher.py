@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, GraphBatch, encode_multilevel
+from .encoder import EncoderParams, encode_multilevel
+from .params import Params, uniform_init
 from .smiles import MolGraph
 from .tensor import (
     Tensor,
@@ -43,14 +44,8 @@ __all__ = [
     "fuse",
     "match_levels",
     "layer_predictions",
-    "predict",
     "predict_detailed",
 ]
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 # Mean-pooled graph embeddings come out well below unit RMS, so unit-fan
@@ -60,9 +55,10 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 PROJECTION_GAIN = 8.0
 
 
-@dataclass
-class MatchParams:
-    """Task-adaptable parameters (the w side of the model).
+class MatchParams(Params):
+    """Task-adaptable parameters (the w side of the model): the query/key
+    projections ``wq{i}``/``wk{i}``, the fusion rows ``wo`` [n_layers, 2]
+    and the fusion ``bias`` [2].
 
     ``wq``/``wk`` hold a single shared projection pair by default; with
     ``share_qk=False`` at init they hold one pair per encoder layer.
@@ -70,10 +66,21 @@ class MatchParams:
     linear.
     """
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wo: Tensor  # [n_layers, 2]
-    bias: Tensor  # [2]
+    @property
+    def wq(self) -> list[Tensor]:
+        return [t for name, t in self._tensors.items() if name.startswith("wq")]
+
+    @property
+    def wk(self) -> list[Tensor]:
+        return [t for name, t in self._tensors.items() if name.startswith("wk")]
+
+    @property
+    def wo(self) -> Tensor:
+        return self["wo"]
+
+    @property
+    def bias(self) -> Tensor:
+        return self["bias"]
 
     @property
     def n_layers(self) -> int:
@@ -81,12 +88,12 @@ class MatchParams:
 
     @property
     def shared_qk(self) -> bool:
-        return len(self.wq) == 1
+        return "wq1" not in self._tensors
 
     def qk(self, layer: int) -> tuple[Tensor, Tensor]:
         if self.shared_qk:
-            return self.wq[0], self.wk[0]
-        return self.wq[layer], self.wk[layer]
+            return self["wq0"], self["wk0"]
+        return self[f"wq{layer}"], self[f"wk{layer}"]
 
     @staticmethod
     def init(
@@ -100,60 +107,21 @@ class MatchParams:
             raise ValueError("matcher needs n_layers >= 1 and hidden >= 1")
         rng = np.random.default_rng(seed)
         n_pairs = 1 if share_qk else n_layers
-        wq = [
-            Tensor(PROJECTION_GAIN * _uniform(rng, (hidden, hidden), hidden), requires_grad=True)
-            for _ in range(n_pairs)
-        ]
-        wk = [
-            Tensor(PROJECTION_GAIN * _uniform(rng, (hidden, hidden), hidden), requires_grad=True)
-            for _ in range(n_pairs)
-        ]
+        projection = lambda: Tensor(
+            PROJECTION_GAIN * uniform_init(rng, (hidden, hidden), hidden), requires_grad=True
+        )
+        tensors = {f"wq{i}": projection() for i in range(n_pairs)}
+        tensors.update({f"wk{i}": projection() for i in range(n_pairs)})
         # Vote-averaging start: each layer contributes +y_hat to the positive
         # logit and -y_hat to the negative one.  The bias centres the fused
         # logit difference at zero when every layer predicts 0.5; a frozen
         # bias stays at zero (strict affine-map-only mode).
-        wo = Tensor(np.tile([1.0, -1.0], (n_layers, 1)), requires_grad=True)
+        tensors["wo"] = Tensor(np.tile([1.0, -1.0], (n_layers, 1)), requires_grad=True)
         if learn_bias:
-            bias = Tensor(np.array([-0.5 * n_layers, 0.5 * n_layers]), requires_grad=True)
+            tensors["bias"] = Tensor(np.array([-0.5 * n_layers, 0.5 * n_layers]), requires_grad=True)
         else:
-            bias = Tensor(np.zeros(2), requires_grad=False)
-        return MatchParams(wq=wq, wk=wk, wo=wo, bias=bias)
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for i, t in enumerate(self.wq):
-            out[f"wq{i}"] = t
-        for i, t in enumerate(self.wk):
-            out[f"wk{i}"] = t
-        out["wo"] = self.wo
-        out["bias"] = self.bias
-        return out
-
-    def replace_values(self, values: dict[str, np.ndarray], requires_grad: bool = True) -> "MatchParams":
-        current = self.tensors()
-        new = {}
-        for name, t in current.items():
-            v = values.get(name, t.values)
-            new[name] = Tensor(np.asarray(v, dtype=np.float64).reshape(t.shape),
-                               requires_grad=requires_grad and t.requires_grad)
-        n_pairs = len(self.wq)
-        return MatchParams(
-            wq=[new[f"wq{i}"] for i in range(n_pairs)],
-            wk=[new[f"wk{i}"] for i in range(n_pairs)],
-            wo=new["wo"],
-            bias=new["bias"],
-        )
-
-    def clone(self, requires_grad: bool = True) -> "MatchParams":
-        return self.replace_values({}, requires_grad=requires_grad)
-
-    def detach(self) -> "MatchParams":
-        return MatchParams(
-            wq=[t.detach() for t in self.wq],
-            wk=[t.detach() for t in self.wk],
-            wo=self.wo.detach(),
-            bias=self.bias.detach(),
-        )
+            tensors["bias"] = Tensor(np.zeros(2), requires_grad=False)
+        return MatchParams(tensors)
 
 
 @dataclass
@@ -301,7 +269,7 @@ def match_levels(
     if n_layers != params.n_layers:
         raise ValueError(f"match: got {n_layers} layers for {params.n_layers} fusion rows")
     if params.shared_qk:
-        wq, wk = params.wq[0], params.wk[0]
+        wq, wk = params.qk(0)
     else:
         wq, wk = stack(params.wq), stack(params.wk)
     y_hat, attention = _attend(
@@ -373,16 +341,3 @@ def predict_detailed(
     )
     return probs, layer_predictions(y_hat, attention)
 
-
-def predict(
-    support_graphs: list[MolGraph],
-    support_labels,
-    query_graphs: list[MolGraph],
-    encoder_params: EncoderParams,
-    match_params: MatchParams,
-    **kwargs,
-) -> Tensor:
-    probs, _ = predict_detailed(
-        support_graphs, support_labels, query_graphs, encoder_params, match_params, **kwargs
-    )
-    return probs

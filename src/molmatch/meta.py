@@ -29,6 +29,7 @@ from .episodes import (
     sample_episode_unbalanced,
 )
 from .matcher import MatchParams, layer_predictions, match_levels, predict_detailed
+from .params import Params
 from .smiles import MolGraph
 from .tensor import Tensor, backward, cross_entropy
 
@@ -66,31 +67,42 @@ def _rng(*keys) -> np.random.Generator:
     return np.random.default_rng([int(k) for k in keys])
 
 
-def _check_finite_grads(gmap: dict[str, np.ndarray], task_id: str) -> None:
+def _named_grads(loss: Tensor, params: Params, task_id: str) -> dict[str, np.ndarray]:
+    """Gradients of ``loss`` for the trainable tensors of ``params``, by
+    name; a non-finite one raises before any update."""
+    named = params.tensors()
+    grads = backward(loss, params=named.values(), write_grad=False)
+    gmap = {name: grads[t] for name, t in named.items() if t.requires_grad}
     for name, g in gmap.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"task {task_id}: non-finite gradient for {name}")
+    return gmap
 
 
-@dataclass
-class ModelParams:
-    """Shared encoder (theta) plus matching parameters (w)."""
+class ModelParams(Params):
+    """Shared encoder (theta) plus matching parameters (w), under their
+    checkpoint names: ``encoder.<name>`` and ``matcher.<name>``.
 
-    encoder: EncoderParams
-    matcher: MatchParams
+    ``encoder`` and ``matcher`` are views holding the same Tensor
+    objects, so gradients taken through them land on ``tensors()``.
+    """
 
-    def tensors(self) -> dict[str, Tensor]:
-        out = {f"encoder.{k}": t for k, t in self.encoder.tensors().items()}
-        out.update({f"matcher.{k}": t for k, t in self.matcher.tensors().items()})
-        return out
+    @staticmethod
+    def join(encoder: EncoderParams, matcher: MatchParams) -> "ModelParams":
+        tensors = {f"encoder.{k}": t for k, t in encoder.tensors().items()}
+        tensors.update({f"matcher.{k}": t for k, t in matcher.tensors().items()})
+        return ModelParams(tensors)
 
-    def replace_values(self, values: dict[str, np.ndarray]) -> "ModelParams":
-        enc = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("encoder.")}
-        mat = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("matcher.")}
-        return ModelParams(self.encoder.replace_values(enc), self.matcher.replace_values(mat))
+    def _part(self, prefix: str) -> dict[str, Tensor]:
+        return {k[len(prefix):]: t for k, t in self._tensors.items() if k.startswith(prefix)}
 
-    def clone(self) -> "ModelParams":
-        return ModelParams(self.encoder.clone(), self.matcher.clone())
+    @property
+    def encoder(self) -> EncoderParams:
+        return EncoderParams(self._part("encoder."))
+
+    @property
+    def matcher(self) -> MatchParams:
+        return MatchParams(self._part("matcher."))
 
 
 @dataclass
@@ -120,7 +132,7 @@ def init_model(cfg: RunConfig) -> ModelParams:
         share_qk=cfg.matcher.share_qk,
         learn_bias=cfg.matcher.fusion_bias,
     )
-    return ModelParams(encoder, matcher)
+    return ModelParams.join(encoder, matcher)
 
 
 def _onehot(labels) -> Tensor:
@@ -282,15 +294,12 @@ def _adapt_on_rows(
         if not np.isfinite(value):
             raise NumericalError(f"task {task_id}: non-finite inner loss {value}")
         history.append(value)
-        names = w_tau.tensors()
-        grads = backward(loss, params=names.values(), write_grad=False)
-        gmap = {name: grads[t] for name, t in names.items() if t.requires_grad}
-        _check_finite_grads(gmap, task_id)
+        gmap = _named_grads(loss, w_tau, task_id)
         if cfg.alpha == 0.0:
             w_tau = w_tau.replace_values({})
             continue
         w_tau = w_tau.replace_values(
-            {name: names[name].values - cfg.alpha * g for name, g in gmap.items()}
+            {name: w_tau[name].values - cfg.alpha * g for name, g in gmap.items()}
         )
 
     final = loss_of(w_tau).item()
@@ -345,16 +354,8 @@ def _outer_task_step(
     if not np.isfinite(value):
         raise NumericalError(f"task {task.task_id}: non-finite outer loss {value}")
 
-    watched: dict[str, Tensor] = {
-        f"encoder.{k}": t for k, t in model.encoder.tensors().items()
-    }
-    watched.update({f"matcher.{k}": t for k, t in adapted.w_tau.tensors().items()})
-    grads = backward(loss, params=watched.values(), write_grad=False)
-    gmap = {
-        name: grads[tensor] for name, tensor in watched.items() if tensor.requires_grad
-    }
-    _check_finite_grads(gmap, task.task_id)
-    return value, gmap
+    watched = ModelParams.join(model.encoder, adapted.w_tau)
+    return value, _named_grads(loss, watched, task.task_id)
 
 
 def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):

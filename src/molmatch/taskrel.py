@@ -51,9 +51,18 @@ class TaskRelationMatrix:
     task_ids: list[str]
 
 
-def _flatten_params(params: MatchParams) -> np.ndarray:
-    parts = [t.values.reshape(-1) for _, t in sorted(params.tensors().items())]
-    return np.concatenate(parts)
+def _flatten(params: MatchParams) -> np.ndarray:
+    """Every value of ``params`` in one vector, tensors in name order."""
+    return np.concatenate([t.values.reshape(-1) for _, t in sorted(params.tensors().items())])
+
+
+def _unflatten(params: MatchParams, vector: np.ndarray) -> MatchParams:
+    """``params`` with its values replaced from a ``_flatten`` vector."""
+    named = sorted(params.tensors().items())
+    ends = np.cumsum([t.values.size for _, t in named])
+    return params.replace_values(
+        {name: vector[end - t.values.size : end] for (name, t), end in zip(named, ends)}
+    )
 
 
 def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str, seed) -> TaskVector:
@@ -67,7 +76,7 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
             episode.support, cfg.train.support_split_fraction, base + [KEY_SPLIT]
         )
         adapted = inner_adapt(model.encoder, model.matcher, s_adapt, q_adapt, cfg.train, task.task_id)
-        vec = _flatten_params(adapted.w_tau) - _flatten_params(model.matcher)
+        vec = _flatten(adapted.w_tau) - _flatten(model.matcher)
         return TaskVector(task.task_id, vec, mode)
     graphs = [g for g, _ in episode.support]
     vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
@@ -128,31 +137,29 @@ def _check_square(matrix: np.ndarray, n: int, what: str):
     return m
 
 
-def _tensor_dicts(w_list: list[MatchParams]) -> list[dict]:
-    dicts = [w.tensors() for w in w_list]
-    keys = {frozenset(d.keys()) for d in dicts}
-    if len(keys) != 1:
-        raise ValueError("implicit update: parameter sets have mismatched tensors")
-    return dicts
+def _stack(w_list: list[MatchParams], what: str) -> np.ndarray:
+    """The parameter sets as rows of one [n_sets, n_values] matrix."""
+    if len({tuple(sorted(w.tensors())) for w in w_list}) != 1:
+        raise ValueError(f"{what}: parameter sets have mismatched tensors")
+    return np.stack([_flatten(w) for w in w_list])
+
+
+def _pull(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row i: sum over j != i of m[i, j] * (w[j] - w[i]), added term by
+    term in ascending j, from pre-update rows."""
+    delta = np.zeros_like(w)
+    for j in range(len(w)):
+        rows = np.arange(len(w)) != j
+        delta[rows] = delta[rows] + m[rows, j, None] * (w[j] - w[rows])
+    return delta
 
 
 def implicit_inner_update(w_list: list[MatchParams], matrix: np.ndarray) -> list[MatchParams]:
     """Simultaneous pull of each task's parameters toward the others:
     w_i <- w_i + sum_j M[i,j] (w_j - w_i), all terms read pre-update."""
     m = _check_square(matrix, len(w_list), "implicit_inner_update")
-    dicts = _tensor_dicts(w_list)
-    out = []
-    for i, w in enumerate(w_list):
-        updates = {}
-        for name, tensor in dicts[i].items():
-            delta = np.zeros_like(tensor.values)
-            for j in range(len(w_list)):
-                if j == i:
-                    continue
-                delta = delta + m[i, j] * (dicts[j][name].values - tensor.values)
-            updates[name] = tensor.values + delta
-        out.append(w.replace_values(updates))
-    return out
+    w = _stack(w_list, "implicit_inner_update")
+    return [_unflatten(p, row) for p, row in zip(w_list, w + _pull(w, m))]
 
 
 def implicit_outer_update(
@@ -169,20 +176,15 @@ def implicit_outer_update(
             "implicit_outer_update: no shadow block; allocate one to enable the implicit mode"
         )
     m = _check_square(matrix, len(w_list), "implicit_outer_update")
-    dicts = _tensor_dicts(list(w_list))
-    base = shadow.tensors()
-    if frozenset(base.keys()) != frozenset(dicts[0].keys()):
+    w = _stack(w_list, "implicit_outer_update")
+    if sorted(shadow.tensors()) != sorted(w_list[0].tensors()):
         raise ValueError("implicit_outer_update: shadow block shape does not match w")
-    updates = {}
-    for name, tensor in base.items():
-        delta = np.zeros_like(tensor.values)
-        for i in range(len(w_list)):
-            for j in range(len(w_list)):
-                if i == j:
-                    continue
-                delta = delta + m[i, j] * (dicts[j][name].values - dicts[i][name].values)
-        updates[name] = tensor.values + eta * delta
-    return shadow.replace_values(updates)
+    delta = np.zeros(w.shape[1])
+    for i in range(len(w)):
+        for j in range(len(w)):
+            if i != j:
+                delta = delta + m[i, j] * (w[j] - w[i])
+    return _unflatten(shadow, _flatten(shadow) + eta * delta)
 
 
 def implicit_inference_update(
@@ -191,22 +193,10 @@ def implicit_inference_update(
     """Test-time variant: each task restarts from the shared w and moves
     by its row of M: w_j <- w + sum_k M[j,k] (w_k - w_j), pre-update values."""
     m = _check_square(matrix, len(w_list), "implicit_inference_update")
-    dicts = _tensor_dicts(w_list)
-    shared = w_shared.tensors()
-    if frozenset(shared.keys()) != frozenset(dicts[0].keys()):
+    w = _stack(w_list, "implicit_inference_update")
+    if sorted(w_shared.tensors()) != sorted(w_list[0].tensors()):
         raise ValueError("implicit_inference_update: shared w shape does not match the task list")
-    out = []
-    for j, w in enumerate(w_list):
-        updates = {}
-        for name, base_tensor in shared.items():
-            delta = np.zeros_like(base_tensor.values)
-            for k in range(len(w_list)):
-                if k == j:
-                    continue
-                delta = delta + m[j, k] * (dicts[k][name].values - dicts[j][name].values)
-            updates[name] = base_tensor.values + delta
-        out.append(w.replace_values(updates))
-    return out
+    return [_unflatten(p, row) for p, row in zip(w_list, _flatten(w_shared) + _pull(w, m))]
 
 
 def allocate_shadow_block(matcher: MatchParams) -> MatchParams:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values from first principles with
 plain numpy or pure Python, deliberately avoiding the package's own
 code paths: central finite differences for gradients, O(n^2) pair
-counting for ranking metrics, permutation search for graph isomorphism
-and a dense eigendecomposition for PCA.
+counting for ranking metrics, permutation search for graph isomorphism,
+a dense eigendecomposition for PCA and per-tensor loops for the
+task-relation updates.
 """
 
 from __future__ import annotations
@@ -95,6 +96,53 @@ def match_per_layer(z_query, z_support, y_support, params, *, training=False,
         joint = dropout(joint, dropout_rate, rng)
     probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
     return probs, y_hats, attentions
+
+
+def implicit_inner_per_tensor(w_list, m):
+    """Per-tensor loop reference for the implicit inner update on dicts
+    of name -> array: w_i + sum_{j != i} m[i, j] (w_j - w_i), terms
+    added in ascending j from pre-update values."""
+    out = []
+    for i, w in enumerate(w_list):
+        updated = {}
+        for name, value in w.items():
+            delta = np.zeros_like(value)
+            for j in range(len(w_list)):
+                if j != i:
+                    delta = delta + m[i, j] * (w_list[j][name] - value)
+            updated[name] = value + delta
+        out.append(updated)
+    return out
+
+
+def implicit_outer_per_tensor(shadow, w_list, m, eta):
+    """Per-tensor loop reference for the implicit outer update:
+    shadow + eta * sum_{i != j} m[i, j] (w_j - w_i), pairs in (i, j) order."""
+    out = {}
+    for name, value in shadow.items():
+        delta = np.zeros_like(value)
+        for i in range(len(w_list)):
+            for j in range(len(w_list)):
+                if i != j:
+                    delta = delta + m[i, j] * (w_list[j][name] - w_list[i][name])
+        out[name] = value + eta * delta
+    return out
+
+
+def implicit_inference_per_tensor(shared, w_list, m):
+    """Per-tensor loop reference for the implicit inference update:
+    shared + sum_{k != j} m[j, k] (w_k - w_j), terms in ascending k."""
+    out = []
+    for j in range(len(w_list)):
+        updated = {}
+        for name, value in shared.items():
+            delta = np.zeros_like(value)
+            for k in range(len(w_list)):
+                if k != j:
+                    delta = delta + m[j, k] * (w_list[k][name] - w_list[j][name])
+            updated[name] = value + delta
+        out.append(updated)
+    return out
 
 
 def auroc_bruteforce(scores, labels) -> float:

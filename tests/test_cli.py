@@ -210,6 +210,17 @@ class TestEval:
         assert main(["eval", "--ckpt", str(corrupt), "--data", str(workspace["data"])]) == 3
         assert "bad tensor name" in capsys.readouterr().err
 
+    def test_snapshot_with_deleted_taskrel_keys_evaluates(self, workspace, tmp_path, capsys):
+        # checkpoints written while taskrel had eta and normalize still load
+        tensors, meta = load_checkpoint(workspace["ckpt"])
+        meta["config"]["taskrel"].update(eta=0.0, normalize=True)
+        legacy = tmp_path / "legacy.ckpt"
+        save_checkpoint(legacy, tensors, meta)
+        for ckpt in (workspace["ckpt"], legacy):
+            assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace["data"])]) == 0
+        current, old = capsys.readouterr().out.split("task_id,")[1:]
+        assert current == old
+
     @pytest.mark.parametrize("data", ["data", "large_data"])
     def test_cached_task_rows_match_graph_path(self, workspace, large_tasks, data, monkeypatch,
                                                capsys):
@@ -443,3 +454,14 @@ class TestArgumentErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["train", "--data", "x"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--data", "d", "--out", "o"],
+        ["eval", "--ckpt", "c", "--data", "d"],
+        ["predict", "--ckpt", "c", "--support", "s", "--query", "q"],
+        ["taskrel", "--ckpt", "c", "--data", "d", "--out", "o"],
+        ["synth", "--out", "o"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_a_bad_flag(self, command, capsys):
+        assert main(command + ["--seed", "-1"]) == 2
+        assert "--seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err

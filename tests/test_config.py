@@ -80,6 +80,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown key 'alpha_beta'"):
             load_config(self.write(tmp_path, "[train]\nalpha_beta = 0.1\n"))
 
+    @pytest.mark.parametrize("line", ["eta = 0.1", "normalize = true"])
+    def test_deleted_taskrel_keys_rejected(self, tmp_path, line):
+        with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
+            load_config(self.write(tmp_path, f"[taskrel]\n{line}\n"))
+
     def test_bad_bool_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[train\] early_stop"):
             load_config(self.write(tmp_path, "[train]\nearly_stop = maybe\n"))

@@ -9,7 +9,6 @@ from molmatch.matcher import (
     layer_predictions,
     match_layer,
     match_levels,
-    predict,
     predict_detailed,
 )
 from molmatch.smiles import graph_from_smiles
@@ -152,7 +151,7 @@ class TestPredict:
 
     def test_rows_are_probabilities(self):
         enc, match = self.make_model()
-        probs = predict(graphs(SUPPORT), [1, 0, 1, 0], graphs(QUERIES), enc, match)
+        probs = predict_detailed(graphs(SUPPORT), [1, 0, 1, 0], graphs(QUERIES), enc, match)[0]
         assert probs.shape == (2, 2)
         np.testing.assert_allclose(probs.values.sum(axis=1), 1.0, atol=1e-12)
         assert (probs.values > 0).all()
@@ -160,17 +159,17 @@ class TestPredict:
     def test_support_permutation_invariance(self):
         enc, match = self.make_model(seed=4)
         labels = [1, 0, 1, 0]
-        base = predict(graphs(SUPPORT), labels, graphs(QUERIES), enc, match)
+        base = predict_detailed(graphs(SUPPORT), labels, graphs(QUERIES), enc, match)[0]
         rng = np.random.default_rng(0)
         for _ in range(5):
             perm = rng.permutation(len(SUPPORT))
-            shuffled = predict(
+            shuffled = predict_detailed(
                 [graphs(SUPPORT)[i] for i in perm],
                 [labels[i] for i in perm],
                 graphs(QUERIES),
                 enc,
                 match,
-            )
+            )[0]
             np.testing.assert_allclose(shuffled.values, base.values, rtol=0, atol=1e-10)
 
     def test_detailed_returns_per_layer_attention(self):
@@ -184,8 +183,8 @@ class TestPredict:
     def test_dropout_paths(self):
         enc, match = self.make_model(seed=6)
         args = (graphs(SUPPORT), [1, 0, 1, 0], graphs(QUERIES), enc, match)
-        clean = predict(*args)
-        eval_mode = predict(*args, matcher_dropout=0.5, rng=np.random.default_rng(0))
+        clean = predict_detailed(*args)[0]
+        eval_mode = predict_detailed(*args, matcher_dropout=0.5, rng=np.random.default_rng(0))[0]
         np.testing.assert_array_equal(clean.values, eval_mode.values)
         train_mode, preds = predict_detailed(
             *args, training=True, matcher_dropout=0.5, rng=np.random.default_rng(0)
@@ -198,14 +197,14 @@ class TestPredict:
     def test_label_count_mismatch(self):
         enc, match = self.make_model()
         with pytest.raises(ValueError, match="labels"):
-            predict(graphs(SUPPORT), [1, 0], graphs(QUERIES), enc, match)
+            predict_detailed(graphs(SUPPORT), [1, 0], graphs(QUERIES), enc, match)
 
     def test_empty_sets_rejected(self):
         enc, match = self.make_model()
         with pytest.raises(ValueError, match="empty support"):
-            predict([], [], graphs(QUERIES), enc, match)
+            predict_detailed([], [], graphs(QUERIES), enc, match)
         with pytest.raises(ValueError, match="empty query"):
-            predict(graphs(SUPPORT), [1, 0, 1, 0], [], enc, match)
+            predict_detailed(graphs(SUPPORT), [1, 0, 1, 0], [], enc, match)
 
 
 MATCH_CASES = [

@@ -6,7 +6,7 @@ from molmatch.cli import _trained_epochs
 from molmatch.config import RunConfig
 from molmatch.encoder import encode_frozen, encode_multilevel
 from molmatch.episodes import EpisodeError, sample_episode_balanced
-from molmatch.matcher import predict
+from molmatch.matcher import predict_detailed
 from molmatch.meta import (
     NumericalError,
     episode_loss,
@@ -372,13 +372,13 @@ class TestFinetuneAndPredict:
         probs = finetune_and_predict(
             self.model, self.support_set, self.query_graphs, self.cfg, seed=2
         )
-        direct = predict(
+        direct = predict_detailed(
             [g for g, _ in self.support_set],
             [y for _, y in self.support_set],
             self.query_graphs,
             self.model.encoder,
             self.model.matcher,
-        )
+        )[0]
         np.testing.assert_array_equal(probs, direct.values)
 
     def test_seed_controls_finetune_split(self):

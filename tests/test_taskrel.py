@@ -15,6 +15,11 @@ from molmatch.taskrel import (
     task_vector,
 )
 from helpers import chain_task
+from oracles import (
+    implicit_inference_per_tensor,
+    implicit_inner_per_tensor,
+    implicit_outer_per_tensor,
+)
 
 
 def vec(task_id, values):
@@ -227,6 +232,59 @@ class TestImplicitInferenceUpdate:
                 np.testing.assert_allclose(
                     s.tensors()[name].values, 3.0 * b.tensors()[name].values, rtol=1e-12, atol=1e-15
                 )
+
+
+def arrays(params):
+    return {name: t.values for name, t in params.tensors().items()}
+
+
+class TestMatchesPerTensorLoops:
+    """The updates on stacked flat vectors equal the per-tensor loops bit
+    for bit, and leave a frozen tensor frozen."""
+
+    def assert_same(self, out, expected, like):
+        assert list(out.tensors()) == list(expected)
+        for name, t in out.tensors().items():
+            assert t.values.tobytes() == expected[name].tobytes(), name
+            assert t.requires_grad == like[name].requires_grad, name
+
+    @pytest.mark.parametrize(
+        "share_qk, learn_bias",
+        [(True, True), (False, True), (True, False), (False, False)],
+        ids=["shared", "per-layer-qk", "frozen-bias", "per-layer-frozen-bias"],
+    )
+    def test_random_shapes(self, share_qk, learn_bias):
+        rng = np.random.default_rng([13, share_qk, learn_bias])
+        for _ in range(20):
+            layers, hidden, n = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 6), (2, 6)))
+            base = MatchParams.init(layers, hidden, share_qk=share_qk, learn_bias=learn_bias)
+            w_list = [
+                base.replace_values({name: rng.normal(size=t.shape) for name, t in base.tensors().items()})
+                for _ in range(n + 1)
+            ]
+            shared, w_list = w_list[0], w_list[1:]
+            m = rng.normal(size=(n, n))
+            eta = float(rng.normal())
+
+            ref = [arrays(w) for w in w_list]
+            inner = implicit_inner_update(w_list, m)
+            for out, want, w in zip(inner, implicit_inner_per_tensor(ref, m), w_list):
+                self.assert_same(out, want, w)
+            outer = implicit_outer_update(shared, w_list, m, eta)
+            self.assert_same(outer, implicit_outer_per_tensor(arrays(shared), ref, m, eta), shared)
+            inference = implicit_inference_update(shared, w_list, m)
+            for out, want, w in zip(inference, implicit_inference_per_tensor(arrays(shared), ref, m), w_list):
+                self.assert_same(out, want, w)
+
+    def test_mismatched_parameter_sets_rejected(self):
+        shared = MatchParams.init(2, 3, seed=0)
+        per_layer = MatchParams.init(2, 3, seed=0, share_qk=False)
+        with pytest.raises(ValueError, match="mismatched tensors"):
+            implicit_inner_update([shared, per_layer], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="shadow block shape"):
+            implicit_outer_update(per_layer, [shared, shared], np.ones((2, 2)), eta=0.1)
+        with pytest.raises(ValueError, match="shared w shape"):
+            implicit_inference_update(per_layer, [shared, shared], np.ones((2, 2)))
 
 
 class TestTaskVector:
