@@ -521,9 +521,14 @@ def cmd_export_embeddings(args) -> int:
                 log.warning("smiles line %d skipped: %s", line_no, exc)
     if not entries:
         raise DataError(f"{args.smiles}: no parseable molecules")
+    hidden = model.encoder.hidden
+    k = args.pca
+    if k is not None:  # checked before any file is written
+        limit = min(len(entries), hidden)
+        if not 1 <= k <= limit:
+            raise ConfigError(f"--pca must be in [1, {limit}] for {len(entries)} molecules")
 
     levels = encode_frozen([g for _, g in entries], model.encoder)
-    hidden = levels[0].shape[1]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["molecule_index", "smiles", "layer"] + [f"dim_{i}" for i in range(hidden)])
@@ -531,11 +536,7 @@ def cmd_export_embeddings(args) -> int:
             for mi, (smiles, _) in enumerate(entries):
                 writer.writerow([mi, smiles, layer] + [f"{v:.8f}" for v in z[mi]])
 
-    if args.pca:
-        k = args.pca
-        limit = min(len(entries), hidden)
-        if not 1 <= k <= limit:
-            raise ConfigError(f"--pca must be in [1, {limit}] for {len(entries)} molecules")
+    if k is not None:
         base = str(Path(args.out).with_suffix(""))
         variance_rows = []
         for layer, z in enumerate(levels, start=1):

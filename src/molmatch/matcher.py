@@ -306,8 +306,14 @@ def predict_detailed(
     matcher_dropout: float = 0.0,
     encoder_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    levels: list[Tensor] | None = None,
 ) -> tuple[Tensor, list[LayerPrediction]]:
     """Encode support and queries jointly, match at every layer, fuse.
+
+    ``levels`` supplies the encoding instead: ``encode_multilevel``
+    output for the support graphs followed by the query graphs, so a
+    caller that already ran the encoder does not run it again
+    (``encoder_params`` and ``encoder_dropout`` then go unused).
 
     Returns the fused [n_query, 2] probabilities together with each
     layer's attention and label estimate.
@@ -317,17 +323,21 @@ def predict_detailed(
     if not query_graphs:
         raise ValueError("predict: empty query set")
     n_s = len(support_graphs)
-    levels = encode_multilevel(
-        list(support_graphs) + list(query_graphs),
-        encoder_params,
-        training=training,
-        dropout_rate=encoder_dropout,
-        rng=rng,
-    )
+    n_rows = n_s + len(query_graphs)
+    if levels is None:
+        levels = encode_multilevel(
+            list(support_graphs) + list(query_graphs),
+            encoder_params,
+            training=training,
+            dropout_rate=encoder_dropout,
+            rng=rng,
+        )
+    elif any(z.shape[0] != n_rows for z in levels):
+        raise ValueError(f"predict: levels must have {n_rows} rows")
     y_s = _labels_tensor(support_labels)
     if y_s.shape[0] != n_s:
         raise ValueError(f"predict: {y_s.shape[0]} labels for {n_s} support graphs")
-    n_layers, (n_rows, d) = len(levels), levels[0].shape
+    n_layers, d = len(levels), levels[0].shape[1]
     flat = reshape(stack(levels), (n_layers * n_rows, d))
     first = n_rows * np.arange(n_layers)[:, None]  # each layer's first row in flat
 

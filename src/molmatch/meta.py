@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .config import RunConfig, TrainConfig
-from .encoder import EncoderParams, encode_frozen
+from .encoder import EncoderParams, encode_frozen, encode_multilevel
 from .episodes import (
     Episode,
     EpisodeError,
@@ -207,8 +207,14 @@ def episode_loss(
     matcher_dropout: float = 0.0,
     encoder_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    levels: list[Tensor] | None = None,
 ) -> Tensor:
-    """Summed cross-entropy of the fused predictions over the query set."""
+    """Summed cross-entropy of the fused predictions over the query set.
+
+    ``levels`` is ``predict_detailed``'s: the encoder's output for the
+    support graphs followed by the query graphs, used instead of
+    encoding them here.
+    """
     if not support or not query:
         raise ValueError("episode_loss: support and query must both be non-empty")
     probs, _ = predict_detailed(
@@ -221,6 +227,7 @@ def episode_loss(
         matcher_dropout=matcher_dropout,
         encoder_dropout=encoder_dropout,
         rng=rng,
+        levels=levels,
     )
     return cross_entropy(probs, _onehot([y for _, y in query]))
 
@@ -237,21 +244,29 @@ def inner_adapt(
     queries: list[tuple[MolGraph, int]],
     cfg: TrainConfig,
     task_id: str = "",
+    *,
+    embeddings: list[np.ndarray] | None = None,
 ) -> AdaptedParams:
     """Gradient-descent adaptation of w with theta frozen.
 
     The encoder runs once in inference mode over support plus queries;
     the inner objective is deterministic (no dropout), so each step is
     exactly w <- w - alpha * grad.  With zero steps the clone of w is
-    returned untouched, which is the zero-shot path.
+    returned untouched, which is the zero-shot path.  ``embeddings``
+    supplies the rows instead: the per-layer encoding of the support
+    graphs followed by the query graphs, as ``encode_frozen`` returns it.
     """
     if not support:
         raise ValueError("inner_adapt: empty adaptation support set")
     pairs = list(support) + list(queries)
     n_s = len(support)
+    if embeddings is None:
+        embeddings = encode_frozen([g for g, _ in pairs], encoder_params)
+    elif any(z.shape[0] != len(pairs) for z in embeddings):
+        raise ValueError(f"inner_adapt: embeddings must have {len(pairs)} rows")
     return _adapt_on_rows(
         match_params,
-        np.stack(encode_frozen([g for g, _ in pairs], encoder_params)),
+        np.stack(embeddings),
         np.asarray([y for _, y in pairs], dtype=np.float64),
         np.arange(n_s),
         np.arange(n_s, len(pairs)),
@@ -333,13 +348,40 @@ def _outer_task_step(
     model: ModelParams, task: TaskRecord, cfg: RunConfig, epoch: int, slot: int
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Inner-adapt one episode, evaluate the outer loss at the adapted
-    point and return its gradients keyed by shared-parameter name."""
+    point and return its gradients keyed by shared-parameter name.
+
+    The episode's molecules are encoded once, graph-tracked, and the
+    outer loss reads those levels.  Theta does not change between the
+    inner loop and the outer loss, so without encoder dropout the inner
+    loop adapts on the detached rows of its split.  Dropped-out rows
+    are not the inference-mode rows it adapts on, so with encoder
+    dropout it encodes its split itself.
+    """
     seed = cfg.train.seed
     episode = _sample_episode(task, cfg, [seed, KEY_EPISODE, epoch, slot])
-    s_adapt, q_adapt = split_support(
-        episode.support, cfg.train.support_split_fraction, [seed, KEY_SPLIT, epoch, slot]
+    s_rows, q_rows = _split_rows(
+        [y for _, y in episode.support],
+        cfg.train.support_split_fraction,
+        [seed, KEY_SPLIT, epoch, slot],
     )
-    adapted = inner_adapt(model.encoder, model.matcher, s_adapt, q_adapt, cfg.train, task.task_id)
+    rng = _rng(seed, KEY_DROPOUT, epoch, slot)
+    levels = encode_multilevel(
+        [g for g, _ in episode.support + episode.query],
+        model.encoder,
+        training=True,
+        dropout_rate=cfg.encoder.dropout,
+        rng=rng,
+    )
+    rows = s_rows + q_rows
+    adapted = inner_adapt(
+        model.encoder,
+        model.matcher,
+        [episode.support[i] for i in s_rows],
+        [episode.support[i] for i in q_rows],
+        cfg.train,
+        task.task_id,
+        embeddings=None if cfg.encoder.dropout > 0.0 else [z.values[rows] for z in levels],
+    )
     loss = episode_loss(
         episode.support,
         episode.query,
@@ -347,8 +389,8 @@ def _outer_task_step(
         adapted.w_tau,
         training=True,
         matcher_dropout=cfg.matcher.dropout,
-        encoder_dropout=cfg.encoder.dropout,
-        rng=_rng(seed, KEY_DROPOUT, epoch, slot),
+        rng=rng,
+        levels=levels,
     )
     value = loss.item()
     if not np.isfinite(value):

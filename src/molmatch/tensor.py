@@ -201,11 +201,15 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
 
     Operands are [L, m, k] and [L, k, n].  A 2-d operand is shared by
     all L products (numpy broadcasting), so its gradient is the sum of
-    the L per-product gradients, added in order l = 0, 1, ...  With
-    ``transpose_b`` the second operand is given as [..., n, k] and each
-    product uses its transpose; the transposed copy is made once here,
-    so each product runs on the same memory layout as ``matmul`` of a
-    ``transpose`` output.
+    the L per-product gradients.  With ``transpose_b`` the second
+    operand is given as [..., n, k] and each product uses its transpose;
+    the transposed copy is made once here, so each product runs on the
+    same memory layout as ``matmul`` of a ``transpose`` output.
+
+    A shared second operand makes the stack one product of the L*m
+    stacked rows: the forward, the input gradient and the weight
+    gradient each run as a single 2-d GEMM, and the weight gradient's
+    sum over layers happens inside that GEMM.
     """
     av, bv = a.values, b.values
     if transpose_b and bv.ndim >= 2:
@@ -219,6 +223,21 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     ):
         raise ValueError(f"batched_matmul: incompatible shapes {a.shape} and {b.shape}")
     na, nb = a.requires_grad, b.requires_grad
+    if av.ndim == 3 and bv.ndim == 2:
+        (n_layers, m, k), n = av.shape, bv.shape[1]
+        rows = av.reshape(n_layers * m, k)
+
+        def shared_vjp(g):
+            g_rows = g.reshape(n_layers * m, n)
+            ga = (g_rows @ bv.T).reshape(av.shape) if na else None
+            gb = None
+            if nb:
+                gb = rows.T @ g_rows
+                if transpose_b:
+                    gb = gb.T
+            return ga, gb
+
+        return _make((rows @ bv).reshape(n_layers, m, n), (a, b), shared_vjp)
 
     def vjp(g):
         ga = gb = None
@@ -228,8 +247,6 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
                 ga = ga.sum(axis=0)
         if nb:
             gb = np.matmul(np.swapaxes(av, -1, -2), g)
-            if bv.ndim == 2:
-                gb = gb.sum(axis=0)
             if transpose_b:
                 gb = np.swapaxes(gb, -1, -2)
         return ga, gb

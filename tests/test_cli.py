@@ -438,6 +438,17 @@ class TestExportEmbeddings:
                      "--smiles", str(src), "--out", str(tmp_path / "e.csv"), "--pca", "99"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_nonpositive_pca_writes_nothing(self, workspace, tmp_path, capsys, k):
+        src = tmp_path / "mols.txt"
+        src.write_text("CCO\nCCC\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["export-embeddings", "--ckpt", str(workspace["ckpt"]),
+                     "--smiles", str(src), "--out", str(out / "e.csv"), "--pca", k]) == 2
+        assert "--pca must be in [1, 2]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unparseable_input_is_data_error(self, workspace, tmp_path, capsys):
         src = tmp_path / "mols.txt"
         src.write_text("C(C\n)(\n", encoding="utf-8")

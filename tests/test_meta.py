@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from molmatch import encoder
+from molmatch import encoder, meta
+from molmatch import matcher as matcher_module
 from molmatch.cli import _trained_epochs
 from molmatch.config import RunConfig
 from molmatch.encoder import encode_frozen, encode_multilevel
@@ -185,7 +186,75 @@ class TestInnerAdapt:
             )
 
 
+    def test_supplied_embeddings_must_cover_the_split(self):
+        graphs = [g for g, _ in self.support + self.queries]
+        levels = encode_frozen(graphs, self.model.encoder)
+        args = (self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train)
+        supplied = inner_adapt(*args, embeddings=levels)
+        assert supplied.loss_history == inner_adapt(*args).loss_history
+        with pytest.raises(ValueError, match=f"embeddings must have {len(graphs)} rows"):
+            inner_adapt(*args, embeddings=[z[:-1] for z in levels])
+
+
+class TestOuterTaskStep:
+    def setup_method(self):
+        self.cfg = tiny_cfg()
+        self.model = init_model(self.cfg)
+        self.task = chain_task("t", 12, 6)
+        seed = self.cfg.train.seed
+        self.episode = meta._sample_episode(self.task, self.cfg, [seed, meta.KEY_EPISODE, 0, 0])
+        self.split = split_support(
+            self.episode.support, self.cfg.train.support_split_fraction,
+            [seed, meta.KEY_SPLIT, 0, 0],
+        )
+
+    def test_encodes_the_episode_once(self, monkeypatch):
+        counts = []
+
+        def recording(graphs, params, **kwargs):
+            counts.append(len(graphs))
+            return encode_multilevel(graphs, params, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("encode_frozen called in a training step")
+
+        for module in (encoder, matcher_module, meta):
+            monkeypatch.setattr(module, "encode_multilevel", recording)
+        monkeypatch.setattr(encoder, "encode_frozen", forbidden)
+        monkeypatch.setattr(meta, "encode_frozen", forbidden)
+        meta._outer_task_step(self.model, self.task, self.cfg, 0, 0)
+        assert counts == [len(self.episode.support) + len(self.episode.query)]
+
+    @pytest.mark.parametrize("encoder_dropout", [0.0, 0.3])
+    def test_inner_loop_adapts_on_undropped_rows(self, monkeypatch, encoder_dropout):
+        self.cfg.encoder.dropout = encoder_dropout
+        adapted = []
+
+        def recording(*args, **kwargs):
+            adapted.append(inner_adapt(*args, **kwargs))
+            return adapted[-1]
+
+        monkeypatch.setattr(meta, "inner_adapt", recording)
+        meta._outer_task_step(self.model, self.task, self.cfg, 0, 0)
+        plain = inner_adapt(
+            self.model.encoder, self.model.matcher, *self.split, self.cfg.train, "t"
+        )
+        (step,) = adapted
+        np.testing.assert_allclose(step.loss_history, plain.loss_history, rtol=1e-12, atol=0)
+
+
 class TestEpisodeLoss:
+    def test_supplied_levels_replace_the_encode(self):
+        cfg = tiny_cfg()
+        model = init_model(cfg)
+        pairs = labelled(chain_task("t", 10, 4))
+        levels = encode_multilevel([g for g, _ in pairs], model.encoder)
+        loss = episode_loss(pairs[:4], pairs[4:], model.encoder, model.matcher)
+        supplied = episode_loss(pairs[:4], pairs[4:], None, model.matcher, levels=levels)
+        assert supplied.item() == loss.item()
+        with pytest.raises(ValueError, match="levels must have 9 rows"):
+            episode_loss(pairs[:4], pairs[4:-1], None, model.matcher, levels=levels)
+
     def test_zero_fusion_gives_ln2_per_query(self):
         cfg = tiny_cfg()
         model = init_model(cfg)

@@ -30,7 +30,7 @@ from molmatch.tensor import (
     sum_all,
     transpose,
 )
-from oracles import add_at_rows, assert_grads_match, fd_gradients
+from oracles import add_at_rows, assert_grads_match, broadcast_batched_matmul, fd_gradients
 
 
 def leaf(rng, *shape):
@@ -310,15 +310,29 @@ class TestGradients:
                 {"a": a, "b": b},
             )
 
-    def test_batched_matmul_shared_gradient_sums_in_layer_order(self):
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    def test_batched_matmul_shared_gradient_is_one_gemm(self, transpose_b):
+        # the L layers' weight gradients are summed inside one product of
+        # the stacked rows, not added layer by layer
         rng = np.random.default_rng(5)
-        a, w = leaf(rng, 4, 3, 6), leaf(rng, 6, 2)
+        a, w = leaf(rng, 4, 3, 6), leaf(rng, *((2, 6) if transpose_b else (6, 2)))
         g = rng.normal(size=(4, 3, 2))
-        grads = backward(weighted_sum(batched_matmul(a, w), g), params=[w], write_grad=False)
-        expect = a.values[0].T @ g[0]
-        for layer in range(1, 4):
-            expect = expect + a.values[layer].T @ g[layer]
-        np.testing.assert_array_equal(grads[w], expect)
+        out = batched_matmul(a, w, transpose_b=transpose_b)
+        grads = backward(weighted_sum(out, g), params=[w], write_grad=False)
+        expect = a.values.reshape(-1, 6).T @ g.reshape(-1, 2)
+        np.testing.assert_array_equal(grads[w], expect.T if transpose_b else expect)
+
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    def test_batched_matmul_shared_matches_broadcast_reference(self, transpose_b):
+        rng = np.random.default_rng(6)
+        a, w = leaf(rng, 5, 7, 4), leaf(rng, *((3, 4) if transpose_b else (4, 3)))
+        g = rng.normal(size=(5, 7, 3))
+        out = batched_matmul(a, w, transpose_b=transpose_b)
+        grads = backward(weighted_sum(out, g), params=[a, w], write_grad=False)
+        ref_out, ref_a, ref_w = broadcast_batched_matmul(a.values, w.values, g, transpose_b)
+        np.testing.assert_allclose(out.values, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[a], ref_a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[w], ref_w, rtol=0, atol=1e-12)
 
     def test_reshape(self):
         rng = np.random.default_rng(0)
