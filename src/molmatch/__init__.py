@@ -19,7 +19,7 @@ from .episodes import (
     synth_generate,
     write_registry,
 )
-from .matcher import MatchParams, fuse, match_layer, predict_detailed
+from .matcher import MatchParams, predict_detailed
 from .meta import (
     ModelParams,
     episode_loss,

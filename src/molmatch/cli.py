@@ -2,8 +2,9 @@
 export-embeddings and synth.
 
 Exit codes: 0 success, 2 configuration problem (bad file, unknown key,
-bad flag), 3 data problem (missing/empty/corrupt datasets or
-checkpoints), 4 numerical abort (non-finite loss).
+bad flag), 3 data or file problem (missing/empty/corrupt datasets or
+checkpoints, input that is not UTF-8 text, a file that cannot be read
+or written), 4 numerical abort (non-finite loss).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .episodes import (
     DataError,
     EpisodeError,
     Registry,
+    _load_task_file,
+    _read_lines,
     load_registry,
     synth_generate,
     write_registry,
@@ -145,10 +148,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CheckpointError, EpisodeError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SmilesError as exc:
+    except (DataError, CheckpointError, EpisodeError, SmilesError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
@@ -380,33 +380,17 @@ def _fmt(value) -> str:
 
 
 def _read_support_file(path) -> list[tuple]:
-    support = []
-    malformed = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                label = rec["label"]
-                if label not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {label!r}")
-                support.append((graph_from_smiles(rec["smiles"]), int(label)))
-            except (KeyError, TypeError, ValueError, SmilesError) as exc:
-                malformed += 1
-                log.warning("support line %d skipped: %s", line_no, exc)
+    record, malformed = _load_task_file(Path(path), "support")
     if malformed:
         print(f"support file: {malformed} malformed lines skipped", file=sys.stderr)
-    if not support:
+    if not record.examples:
         raise DataError(f"{path}: no usable support examples")
-    labels = {y for _, y in support}
-    if len(labels) < 2:
+    if min(record.class_counts()) == 0:
         print(
             "warning: single-class support set; predictions will be degenerate",
             file=sys.stderr,
         )
-    return support
+    return [(e.graph, e.label) for e in record.examples]
 
 
 def cmd_predict(args) -> int:
@@ -415,15 +399,14 @@ def cmd_predict(args) -> int:
     support = _read_support_file(args.support)
 
     queries: list[tuple[str, object]] = []  # (smiles, graph or error message)
-    with open(args.query, "r", encoding="utf-8") as fh:
-        for line in fh:
-            smiles = line.strip()
-            if not smiles:
-                continue
-            try:
-                queries.append((smiles, graph_from_smiles(smiles)))
-            except SmilesError as exc:
-                queries.append((smiles, str(exc)))
+    for line in _read_lines(args.query):
+        smiles = line.strip()
+        if not smiles:
+            continue
+        try:
+            queries.append((smiles, graph_from_smiles(smiles)))
+        except SmilesError as exc:
+            queries.append((smiles, str(exc)))
 
     good = [(s, g) for s, g in queries if not isinstance(g, str)]
     failed = len(queries) - len(good)
@@ -510,15 +493,14 @@ def cmd_taskrel(args) -> int:
 def cmd_export_embeddings(args) -> int:
     model, cfg, _ = _load_model(args.ckpt)
     entries = []
-    with open(args.smiles, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            smiles = line.strip()
-            if not smiles:
-                continue
-            try:
-                entries.append((smiles, graph_from_smiles(smiles)))
-            except SmilesError as exc:
-                log.warning("smiles line %d skipped: %s", line_no, exc)
+    for line_no, line in enumerate(_read_lines(args.smiles), start=1):
+        smiles = line.strip()
+        if not smiles:
+            continue
+        try:
+            entries.append((smiles, graph_from_smiles(smiles)))
+        except SmilesError as exc:
+            log.warning("smiles line %d skipped: %s", line_no, exc)
     if not entries:
         raise DataError(f"{args.smiles}: no parseable molecules")
     hidden = model.encoder.hidden

@@ -55,7 +55,6 @@ class EncoderConfig:
 
 @dataclass
 class MatcherConfig:
-    heads: int = 1
     dropout: float = 0.1
     share_qk: bool = True
     fusion_bias: bool = True  # False freezes the fusion bias at zero
@@ -100,7 +99,6 @@ class RunConfig:
             (e.layers >= 1, "encoder.layers must be >= 1"),
             (e.hidden >= 1, "encoder.hidden must be >= 1"),
             (0 <= e.dropout < 1, "encoder.dropout must be in [0, 1)"),
-            (m.heads == 1, "matcher.heads: only single-head matching is supported"),
             (0 <= m.dropout < 1, "matcher.dropout must be in [0, 1)"),
             (p.sampling in ("balanced", "unbalanced"), "protocol.sampling must be balanced or unbalanced"),
             (p.support_size >= 1, "protocol.support_size must be >= 1"),
@@ -149,7 +147,7 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     cfg = RunConfig()
     for section in parser.sections():

@@ -87,26 +87,37 @@ class Registry:
         return sum(len(v) for v in self.tasks.values())
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a file that is not UTF-8 is a
+    ``DataError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_task_file(path: Path, split: str) -> tuple[TaskRecord, int]:
+    """One task's featurized examples and its count of malformed lines,
+    which are skipped with a warning."""
     examples = []
     malformed = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                smiles = rec["smiles"]
-                label = rec["label"]
-                if label not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {label!r}")
-                graph = graph_from_smiles(smiles)
-            except (KeyError, ValueError, TypeError, SmilesError) as exc:
-                malformed += 1
-                log.warning("%s line %d skipped: %s", path.name, line_no, exc)
-                continue
-            examples.append(TaskExample(smiles=smiles, label=int(label), graph=graph))
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            smiles = rec["smiles"]
+            label = rec["label"]
+            if label not in (0, 1):
+                raise ValueError(f"label must be 0 or 1, got {label!r}")
+            graph = graph_from_smiles(smiles)
+        except (KeyError, ValueError, TypeError, SmilesError) as exc:
+            malformed += 1
+            log.warning("%s line %d skipped: %s", path.name, line_no, exc)
+            continue
+        examples.append(TaskExample(smiles=smiles, label=int(label), graph=graph))
     return TaskRecord(task_id=path.stem, split=split, examples=examples), malformed
 
 

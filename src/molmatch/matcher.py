@@ -8,8 +8,7 @@ probabilities.  Class index 0 is the positive class throughout.
 
 All layers are matched in one pass over [L, n, d] stacks of their
 embeddings (``match_levels``), so a match records the same handful of
-autodiff nodes whatever the depth; ``match_layer`` and ``fuse`` are the
-one-layer and list forms of the same code.
+autodiff nodes whatever the depth.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .tensor import (
     Tensor,
     add,
     batched_matmul,
-    concat_cols,
     dropout,
     gather_rows,
     matmul,
@@ -40,8 +38,6 @@ from .tensor import (
 __all__ = [
     "MatchParams",
     "LayerPrediction",
-    "match_layer",
-    "fuse",
     "match_levels",
     "layer_predictions",
     "predict_detailed",
@@ -185,69 +181,6 @@ def _attend(
     return y_hat, attention
 
 
-def match_layer(
-    z_query: Tensor,
-    z_support: Tensor,
-    y_support: Tensor,
-    params: MatchParams,
-    layer: int,
-    *,
-    training: bool = False,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> LayerPrediction:
-    """Scaled dot-product attention of queries over support labels at
-    one layer: the one-layer case of ``match_levels``."""
-    (n_query, d), (n_support, d_s) = z_query.shape, z_support.shape
-    wq, wk = params.qk(layer)
-    y_hat, attention = _attend(
-        reshape(z_query, (1, n_query, d)),
-        reshape(z_support, (1, n_support, d_s)),
-        y_support,
-        wq,
-        wk,
-        training=training,
-        dropout_rate=dropout_rate,
-        rng=rng,
-    )
-    return LayerPrediction(
-        y_hat=reshape(y_hat, (n_query, 1)), attention=reshape(attention, (n_query, n_support))
-    )
-
-
-def _fuse(
-    joint: Tensor,
-    params: MatchParams,
-    *,
-    training: bool,
-    dropout_rate: float,
-    rng: np.random.Generator | None,
-) -> Tensor:
-    """Affine-combine [n_query, n_layers] label estimates into [n_query, 2]
-    probabilities."""
-    if training and dropout_rate > 0.0:
-        joint = dropout(joint, dropout_rate, rng)
-    logits = add(matmul(joint, params.wo), params.bias)
-    return softmax_rows(logits)
-
-
-def fuse(
-    layer_preds: list[LayerPrediction],
-    params: MatchParams,
-    *,
-    training: bool = False,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Affine-combine the per-layer estimates into [n_query, 2] probabilities."""
-    if len(layer_preds) != params.n_layers:
-        raise ValueError(
-            f"fuse: got {len(layer_preds)} layer predictions for {params.n_layers} fusion rows"
-        )
-    joint = concat_cols([lp.y_hat for lp in layer_preds])
-    return _fuse(joint, params, training=training, dropout_rate=dropout_rate, rng=rng)
-
-
 def match_levels(
     z_query: Tensor,
     z_support: Tensor,
@@ -258,7 +191,7 @@ def match_levels(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Match at every layer and fuse, all layers in one stacked pass.
+    """Match at every layer and combine the layers, all in one stacked pass.
 
     ``z_query`` [L, n_query, d] and ``z_support`` [L, n_support, d]
     stack the layers' embeddings.  Returns the fused [n_query, 2]
@@ -276,8 +209,11 @@ def match_levels(
         z_query, z_support, y_support, wq, wk,
         training=training, dropout_rate=dropout_rate, rng=rng,
     )
+    # combine the [n_query, L] label estimates into [n_query, 2] probabilities
     joint = transpose(reshape(y_hat, (n_layers, n_query)))
-    probs = _fuse(joint, params, training=training, dropout_rate=dropout_rate, rng=rng)
+    if training and dropout_rate > 0.0:
+        joint = dropout(joint, dropout_rate, rng)
+    probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
     return probs, y_hat, attention
 
 
@@ -308,7 +244,7 @@ def predict_detailed(
     rng: np.random.Generator | None = None,
     levels: list[Tensor] | None = None,
 ) -> tuple[Tensor, list[LayerPrediction]]:
-    """Encode support and queries jointly, match at every layer, fuse.
+    """Encode support and queries jointly, match at every layer, combine.
 
     ``levels`` supplies the encoding instead: ``encode_multilevel``
     output for the support graphs followed by the query graphs, so a

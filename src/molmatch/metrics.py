@@ -128,13 +128,13 @@ def aggregate(task_id: str, support_size: int, values) -> EvalResult:
     return EvalResult(task_id, support_size, vals, mean, std, std / np.sqrt(len(vals)))
 
 
-def pca_project(data, k: int, tol: float = 1e-10, max_iters: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
+def pca_project(data, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Project rows onto the top-k principal components.
 
-    Components come from power iteration with deflation on the sample
-    covariance.  Component signs are fixed so each vector's largest
-    magnitude coordinate is positive.  Returns (projections [n, k],
-    explained-variance ratios [k]).
+    Components are the leading eigenvectors of the sample covariance,
+    from its symmetric eigendecomposition.  Component signs are fixed so
+    each vector's largest magnitude coordinate is positive.  Returns
+    (projections [n, k], explained-variance ratios [k]).
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -143,64 +143,14 @@ def pca_project(data, k: int, tol: float = 1e-10, max_iters: int = 10_000) -> tu
     if not 1 <= k <= min(n, d):
         raise MetricError(f"pca_project: k={k} out of range for data {x.shape}")
     centered = x - x.mean(axis=0, keepdims=True)
-    denom = max(n - 1, 1)
-    cov = centered.T @ centered / denom
+    cov = centered.T @ centered / max(n - 1, 1)
     total_var = float(np.trace(cov))
 
-    comps = np.zeros((k, d), dtype=np.float64)
-    eigs = np.zeros(k, dtype=np.float64)
-    residual = cov.copy()
-    for c in range(k):
-        v = _power_iterate(residual, comps[:c], tol, max_iters, c)
-        lam = float(v @ residual @ v)
-        lam = max(lam, 0.0)
-        idx = int(np.argmax(np.abs(v)))
-        if v[idx] < 0:
-            v = -v
-        comps[c] = v
-        eigs[c] = lam
-        residual = residual - lam * np.outer(v, v)
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    comps = eigvecs[:, ::-1][:, :k].T.copy()
+    pivot = comps[np.arange(k), np.argmax(np.abs(comps), axis=1)]
+    comps[pivot < 0] *= -1.0
+    eigs = np.maximum(eigvals[::-1][:k], 0.0)
 
     ratios = eigs / total_var if total_var > 0 else np.zeros(k)
     return centered @ comps.T, ratios
-
-
-def _power_iterate(mat: np.ndarray, prev: np.ndarray, tol: float, max_iters: int, comp: int) -> np.ndarray:
-    d = mat.shape[0]
-    rng = np.random.default_rng(1234 + comp)  # fixed start: deterministic output
-    v = rng.standard_normal(d)
-    v = _orthogonalize(v, prev)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return _fallback_direction(prev, d)
-    v /= norm
-    for _ in range(max_iters):
-        w = mat @ v
-        w = _orthogonalize(w, prev)
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            # residual operator vanished: any direction orthogonal to the
-            # previous components is a valid zero-variance component
-            return _fallback_direction(prev, d)
-        w /= norm
-        if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < tol:
-            return w
-        v = w
-    return v
-
-
-def _orthogonalize(v: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    if prev.shape[0]:
-        v = v - prev.T @ (prev @ v)
-    return v
-
-
-def _fallback_direction(prev: np.ndarray, d: int) -> np.ndarray:
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        e = _orthogonalize(e, prev)
-        norm = np.linalg.norm(e)
-        if norm > 1e-12:
-            return e / norm
-    raise MetricError("pca_project: could not find an orthogonal direction")

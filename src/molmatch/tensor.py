@@ -199,12 +199,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """Stacked products ``out[l] = a[l] @ b[l]`` over a leading axis of L.
 
-    Operands are [L, m, k] and [L, k, n].  A 2-d operand is shared by
-    all L products (numpy broadcasting), so its gradient is the sum of
-    the L per-product gradients.  With ``transpose_b`` the second
-    operand is given as [..., n, k] and each product uses its transpose;
-    the transposed copy is made once here, so each product runs on the
-    same memory layout as ``matmul`` of a ``transpose`` output.
+    ``a`` is [L, m, k].  ``b`` is either stacked, [L, k, n], or a 2-d
+    [k, n] shared by all L products.  With ``transpose_b`` a stacked
+    ``b`` is given as [L, n, k] and each product uses its transpose; the
+    transposed copy is made once here, so each product runs on the same
+    memory layout as ``matmul`` of a ``transpose`` output.
 
     A shared second operand makes the stack one product of the L*m
     stacked rows: the forward, the input gradient and the weight
@@ -212,39 +211,33 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     sum over layers happens inside that GEMM.
     """
     av, bv = a.values, b.values
-    if transpose_b and bv.ndim >= 2:
-        bv = np.ascontiguousarray(np.swapaxes(bv, -1, -2))
+    shared = bv.ndim == 2
+    if transpose_b and bv.ndim == 3:
+        bv = np.ascontiguousarray(np.swapaxes(bv, 1, 2))
     if (
-        av.ndim not in (2, 3)
+        av.ndim != 3
         or bv.ndim not in (2, 3)
-        or max(av.ndim, bv.ndim) != 3
+        or (shared and transpose_b)
         or av.shape[-1] != bv.shape[-2]
-        or (av.ndim == bv.ndim == 3 and av.shape[0] != bv.shape[0])
+        or (not shared and av.shape[0] != bv.shape[0])
     ):
         raise ValueError(f"batched_matmul: incompatible shapes {a.shape} and {b.shape}")
     na, nb = a.requires_grad, b.requires_grad
-    if av.ndim == 3 and bv.ndim == 2:
+    if shared:
         (n_layers, m, k), n = av.shape, bv.shape[1]
         rows = av.reshape(n_layers * m, k)
 
         def shared_vjp(g):
             g_rows = g.reshape(n_layers * m, n)
             ga = (g_rows @ bv.T).reshape(av.shape) if na else None
-            gb = None
-            if nb:
-                gb = rows.T @ g_rows
-                if transpose_b:
-                    gb = gb.T
+            gb = rows.T @ g_rows if nb else None
             return ga, gb
 
         return _make((rows @ bv).reshape(n_layers, m, n), (a, b), shared_vjp)
 
     def vjp(g):
-        ga = gb = None
-        if na:
-            ga = np.matmul(g, np.swapaxes(bv, -1, -2))
-            if av.ndim == 2:
-                ga = ga.sum(axis=0)
+        ga = np.matmul(g, np.swapaxes(bv, -1, -2)) if na else None
+        gb = None
         if nb:
             gb = np.matmul(np.swapaxes(av, -1, -2), g)
             if transpose_b:

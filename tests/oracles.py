@@ -67,18 +67,17 @@ def add_at_rows(values, index, n: int) -> np.ndarray:
     return out
 
 
-def broadcast_batched_matmul(a, b, g, transpose_b: bool = False):
+def broadcast_batched_matmul(a, b, g):
     """Forward and both gradients of a stacked product with a shared 2-d
-    second operand, through numpy's broadcast matmul: ``out[l] = a[l] @ b``
-    (``b.T`` under ``transpose_b``), and the weight gradient as the L
-    per-layer products ``a[l].T @ g[l]`` added in layer order.  Returns
-    (out, grad_a, grad_b) for the upstream gradient ``g``."""
+    second operand, through numpy's broadcast matmul: ``out[l] = a[l] @ b``,
+    and the weight gradient as the L per-layer products ``a[l].T @ g[l]``
+    added in layer order.  Returns (out, grad_a, grad_b) for the upstream
+    gradient ``g``."""
     a, b, g = (np.asarray(x, dtype=np.float64) for x in (a, b, g))
-    w = b.T if transpose_b else b
-    out = np.matmul(a, w)
-    grad_a = np.matmul(g, w.T)
-    grad_w = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
-    return out, grad_a, grad_w.T if transpose_b else grad_w
+    out = np.matmul(a, b)
+    grad_a = np.matmul(g, b.T)
+    grad_b = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
+    return out, grad_a, grad_b
 
 
 def match_per_layer(z_query, z_support, y_support, params, *, training=False,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ def large_tasks(tmp_path_factory):
 
 def read_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def one_error_line(capsys):
+    """The run's stderr, which must be a single line."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    return err[0]
 
 
 def task_file_smiles(workspace, split, index):
@@ -162,6 +170,13 @@ class TestTrain:
                      "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "x.ckpt")]) == 3
 
+    def test_non_utf8_config_is_config_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[train]\nseed = \xff\n")
+        assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "x.ckpt")]) == 2
+        assert one_error_line(capsys).startswith("config error:")
+
 
 class TestEval:
     def test_csv_shape_and_repeatability(self, workspace, capsys):
@@ -202,6 +217,13 @@ class TestEval:
                      "--support-size", "40"]) == 3
         capsys.readouterr()
 
+    def test_non_utf8_task_file_is_data_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "test" / "latin1.jsonl").write_bytes(b'{"smiles": "C\xe9", "label": 1}\n')
+        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(data)]) == 3
+        assert one_error_line(capsys).startswith("data error:")
+
     def test_corrupt_tensor_name_is_data_error(self, workspace, tmp_path, capsys):
         raw = bytearray(workspace["ckpt"].read_bytes())
         raw[first_name_offset(raw)] = 0xFF  # never valid UTF-8
@@ -211,9 +233,11 @@ class TestEval:
         assert "bad tensor name" in capsys.readouterr().err
 
     def test_snapshot_with_deleted_taskrel_keys_evaluates(self, workspace, tmp_path, capsys):
-        # checkpoints written while taskrel had eta and normalize still load
+        # checkpoints written while taskrel had eta and normalize, and the
+        # matcher had heads, still load
         tensors, meta = load_checkpoint(workspace["ckpt"])
         meta["config"]["taskrel"].update(eta=0.0, normalize=True)
+        meta["config"]["matcher"]["heads"] = 1
         legacy = tmp_path / "legacy.ckpt"
         save_checkpoint(legacy, tensors, meta)
         for ckpt in (workspace["ckpt"], legacy):
@@ -359,6 +383,19 @@ class TestPredict:
         assert main(["predict", "--ckpt", str(workspace["ckpt"]),
                      "--support", str(support), "--query", str(query)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", ["support-latin1", "query-latin1", "query-directory"])
+    def test_unreadable_input_is_data_error(self, workspace, tmp_path, capsys, bad):
+        support, query, _ = self.write_inputs(workspace, tmp_path)
+        if bad == "support-latin1":
+            support.write_bytes(b'{"smiles": "C\xe9", "label": 1}\n')
+        elif bad == "query-latin1":
+            query.write_bytes(b"C\xe9\n")
+        else:
+            query = tmp_path
+        assert main(["predict", "--ckpt", str(workspace["ckpt"]),
+                     "--support", str(support), "--query", str(query)]) == 3
+        assert one_error_line(capsys).startswith("data error:")
 
     def test_single_class_support_warns(self, workspace, tmp_path, capsys):
         lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()

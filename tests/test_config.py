@@ -27,7 +27,6 @@ class TestDefaults:
         assert cfg.encoder.hidden == 300
         assert cfg.encoder.dropout == 0.0
         assert cfg.matcher.dropout == 0.1
-        assert cfg.matcher.heads == 1
         assert cfg.matcher.share_qk is True
         assert cfg.matcher.fusion_bias is True
 
@@ -80,10 +79,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown key 'alpha_beta'"):
             load_config(self.write(tmp_path, "[train]\nalpha_beta = 0.1\n"))
 
-    @pytest.mark.parametrize("line", ["eta = 0.1", "normalize = true"])
-    def test_deleted_taskrel_keys_rejected(self, tmp_path, line):
+    @pytest.mark.parametrize(
+        "section, line",
+        [("taskrel", "eta = 0.1"), ("taskrel", "normalize = true"), ("matcher", "heads = 1")],
+    )
+    def test_deleted_taskrel_keys_rejected(self, tmp_path, section, line):
         with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
-            load_config(self.write(tmp_path, f"[taskrel]\n{line}\n"))
+            load_config(self.write(tmp_path, f"[{section}]\n{line}\n"))
 
     def test_bad_bool_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[train\] early_stop"):
@@ -101,7 +103,6 @@ class TestLoadConfig:
         cases = [
             ("[train]\nalpha = -1\n", "alpha"),
             ("[train]\nsupport_split_fraction = 1.0\n", "support_split_fraction"),
-            ("[matcher]\nheads = 2\n", "single-head"),
             ("[matcher]\ndropout = 1.0\n", "dropout"),
             ("[protocol]\nsampling = stratified\n", "sampling"),
             ("[train]\noptimizer = sgd\n", "optimizer"),

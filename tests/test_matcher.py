@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from molmatch.encoder import EncoderParams, encode_multilevel
-from molmatch.matcher import (
-    LayerPrediction,
-    MatchParams,
-    fuse,
-    layer_predictions,
-    match_layer,
-    match_levels,
-    predict_detailed,
-)
+from molmatch.matcher import MatchParams, layer_predictions, match_levels, predict_detailed
 from molmatch.smiles import graph_from_smiles
 from molmatch.tensor import Tensor, backward, cross_entropy, stack
 from oracles import match_per_layer
@@ -49,25 +41,39 @@ class TestInit:
         np.testing.assert_array_equal(new.wq[0].values, params.wq[0].values)
 
 
+def match_one(z_query, z_support, y_support, params, **kwargs):
+    """``match_levels`` on one layer (L = 1): the fused probabilities and
+    the layer's prediction."""
+    probs, y_hat, attention = match_levels(
+        Tensor(np.asarray(z_query, dtype=float)[None]),
+        Tensor(np.asarray(z_support, dtype=float)[None]),
+        Tensor(y_support),
+        params,
+        **kwargs,
+    )
+    return probs, layer_predictions(y_hat, attention)[0]
+
+
 class TestMatchLayer:
+    """Attention matching at one layer."""
+
     def test_single_support_returns_its_label_exactly(self):
         params = MatchParams.init(1, 3, seed=0)
-        z_q = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        z_s = Tensor(np.random.default_rng(1).normal(size=(1, 3)))
+        z_q = np.random.default_rng(0).normal(size=(4, 3))
+        z_s = np.random.default_rng(1).normal(size=(1, 3))
         for label in (0.0, 1.0):
-            pred = match_layer(z_q, z_s, Tensor([[label]]), params, 0)
+            _, pred = match_one(z_q, z_s, [[label]], params)
             assert (pred.attention.values == 1.0).all()
             assert (pred.y_hat.values == label).all()
 
     def test_zero_projection_gives_uniform_attention(self):
         params = MatchParams.init(1, 3, seed=0).replace_values({"wq0": np.zeros((3, 3))})
         rng = np.random.default_rng(2)
-        pred = match_layer(
-            Tensor(rng.normal(size=(5, 3))),
-            Tensor(rng.normal(size=(7, 3))),
-            Tensor(rng.integers(0, 2, size=(7, 1)).astype(float)),
+        _, pred = match_one(
+            rng.normal(size=(5, 3)),
+            rng.normal(size=(7, 3)),
+            rng.integers(0, 2, size=(7, 1)).astype(float),
             params,
-            0,
         )
         np.testing.assert_allclose(pred.attention.values, np.full((5, 7), 1 / 7), rtol=0, atol=1e-15)
 
@@ -75,14 +81,10 @@ class TestMatchLayer:
         rng = np.random.default_rng(0)
         for _ in range(50):
             n_s, n_q, d = int(rng.integers(1, 9)), int(rng.integers(1, 6)), 4
-            params = MatchParams.init(2, d, seed=int(rng.integers(1000)))
-            y_s = Tensor(rng.integers(0, 2, size=(n_s, 1)).astype(float))
-            pred = match_layer(
-                Tensor(rng.normal(size=(n_q, d)) * 3),
-                Tensor(rng.normal(size=(n_s, d)) * 3),
-                y_s,
-                params,
-                1,
+            params = MatchParams.init(1, d, seed=int(rng.integers(1000)))
+            y_s = rng.integers(0, 2, size=(n_s, 1)).astype(float)
+            _, pred = match_one(
+                rng.normal(size=(n_q, d)) * 3, rng.normal(size=(n_s, d)) * 3, y_s, params
             )
             np.testing.assert_allclose(pred.attention.values.sum(axis=1), 1.0, atol=1e-12)
             assert (pred.y_hat.values >= 0.0).all() and (pred.y_hat.values <= 1.0).all()
@@ -91,9 +93,7 @@ class TestMatchLayer:
         params = MatchParams.init(1, 1, seed=0).replace_values(
             {"wq0": [[3.0]], "wk0": [[1.0]]}
         )
-        pred = match_layer(
-            Tensor([[1.0]]), Tensor([[2.0], [0.5]]), Tensor([[1.0], [0.0]]), params, 0
-        )
+        _, pred = match_one([[1.0]], [[2.0], [0.5]], [[1.0], [0.0]], params)
         scores = np.array([3.0 * 2.0, 3.0 * 0.5])  # (z_q wq)(z_s wk)^T / sqrt(1)
         expect = np.exp(scores - scores.max())
         expect /= expect.sum()
@@ -102,25 +102,25 @@ class TestMatchLayer:
 
     def test_errors(self):
         params = MatchParams.init(1, 3, seed=0)
-        z = Tensor(np.ones((2, 3)))
+        z = np.ones((2, 3))
         with pytest.raises(ValueError, match="empty support"):
-            match_layer(z, Tensor(np.ones((0, 3))), Tensor(np.ones((0, 1))), params, 0)
+            match_one(z, np.ones((0, 3)), np.ones((0, 1)), params)
         with pytest.raises(ValueError, match="width"):
-            match_layer(z, Tensor(np.ones((2, 4))), Tensor(np.ones((2, 1))), params, 0)
+            match_one(z, np.ones((2, 4)), np.ones((2, 1)), params)
         with pytest.raises(ValueError, match="y_support"):
-            match_layer(z, Tensor(np.ones((2, 3))), Tensor(np.ones((2,))), params, 0)
+            match_one(z, np.ones((2, 3)), np.ones((2,)), params)
 
 
 class TestFuse:
+    """The affine fusion of the layer estimates into probabilities."""
+
     def test_zero_fusion_weights_give_even_odds(self):
-        params = MatchParams.init(2, 3, seed=0).replace_values(
-            {"wo": np.zeros((2, 2)), "bias": np.zeros(2)}
+        params = MatchParams.init(1, 3, seed=0).replace_values(
+            {"wo": np.zeros((1, 2)), "bias": np.zeros(2)}
         )
-        preds = [
-            LayerPrediction(y_hat=Tensor([[0.3], [0.9]]), attention=Tensor(np.ones((2, 1))))
-            for _ in range(2)
-        ]
-        probs = fuse(preds, params)
+        rng = np.random.default_rng(3)
+        probs, _ = match_one(rng.normal(size=(2, 3)), rng.normal(size=(4, 3)),
+                             [[0.3], [0.9], [0.0], [1.0]], params)
         assert (probs.values == 0.5).all()
 
     def test_hand_computed_fusion(self):
@@ -128,8 +128,10 @@ class TestFuse:
             {"wo": [[2.0, -1.0]], "bias": [0.5, -0.5]}
         )
         y_hat = 0.75
-        preds = [LayerPrediction(y_hat=Tensor([[y_hat]]), attention=Tensor([[1.0]]))]
-        probs = fuse(preds, params)
+        # a single support row gets all the attention, so the layer
+        # estimate is its label exactly
+        probs, pred = match_one([[1.0]], [[1.0]], [[y_hat]], params)
+        assert (pred.y_hat.values == y_hat).all()
         logits = np.array([y_hat * 2.0 + 0.5, y_hat * -1.0 - 0.5])
         expect = np.exp(logits - logits.max())
         expect /= expect.sum()
@@ -137,9 +139,8 @@ class TestFuse:
 
     def test_layer_count_mismatch(self):
         params = MatchParams.init(3, 2, seed=0)
-        preds = [LayerPrediction(Tensor([[0.5]]), Tensor([[1.0]]))] * 2
         with pytest.raises(ValueError, match="3 fusion rows"):
-            fuse(preds, params)
+            match_one(np.ones((1, 2)), np.ones((1, 2)), [[0.5]], params)
 
 
 class TestPredict:

@@ -123,12 +123,18 @@ class TestAggregate:
 class TestPca:
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(0)
-        for trial in range(5):
-            x = rng.normal(size=(40, 8)) @ np.diag(rng.uniform(0.5, 4.0, size=8))
-            proj, ratios = pca_project(x, 3)
-            want_proj, want_ratios, _ = pca_dense(x, 3)
-            np.testing.assert_allclose(ratios, want_ratios, atol=1e-8)
-            np.testing.assert_allclose(proj, want_proj, atol=1e-6)
+        cases = [
+            (rng.normal(size=(40, 8)) @ np.diag(rng.uniform(0.5, 4.0, size=8)), 3)
+            for _ in range(5)
+        ]
+        # isotropic noise: closely spaced eigenvalues, which an iterative
+        # solver separates slowly
+        cases.append((np.random.default_rng(1).normal(size=(300, 60)), 15))
+        for x, k in cases:
+            proj, ratios = pca_project(x, k)
+            want_proj, want_ratios, _ = pca_dense(x, k)
+            np.testing.assert_allclose(ratios, want_ratios, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(proj, want_proj, rtol=0, atol=1e-12)
 
     def test_ratios_descend_and_bound(self):
         rng = np.random.default_rng(1)
