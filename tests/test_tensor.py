@@ -297,6 +297,7 @@ class TestGradients:
         "a_shape, b_shape, transpose_b",
         [
             ((3, 2, 4), (3, 4, 5), False),
+            ((1, 2, 4), (1, 4, 5), False),  # a stack of one slice
             ((3, 2, 4), (4, 5), False),  # shared second operand
             ((3, 2, 4), (3, 5, 4), True),
         ],
