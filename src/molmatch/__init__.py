@@ -13,7 +13,9 @@ from .encoder import EncoderParams, encode_multilevel
 from .episodes import (
     Episode,
     Registry,
+    can_sample,
     load_registry,
+    sample_episode,
     sample_episode_balanced,
     sample_episode_unbalanced,
     synth_generate,

@@ -27,10 +27,11 @@ from .encoder import encode_frozen
 from .episodes import (
     DataError,
     EpisodeError,
-    Registry,
-    _load_task_file,
-    _read_lines,
+    can_sample,
     load_registry,
+    load_task_file,
+    read_lines,
+    sample_episode,
     synth_generate,
     write_registry,
 )
@@ -39,8 +40,6 @@ from .meta import (
     KEY_EVAL,
     ModelParams,
     NumericalError,
-    _sample_episode,
-    _task_can_sample,
     finetune_and_predict,
     finetune_and_predict_detailed,
     init_model,
@@ -293,13 +292,13 @@ def cmd_eval(args) -> int:
     per_task_means: dict[str, list[float]] = {name: [] for name in metric_names}
     evaluated = 0
     for task_idx, task in enumerate(sorted(tasks, key=lambda t: t.task_id)):
-        if not _task_can_sample(task, cfg):
+        if not can_sample(task, cfg.protocol):
             rows.append({"task_id": task.task_id, "status": "skipped:protocol"})
             continue
         collected: dict[str, list[float]] = {name: [] for name in metric_names}
         episodes = []
         for rep in range(repeats):
-            episode = _sample_episode(task, cfg, _eval_seed(seed, task_idx, rep))
+            episode = sample_episode(task, cfg.protocol, _eval_seed(seed, task_idx, rep))
             if len({y for _, y in episode.query}) >= 2:
                 episodes.append((rep, episode))
         skipped_repeats = repeats - len(episodes)
@@ -334,7 +333,7 @@ def cmd_eval(args) -> int:
             "status": "ok" if not skipped_repeats else f"ok:{skipped_repeats}-repeats-skipped",
         }
         for name in metric_names:
-            agg = metrics.aggregate(task.task_id, cfg.protocol.support_size, collected[name])
+            agg = metrics.aggregate(collected[name])
             row[f"{name}_mean"] = agg.mean
             row[f"{name}_std"] = agg.std
             row[f"{name}_se"] = agg.stderr
@@ -346,7 +345,7 @@ def cmd_eval(args) -> int:
 
     overall = {"task_id": "ALL", "status": f"{evaluated}-tasks"}
     for name in metric_names:
-        agg = metrics.aggregate("ALL", cfg.protocol.support_size, per_task_means[name])
+        agg = metrics.aggregate(per_task_means[name])
         overall[f"{name}_mean"] = agg.mean
         overall[f"{name}_std"] = agg.std
         overall[f"{name}_se"] = agg.stderr
@@ -380,7 +379,7 @@ def _fmt(value) -> str:
 
 
 def _read_support_file(path) -> list[tuple]:
-    record, malformed = _load_task_file(Path(path), "support")
+    record, malformed = load_task_file(Path(path), "support")
     if malformed:
         print(f"support file: {malformed} malformed lines skipped", file=sys.stderr)
     if not record.examples:
@@ -399,7 +398,7 @@ def cmd_predict(args) -> int:
     support = _read_support_file(args.support)
 
     queries: list[tuple[str, object]] = []  # (smiles, graph or error message)
-    for line in _read_lines(args.query):
+    for line in read_lines(args.query):
         smiles = line.strip()
         if not smiles:
             continue
@@ -453,7 +452,7 @@ def cmd_taskrel(args) -> int:
     mode = args.mode or cfg.taskrel.mode
     seed = args.seed if args.seed is not None else cfg.train.seed
     registry = load_registry(args.data)
-    tasks = [t for t in registry.split_tasks(args.split) if _task_can_sample(t, cfg)]
+    tasks = [t for t in registry.split_tasks(args.split) if can_sample(t, cfg.protocol)]
     if len(tasks) < 2:
         raise DataError(
             f"task relation needs at least 2 protocol-compatible tasks in {args.split!r}"
@@ -493,7 +492,7 @@ def cmd_taskrel(args) -> int:
 def cmd_export_embeddings(args) -> int:
     model, cfg, _ = _load_model(args.ckpt)
     entries = []
-    for line_no, line in enumerate(_read_lines(args.smiles), start=1):
+    for line_no, line in enumerate(read_lines(args.smiles), start=1):
         smiles = line.strip()
         if not smiles:
             continue

@@ -102,6 +102,10 @@ class RunConfig:
             (0 <= m.dropout < 1, "matcher.dropout must be in [0, 1)"),
             (p.sampling in ("balanced", "unbalanced"), "protocol.sampling must be balanced or unbalanced"),
             (p.support_size >= 1, "protocol.support_size must be >= 1"),
+            (
+                p.sampling != "balanced" or p.support_size % 2 == 0,
+                "protocol.support_size must be even for balanced sampling",
+            ),
             (p.query_size >= 1, "protocol.query_size must be >= 1"),
             (p.eval_repeats >= 1, "protocol.eval_repeats must be >= 1"),
             (r.metric in ("dot", "cosine", "euclidean"), "taskrel.metric must be dot, cosine or euclidean"),
@@ -146,7 +150,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file {path} not found")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     cfg = RunConfig()

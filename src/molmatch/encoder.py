@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .params import Params, uniform_init
-from .smiles import DEFAULT_SCHEMA, MolGraph
+from .smiles import D_ATOM, D_BOND, MolGraph
 from .tensor import (
     Tensor,
     add,
@@ -50,12 +50,12 @@ class GinLayerParams:
     w2: Tensor
     b2: Tensor
     eps: Tensor  # learnable scalar, starts at 0
-    bond_embed: Tensor  # [d_bond, d]
+    bond_embed: Tensor  # [D_BOND, d]
 
 
 class EncoderParams(Params):
     """All learnable state of the encoder (the theta side of the model):
-    ``input_w`` [d_atom, d], ``input_b`` [d] and per layer
+    ``input_w`` [D_ATOM, d], ``input_b`` [d] and per layer
     ``layer{i}.w1``/``b1``/``w2``/``b2``/``eps``/``bond_embed``."""
 
     @property
@@ -82,13 +82,7 @@ class EncoderParams(Params):
         return [self.layer(i) for i in range(self.n_layers)]
 
     @staticmethod
-    def init(
-        n_layers: int,
-        hidden: int,
-        d_atom: int = DEFAULT_SCHEMA.d_atom,
-        d_bond: int = DEFAULT_SCHEMA.d_bond,
-        seed=0,
-    ) -> "EncoderParams":
+    def init(n_layers: int, hidden: int, seed=0) -> "EncoderParams":
         """Seeded init: weights and biases uniform in +-1/sqrt(fan_in), eps at 0."""
         if n_layers < 1 or hidden < 1:
             raise ValueError("encoder needs n_layers >= 1 and hidden >= 1")
@@ -102,10 +96,10 @@ class EncoderParams(Params):
             layers[f"layer{i}.w2"] = uniform_init(rng, (hidden, hidden), hidden)
             layers[f"layer{i}.b2"] = uniform_init(rng, (hidden,), hidden)
             layers[f"layer{i}.eps"] = 0.0
-            layers[f"layer{i}.bond_embed"] = uniform_init(rng, (d_bond, hidden), d_bond)
+            layers[f"layer{i}.bond_embed"] = uniform_init(rng, (D_BOND, hidden), D_BOND)
         values = {
-            "input_w": uniform_init(rng, (d_atom, hidden), d_atom),
-            "input_b": uniform_init(rng, (hidden,), d_atom),
+            "input_w": uniform_init(rng, (D_ATOM, hidden), D_ATOM),
+            "input_b": uniform_init(rng, (hidden,), D_ATOM),
             **layers,
         }
         return EncoderParams({k: Tensor(v, requires_grad=True) for k, v in values.items()})
@@ -172,7 +166,7 @@ def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -
 
 
 def encode_multilevel(
-    graphs: list[MolGraph] | GraphBatch,
+    graphs: list[MolGraph],
     params: EncoderParams,
     *,
     training: bool = False,
@@ -184,7 +178,7 @@ def encode_multilevel(
     Output l has shape [n_mols, hidden] and row i summarises molecule i
     after layer l+1.
     """
-    batch = graphs if isinstance(graphs, GraphBatch) else GraphBatch(graphs)
+    batch = GraphBatch(graphs)
     h = add(matmul(batch.atom_feats, params.input_w), params.input_b)
     levels = []
     for layer in range(params.n_layers):
@@ -195,7 +189,7 @@ def encode_multilevel(
     return levels
 
 
-def encode_frozen(graphs: list[MolGraph] | GraphBatch, params: EncoderParams) -> list[np.ndarray]:
+def encode_frozen(graphs: list[MolGraph], params: EncoderParams) -> list[np.ndarray]:
     """Inference-mode ``encode_multilevel`` through a detached copy of
     ``params``: the same per-layer rows as plain arrays, with no autodiff
     graph recorded.  Theta is frozen wherever only w adapts, so a

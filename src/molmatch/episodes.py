@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ProtocolConfig
 from .smiles import MolGraph, SmilesError, featurize, graph_from_smiles, parse
 
 __all__ = [
@@ -24,8 +25,12 @@ __all__ = [
     "TaskRecord",
     "Episode",
     "Registry",
+    "read_lines",
+    "load_task_file",
     "load_registry",
     "write_registry",
+    "can_sample",
+    "sample_episode",
     "sample_episode_balanced",
     "sample_episode_unbalanced",
     "synth_generate",
@@ -87,22 +92,22 @@ class Registry:
         return sum(len(v) for v in self.tasks.values())
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; a file that is not UTF-8 is a
-    ``DataError``."""
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, less any leading byte-order mark;
+    a file that is not UTF-8 is a ``DataError``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _load_task_file(path: Path, split: str) -> tuple[TaskRecord, int]:
+def load_task_file(path: Path, split: str) -> tuple[TaskRecord, int]:
     """One task's featurized examples and its count of malformed lines,
     which are skipped with a warning."""
     examples = []
     malformed = 0
-    for line_no, line in enumerate(_read_lines(path), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
@@ -141,7 +146,7 @@ def load_registry(root) -> Registry:
         records = []
         for path in sorted(split_dir.glob("*.jsonl")):
             found_any = True
-            record, malformed = _load_task_file(path, split)
+            record, malformed = load_task_file(path, split)
             registry.malformed_lines += malformed
             if record.task_id in seen:
                 raise DataError(
@@ -181,24 +186,51 @@ def _pairs(task: TaskRecord, indices) -> list[tuple[MolGraph, int]]:
     return [(task.examples[i].graph, task.examples[i].label) for i in indices]
 
 
+def _protocol_error(task: TaskRecord, sampling: str, support_size: int) -> str | None:
+    """Why ``task`` cannot give a ``sampling`` episode of ``support_size``
+    support rows and at least one query, or None when it can."""
+    neg, pos = task.class_counts()
+    n = neg + pos
+    if sampling == "balanced":
+        per_class = support_size // 2
+        if support_size < 2 or support_size % 2 != 0:
+            return f"balanced sampling needs an even support_size >= 2, got {support_size}"
+        if neg < per_class or pos < per_class:
+            return (
+                f"task {task.task_id}: balanced support {support_size} needs {per_class} per class, "
+                f"have {neg} negative / {pos} positive"
+            )
+        if n == support_size:
+            return f"task {task.task_id}: no examples left for the query set"
+        return None
+    if not 1 <= support_size < n:
+        return f"task {task.task_id}: support_size {support_size} must be in [1, {n - 1}]"
+    return None
+
+
+def can_sample(task: TaskRecord, protocol: ProtocolConfig) -> bool:
+    """Whether ``sample_episode(task, protocol, seed)`` returns an episode."""
+    return _protocol_error(task, protocol.sampling, protocol.support_size) is None
+
+
+def sample_episode(task: TaskRecord, protocol: ProtocolConfig, seed) -> Episode:
+    """One episode of ``task`` under ``protocol``'s sampling and sizes."""
+    if protocol.sampling == "balanced":
+        return sample_episode_balanced(task, protocol.support_size, protocol.query_size, seed)
+    return sample_episode_unbalanced(task, protocol.support_size, protocol.query_size, seed)
+
+
 def sample_episode_balanced(task: TaskRecord, support_size: int, query_size: int, seed) -> Episode:
     """Class-balanced support; the shuffled remainder becomes the query."""
-    if support_size < 2 or support_size % 2 != 0:
-        raise EpisodeError(f"balanced sampling needs an even support_size >= 2, got {support_size}")
+    if error := _protocol_error(task, "balanced", support_size):
+        raise EpisodeError(error)
     per_class = support_size // 2
     neg, pos = _split_indices(task)
-    if len(neg) < per_class or len(pos) < per_class:
-        raise EpisodeError(
-            f"task {task.task_id}: balanced support {support_size} needs {per_class} per class, "
-            f"have {len(neg)} negative / {len(pos)} positive"
-        )
     rng = np.random.default_rng(seed)
     s_neg = rng.choice(neg, size=per_class, replace=False)
     s_pos = rng.choice(pos, size=per_class, replace=False)
     support = np.concatenate([s_neg, s_pos])
     rest = np.setdiff1d(np.arange(len(task.examples)), support)
-    if rest.size == 0:
-        raise EpisodeError(f"task {task.task_id}: no examples left for the query set")
     rng.shuffle(rest)
     query = rest[: min(query_size, rest.size)]
     return Episode(
@@ -208,11 +240,9 @@ def sample_episode_balanced(task: TaskRecord, support_size: int, query_size: int
 
 def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: int, seed) -> Episode:
     """Uniform support draw; one example of each present class is forced in."""
+    if error := _protocol_error(task, "unbalanced", support_size):
+        raise EpisodeError(error)
     n = len(task.examples)
-    if support_size < 1 or support_size >= n:
-        raise EpisodeError(
-            f"task {task.task_id}: support_size {support_size} must be in [1, {n - 1}]"
-        )
     rng = np.random.default_rng(seed)
     support = list(rng.choice(n, size=support_size, replace=False))
     neg, pos = _split_indices(task)
@@ -231,8 +261,6 @@ def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: i
             support[support.index(drop)] = addition
     support_arr = np.array(sorted(support))
     rest = np.setdiff1d(np.arange(n), support_arr)
-    if rest.size == 0:
-        raise EpisodeError(f"task {task.task_id}: no examples left for the query set")
     rng.shuffle(rest)
     query = rest[: min(query_size, rest.size)]
     return Episode(
@@ -372,12 +400,8 @@ def synth_generate(
     for split, count in plan:
         records = []
         for _ in range(count):
-            rng = np.random.default_rng([_to_seed_int(seed), counter])
+            rng = np.random.default_rng([int(seed), counter])
             records.append(_synth_task(f"synth-{counter:04d}", split, molecules_per_task, rng))
             counter += 1
         registry.tasks[split] = records
     return registry
-
-
-def _to_seed_int(seed) -> int:
-    return int(seed)

@@ -128,34 +128,38 @@ class LayerPrediction:
     attention: Tensor  # [n_query, n_support], rows sum to 1
 
 
-def _attend(
+def match_levels(
     z_query: Tensor,
     z_support: Tensor,
     y_support: Tensor,
-    wq: Tensor,
-    wk: Tensor,
+    params: MatchParams,
     *,
-    training: bool,
-    dropout_rate: float,
-    rng: np.random.Generator | None,
-) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention of queries over support labels, for
-    L layers at once.
+    training: bool = False,
+    dropout_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Match at every layer and combine the layers, all in one stacked pass.
 
-    ``z_query`` is [L, n_query, d] and ``z_support`` [L, n_support, d];
-    ``wq``/``wk`` are [d, d] (shared) or [L, d, d].  Returns the label
-    estimates [L, n_query, 1] and the attention [L, n_query, n_support].
+    ``z_query`` [L, n_query, d] and ``z_support`` [L, n_support, d]
+    stack the layers' embeddings.  Returns the fused [n_query, 2]
+    probabilities, the label estimates [L, n_query, 1] and the attention
+    [L, n_query, n_support]; ``layer_predictions`` splits the last two.
     """
-    if z_support.shape[1] == 0:
-        raise ValueError("match: empty support set")
-    if z_query.shape[2] != z_support.shape[2]:
-        raise ValueError(
-            f"match: query width {z_query.shape[2]} != support width {z_support.shape[2]}"
-        )
-    if y_support.shape != (z_support.shape[1], 1):
-        raise ValueError(f"match: y_support must be [{z_support.shape[1]}, 1]")
     n_layers, n_query, d = z_query.shape
     n_support = z_support.shape[1]
+    if n_layers != params.n_layers:
+        raise ValueError(f"match: got {n_layers} layers for {params.n_layers} fusion rows")
+    if n_support == 0:
+        raise ValueError("match: empty support set")
+    if d != z_support.shape[2]:
+        raise ValueError(f"match: query width {d} != support width {z_support.shape[2]}")
+    if y_support.shape != (n_support, 1):
+        raise ValueError(f"match: y_support must be [{n_support}, 1]")
+    if params.shared_qk:
+        wq, wk = params.qk(0)
+    else:
+        wq, wk = stack(params.wq), stack(params.wk)
+    # scaled dot-product attention of the queries over the support labels
     scores = scale(
         batched_matmul(
             batched_matmul(z_query, wq), batched_matmul(z_support, wk), transpose_b=True
@@ -178,37 +182,6 @@ def _attend(
         # can spill one ulp past the boundary.  Snap it back.  Dropout
         # rescaling leaves the simplex, so the training path is exempt.
         np.clip(y_hat.values, y_support.values.min(), y_support.values.max(), out=y_hat.values)
-    return y_hat, attention
-
-
-def match_levels(
-    z_query: Tensor,
-    z_support: Tensor,
-    y_support: Tensor,
-    params: MatchParams,
-    *,
-    training: bool = False,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Match at every layer and combine the layers, all in one stacked pass.
-
-    ``z_query`` [L, n_query, d] and ``z_support`` [L, n_support, d]
-    stack the layers' embeddings.  Returns the fused [n_query, 2]
-    probabilities, the label estimates [L, n_query, 1] and the attention
-    [L, n_query, n_support]; ``layer_predictions`` splits the last two.
-    """
-    n_layers, n_query = z_query.shape[:2]
-    if n_layers != params.n_layers:
-        raise ValueError(f"match: got {n_layers} layers for {params.n_layers} fusion rows")
-    if params.shared_qk:
-        wq, wk = params.qk(0)
-    else:
-        wq, wk = stack(params.wq), stack(params.wk)
-    y_hat, attention = _attend(
-        z_query, z_support, y_support, wq, wk,
-        training=training, dropout_rate=dropout_rate, rng=rng,
-    )
     # combine the [n_query, L] label estimates into [n_query, 2] probabilities
     joint = transpose(reshape(y_hat, (n_layers, n_query)))
     if training and dropout_rate > 0.0:
@@ -224,11 +197,6 @@ def layer_predictions(y_hat: Tensor, attention: Tensor) -> list[LayerPrediction]
         LayerPrediction(y_hat=Tensor(y), attention=Tensor(a))
         for y, a in zip(y_hat.values, attention.values)
     ]
-
-
-def _labels_tensor(labels) -> Tensor:
-    arr = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    return Tensor(arr)
 
 
 def predict_detailed(
@@ -270,7 +238,7 @@ def predict_detailed(
         )
     elif any(z.shape[0] != n_rows for z in levels):
         raise ValueError(f"predict: levels must have {n_rows} rows")
-    y_s = _labels_tensor(support_labels)
+    y_s = Tensor(np.asarray(support_labels, dtype=np.float64).reshape(-1, 1))
     if y_s.shape[0] != n_s:
         raise ValueError(f"predict: {y_s.shape[0]} labels for {n_s} support graphs")
     n_layers, d = len(levels), levels[0].shape[1]

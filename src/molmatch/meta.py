@@ -20,14 +20,7 @@ import numpy as np
 from . import metrics
 from .config import RunConfig, TrainConfig
 from .encoder import EncoderParams, encode_frozen, encode_multilevel
-from .episodes import (
-    Episode,
-    EpisodeError,
-    Registry,
-    TaskRecord,
-    sample_episode_balanced,
-    sample_episode_unbalanced,
-)
+from .episodes import EpisodeError, Registry, TaskRecord, can_sample, sample_episode
 from .matcher import MatchParams, layer_predictions, match_levels, predict_detailed
 from .params import Params
 from .smiles import MolGraph
@@ -324,26 +317,6 @@ def _adapt_on_rows(
     return AdaptedParams(w_tau, task_id, final, history)
 
 
-def _sample_episode(task: TaskRecord, cfg: RunConfig, seed) -> Episode:
-    if cfg.protocol.sampling == "balanced":
-        return sample_episode_balanced(task, cfg.protocol.support_size, cfg.protocol.query_size, seed)
-    return sample_episode_unbalanced(task, cfg.protocol.support_size, cfg.protocol.query_size, seed)
-
-
-def _task_can_sample(task: TaskRecord, cfg: RunConfig) -> bool:
-    neg, pos = task.class_counts()
-    total = neg + pos
-    if cfg.protocol.sampling == "balanced":
-        half = cfg.protocol.support_size // 2
-        return (
-            cfg.protocol.support_size % 2 == 0
-            and neg >= half
-            and pos >= half
-            and total > cfg.protocol.support_size
-        )
-    return 1 <= cfg.protocol.support_size < total
-
-
 def _outer_task_step(
     model: ModelParams, task: TaskRecord, cfg: RunConfig, epoch: int, slot: int
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -358,7 +331,7 @@ def _outer_task_step(
     dropout it encodes its split itself.
     """
     seed = cfg.train.seed
-    episode = _sample_episode(task, cfg, [seed, KEY_EPISODE, epoch, slot])
+    episode = sample_episode(task, cfg.protocol, [seed, KEY_EPISODE, epoch, slot])
     s_rows, q_rows = _split_rows(
         [y for _, y in episode.support],
         cfg.train.support_split_fraction,
@@ -411,7 +384,7 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     from .optim import make_optimizer
 
     cfg.validate()
-    tasks = [t for t in registry.split_tasks("train") if _task_can_sample(t, cfg)]
+    tasks = [t for t in registry.split_tasks("train") if can_sample(t, cfg.protocol)]
     if not tasks:
         raise EpisodeError("no train task can satisfy the episode protocol")
     tasks = sorted(tasks, key=lambda t: t.task_id)
@@ -480,10 +453,10 @@ def _validation_metric(model: ModelParams, registry: Registry, cfg: RunConfig, e
     """Mean query-set lift of the precision sweep over validation tasks."""
     scores = []
     for i, task in enumerate(registry.split_tasks("valid")):
-        if not _task_can_sample(task, cfg):
+        if not can_sample(task, cfg.protocol):
             continue
         try:
-            episode = _sample_episode(task, cfg, [cfg.train.seed, KEY_EVAL, epoch, i])
+            episode = sample_episode(task, cfg.protocol, [cfg.train.seed, KEY_EVAL, epoch, i])
             probs = finetune_and_predict(
                 model,
                 episode.support,

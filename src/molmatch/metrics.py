@@ -104,28 +104,21 @@ def delta_auprc(scores, labels) -> float:
 
 @dataclass
 class EvalResult:
-    task_id: str
-    support_size: int
-    values: list[float]
     mean: float
     std: float | None  # sample standard deviation (n-1), None for single runs
     stderr: float | None
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
-
-def aggregate(task_id: str, support_size: int, values) -> EvalResult:
+def aggregate(values) -> EvalResult:
     """Mean with spread over repeated runs; single runs carry no spread."""
     vals = [float(v) for v in values]
     if not vals:
         raise MetricError("aggregate: no values")
     mean = float(np.mean(vals))
     if len(vals) < 2:
-        return EvalResult(task_id, support_size, vals, mean, None, None)
+        return EvalResult(mean, None, None)
     std = float(np.std(vals, ddof=1))
-    return EvalResult(task_id, support_size, vals, mean, std, std / np.sqrt(len(vals)))
+    return EvalResult(mean, std, std / np.sqrt(len(vals)))
 
 
 def pca_project(data, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,23 +12,16 @@ import numpy as np
 
 __all__ = ["Adam", "make_optimizer"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        decoupled: bool = False,
-    ):
+    def __init__(self, lr: float, weight_decay: float = 0.0, decoupled: bool = False):
         if lr < 0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.decoupled = bool(decoupled)
         self.t = 0
@@ -39,8 +32,8 @@ class Adam:
         """One update over every name in ``grads``; untouched names pass through."""
         self.t += 1
         out = dict(values)
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name in grads:
             if name not in values:
                 raise KeyError(f"gradient for unknown parameter {name!r}")
@@ -53,11 +46,11 @@ class Adam:
             if m is None:
                 m = np.zeros_like(x)
                 v = np.zeros_like(x)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * (g * g)
             self._m[name] = m
             self._v[name] = v
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             new = x - update
             if self.weight_decay and self.decoupled:
                 new = new - self.lr * self.weight_decay * x

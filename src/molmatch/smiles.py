@@ -11,7 +11,7 @@ are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ __all__ = [
     "Token",
     "ParsedAtom",
     "ParsedMolecule",
-    "AtomFeatureSchema",
-    "DEFAULT_SCHEMA",
+    "D_ATOM",
+    "D_BOND",
     "MolGraph",
     "tokenize",
     "parse",
@@ -278,50 +278,40 @@ def parse(smiles: str) -> ParsedMolecule:
     return ParsedMolecule(smiles, atoms, bonds)
 
 
-@dataclass(frozen=True)
-class AtomFeatureSchema:
-    """Fixed-width one-hot layout for atom and bond feature rows."""
-
-    elements: tuple[str, ...] = ("C", "N", "O", "S", "F", "Cl", "Br", "I", "P", "B", "Si")
-    max_degree: int = 6
-    charge_range: tuple[int, int] = (-2, 2)
-    max_h: int = 4
-
-    @property
-    def d_atom(self) -> int:
-        n_charge = self.charge_range[1] - self.charge_range[0] + 1
-        return (len(self.elements) + 1) + (self.max_degree + 1) + n_charge + 1 + (self.max_h + 1)
-
-    @property
-    def d_bond(self) -> int:
-        return len(BOND_ORDERS)
-
-    def atom_row(self, atom: ParsedAtom, degree: int) -> np.ndarray:
-        n_charge = self.charge_range[1] - self.charge_range[0] + 1
-        row = np.zeros(self.d_atom, dtype=np.float64)
-        offset = 0
-        try:
-            row[offset + self.elements.index(atom.element)] = 1.0
-        except ValueError:
-            row[offset + len(self.elements)] = 1.0  # "other" bucket
-        offset += len(self.elements) + 1
-        row[offset + min(degree, self.max_degree)] = 1.0
-        offset += self.max_degree + 1
-        charge = min(max(atom.charge, self.charge_range[0]), self.charge_range[1])
-        row[offset + (charge - self.charge_range[0])] = 1.0
-        offset += n_charge
-        row[offset] = 1.0 if atom.aromatic else 0.0
-        offset += 1
-        row[offset + min(atom.h_count, self.max_h)] = 1.0
-        return row
-
-    def bond_row(self, order: str) -> np.ndarray:
-        row = np.zeros(self.d_bond, dtype=np.float64)
-        row[BOND_ORDERS.index(order)] = 1.0
-        return row
+# Fixed-width one-hot layout of an atom row: element (with an "other"
+# bucket), degree, formal charge, aromatic flag, hydrogen count.
+ELEMENTS = ("C", "N", "O", "S", "F", "Cl", "Br", "I", "P", "B", "Si")
+MAX_DEGREE = 6
+CHARGE_RANGE = (-2, 2)
+MAX_H = 4
+_N_CHARGE = CHARGE_RANGE[1] - CHARGE_RANGE[0] + 1
+D_ATOM = (len(ELEMENTS) + 1) + (MAX_DEGREE + 1) + _N_CHARGE + 1 + (MAX_H + 1)
+D_BOND = len(BOND_ORDERS)
 
 
-DEFAULT_SCHEMA = AtomFeatureSchema()
+def _atom_row(atom: ParsedAtom, degree: int) -> np.ndarray:
+    row = np.zeros(D_ATOM, dtype=np.float64)
+    offset = 0
+    try:
+        row[offset + ELEMENTS.index(atom.element)] = 1.0
+    except ValueError:
+        row[offset + len(ELEMENTS)] = 1.0  # "other" bucket
+    offset += len(ELEMENTS) + 1
+    row[offset + min(degree, MAX_DEGREE)] = 1.0
+    offset += MAX_DEGREE + 1
+    charge = min(max(atom.charge, CHARGE_RANGE[0]), CHARGE_RANGE[1])
+    row[offset + (charge - CHARGE_RANGE[0])] = 1.0
+    offset += _N_CHARGE
+    row[offset] = 1.0 if atom.aromatic else 0.0
+    offset += 1
+    row[offset + min(atom.h_count, MAX_H)] = 1.0
+    return row
+
+
+def _bond_row(order: str) -> np.ndarray:
+    row = np.zeros(D_BOND, dtype=np.float64)
+    row[BOND_ORDERS.index(order)] = 1.0
+    return row
 
 
 @dataclass
@@ -337,7 +327,6 @@ class MolGraph:
     bonds: list[tuple[int, int]]
     bond_feats: Tensor
     source_smiles: str
-    aromatic_flags: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_atoms(self) -> int:
@@ -348,7 +337,7 @@ class MolGraph:
         return len(self.bonds)
 
 
-def featurize(mol: ParsedMolecule, schema: AtomFeatureSchema = DEFAULT_SCHEMA) -> MolGraph:
+def featurize(mol: ParsedMolecule) -> MolGraph:
     """Build feature tensors from a parsed molecule.  Never raises on
     exotic atoms: unknown elements land in the "other" bucket and
     out-of-range degrees, charges and H counts clamp to the last bucket.
@@ -357,19 +346,18 @@ def featurize(mol: ParsedMolecule, schema: AtomFeatureSchema = DEFAULT_SCHEMA) -
     for u, v, _ in mol.bonds:
         degrees[u] += 1
         degrees[v] += 1
-    atom_rows = np.stack([schema.atom_row(a, d) for a, d in zip(mol.atoms, degrees)])
+    atom_rows = np.stack([_atom_row(a, d) for a, d in zip(mol.atoms, degrees)])
     if mol.bonds:
-        bond_rows = np.stack([schema.bond_row(order) for _, _, order in mol.bonds])
+        bond_rows = np.stack([_bond_row(order) for _, _, order in mol.bonds])
     else:
-        bond_rows = np.zeros((0, schema.d_bond), dtype=np.float64)
+        bond_rows = np.zeros((0, D_BOND), dtype=np.float64)
     return MolGraph(
         atom_feats=Tensor(atom_rows),
         bonds=[(u, v) for u, v, _ in mol.bonds],
         bond_feats=Tensor(bond_rows),
         source_smiles=mol.smiles,
-        aromatic_flags=np.array([a.aromatic for a in mol.atoms], dtype=bool),
     )
 
 
-def graph_from_smiles(smiles: str, schema: AtomFeatureSchema = DEFAULT_SCHEMA) -> MolGraph:
-    return featurize(parse(smiles), schema)
+def graph_from_smiles(smiles: str) -> MolGraph:
+    return featurize(parse(smiles))

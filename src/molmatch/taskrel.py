@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import RunConfig
 from .encoder import encode_frozen
-from .episodes import TaskRecord
+from .episodes import TaskRecord, sample_episode
 from .matcher import MatchParams
-from .meta import KEY_EPISODE, KEY_SPLIT, ModelParams, _sample_episode, inner_adapt, split_support
+from .meta import KEY_EPISODE, KEY_SPLIT, ModelParams, inner_adapt, split_support
 
 __all__ = [
     "TaskVector",
@@ -70,7 +70,7 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
     if mode not in MODES:
         raise ValueError(f"unknown task-vector mode {mode!r} (expected one of {MODES})")
     base = _seed_list(seed)
-    episode = _sample_episode(task, cfg, base + [KEY_EPISODE])
+    episode = sample_episode(task, cfg.protocol, base + [KEY_EPISODE])
     if mode == "adapted-w-delta":
         s_adapt, q_adapt = split_support(
             episode.support, cfg.train.support_split_fraction, base + [KEY_SPLIT]

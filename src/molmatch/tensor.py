@@ -66,10 +66,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -79,44 +75,9 @@ class Tensor:
         """A gradient-free leaf sharing this tensor's values."""
         return Tensor(self.values)
 
-    def clone(self, requires_grad: bool | None = None) -> "Tensor":
-        rg = self.requires_grad if requires_grad is None else requires_grad
-        return Tensor(self.values.copy(), requires_grad=rg)
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Operator sugar; the named functions below are the real API.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def backward(self, params: Iterable["Tensor"] | None = None):
-        return backward(self, params=params)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(values: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
@@ -422,11 +383,11 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     return _make(out, tuple(tensors), vjp)
 
 
-def cross_entropy(pred: Tensor, onehot: Tensor, eps_log: float = LOG_CLAMP) -> Tensor:
+def cross_entropy(pred: Tensor, onehot: Tensor) -> Tensor:
     """Summed cross-entropy between predicted rows and one-hot targets.
 
     Targets must be exact two-class one-hot rows ([1,0] or [0,1]).  The
-    log argument is clamped below at ``eps_log`` so zero probabilities
+    log argument is clamped below at ``LOG_CLAMP`` so zero probabilities
     stay finite.
     """
     p, y = pred.values, onehot.values
@@ -436,9 +397,9 @@ def cross_entropy(pred: Tensor, onehot: Tensor, eps_log: float = LOG_CLAMP) -> T
     if not np.all(is_onehot):
         bad = int(np.nonzero(~is_onehot)[0][0])
         raise ValueError(f"cross_entropy: row {bad} of the target is not one-hot: {y[bad]}")
-    clamped = np.maximum(p, eps_log)
+    clamped = np.maximum(p, LOG_CLAMP)
     out = float(-(y * np.log(clamped)).sum())
-    live = p >= eps_log  # below the clamp the log is flat
+    live = p >= LOG_CLAMP  # below the clamp the log is flat
 
     def vjp(g):
         return (g * np.where(live, -y / clamped, 0.0), None)

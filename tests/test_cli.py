@@ -217,6 +217,22 @@ class TestEval:
                      "--support-size", "40"]) == 3
         capsys.readouterr()
 
+    def test_odd_balanced_support_size_is_config_error(self, workspace, tmp_path, capsys):
+        eval_argv = ["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"]),
+                     "--support-size", "7"]
+        assert main(eval_argv) == 2
+        assert one_error_line(capsys) == (
+            "config error: protocol.support_size must be even for balanced sampling"
+        )
+        assert main(eval_argv + ["--protocol", "unbalanced"]) == 0
+        assert read_csv(capsys.readouterr().out)[-1][0] == "ALL"
+        config = tmp_path / "odd.cfg"
+        config.write_text(TINY_CONFIG.replace("support_size = 4", "support_size = 7"),
+                          encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "x.ckpt")]) == 2
+        assert one_error_line(capsys).startswith("config error:")
+
     def test_non_utf8_task_file_is_data_error(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
@@ -295,7 +311,7 @@ class TestEval:
                                                key=lambda t: t.task_id)):
             used = set()
             for rep in range(cfg.protocol.eval_repeats):
-                episode = cli._sample_episode(task, cfg, cli._eval_seed(cfg.train.seed, task_idx, rep))
+                episode = cli.sample_episode(task, cfg.protocol, cli._eval_seed(cfg.train.seed, task_idx, rep))
                 used.update(np.r_[episode.support_idx, episode.query_idx].tolist())
             assert len(used) < len(task.examples)  # tasks outgrow the episodes
             expected += [task.examples[i].graph.source_smiles for i in used]
@@ -396,6 +412,17 @@ class TestPredict:
         assert main(["predict", "--ckpt", str(workspace["ckpt"]),
                      "--support", str(support), "--query", str(query)]) == 3
         assert one_error_line(capsys).startswith("data error:")
+
+    def test_byte_order_marks_are_skipped(self, workspace, tmp_path, capsys):
+        support, query, _ = self.write_inputs(workspace, tmp_path)
+        argv = ["predict", "--ckpt", str(workspace["ckpt"]),
+                "--support", str(support), "--query", str(query)]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        for path in (support, query):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain
 
     def test_single_class_support_warns(self, workspace, tmp_path, capsys):
         lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()

@@ -95,6 +95,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[encoder\] hidden"):
             load_config(self.write(tmp_path, "[encoder]\nhidden = lots\n"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "[encoder]\nhidden = 64\n"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(bom) == load_config(self.write(tmp_path, text))
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
@@ -107,6 +113,7 @@ class TestLoadConfig:
             ("[protocol]\nsampling = stratified\n", "sampling"),
             ("[train]\noptimizer = sgd\n", "optimizer"),
             ("[taskrel]\nmetric = manhattan\n", "metric"),
+            ("[protocol]\nsupport_size = 7\n", "even for balanced sampling"),
         ]
         for text, needle in cases:
             with pytest.raises(ConfigError, match=needle):

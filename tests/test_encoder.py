@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from molmatch.encoder import EncoderParams, GraphBatch, encode_multilevel, gin_layer
-from molmatch.smiles import DEFAULT_SCHEMA, graph_from_smiles
+from molmatch.smiles import D_ATOM, D_BOND, graph_from_smiles
 from molmatch.tensor import Tensor, backward, mul, sum_all
 from oracles import assert_grads_match, fd_gradients
 
@@ -18,8 +18,8 @@ class TestInit:
         params = small_params(hidden=7, layers=3)
         assert params.n_layers == 3 and params.hidden == 7
         tensors = params.tensors()
-        assert tensors["input_w"].shape == (DEFAULT_SCHEMA.d_atom, 7)
-        assert tensors["layer0.bond_embed"].shape == (DEFAULT_SCHEMA.d_bond, 7)
+        assert tensors["input_w"].shape == (D_ATOM, 7)
+        assert tensors["layer0.bond_embed"].shape == (D_BOND, 7)
         assert tensors["layer1.eps"].shape == ()
         assert all(t.requires_grad for t in tensors.values())
 
@@ -85,14 +85,14 @@ def identity_mlp_params(hidden):
     eye = np.eye(hidden)
     return params.replace_values(
         {
-            "input_w": np.zeros((DEFAULT_SCHEMA.d_atom, hidden)),
+            "input_w": np.zeros((D_ATOM, hidden)),
             "input_b": np.ones(hidden),
             "layer0.w1": eye,
             "layer0.b1": np.zeros(hidden),
             "layer0.w2": eye,
             "layer0.b2": np.zeros(hidden),
             "layer0.eps": np.array(0.5),
-            "layer0.bond_embed": np.full((DEFAULT_SCHEMA.d_bond, hidden), 0.25),
+            "layer0.bond_embed": np.full((D_BOND, hidden), 0.25),
         }
     )
 
@@ -128,7 +128,7 @@ class TestGinLayer:
 
     def test_bond_sums_add_each_atoms_incoming_bonds(self):
         batch = GraphBatch([graph_from_smiles("CC=O"), graph_from_smiles("C#N")])
-        expect = np.zeros((batch.n_atoms, DEFAULT_SCHEMA.d_bond))
+        expect = np.zeros((batch.n_atoms, D_BOND))
         for dst, feats in zip(batch.edge_dst, batch.edge_feats.values):
             expect[dst] += feats
         np.testing.assert_array_equal(batch.bond_sums.values, expect)
@@ -192,14 +192,6 @@ class TestEncodeMultilevel:
         )
         np.testing.assert_array_equal(clean[0].values, eval_mode[0].values)
         assert not np.array_equal(clean[0].values, train_mode[0].values)
-
-    def test_accepts_prebuilt_batch(self):
-        params = small_params()
-        graphs = [graph_from_smiles("CCO"), graph_from_smiles("CC")]
-        from_list = encode_multilevel(graphs, params)
-        from_batch = encode_multilevel(GraphBatch(graphs), params)
-        for a, b in zip(from_list, from_batch):
-            np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestEncoderGradients:

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from molmatch.config import ProtocolConfig
 from molmatch.episodes import (
     DataError,
     EpisodeError,
+    can_sample,
     load_registry,
+    sample_episode,
     sample_episode_balanced,
     sample_episode_unbalanced,
     synth_generate,
@@ -48,6 +51,16 @@ class TestLoadRegistry:
             ("CCS", 0),
         ]
         assert task.class_counts() == (2, 1)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        (tmp_path / "train").mkdir()
+        rows = [{"smiles": s, "label": i % 2} for i, s in enumerate(("CCO", "CC", "CCN"))]
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+        (tmp_path / "train" / "t.jsonl").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        registry = load_registry(tmp_path)
+        assert registry.malformed_lines == 0
+        (task,) = registry.split_tasks("train")
+        assert [e.smiles for e in task.examples] == ["CCO", "CC", "CCN"]
 
     def test_tasks_with_too_few_examples_are_skipped(self, tmp_path):
         train = tmp_path / "train"
@@ -169,6 +182,26 @@ class TestUnbalancedSampling:
             sample_episode_unbalanced(task, 0, 10, seed=0)
         with pytest.raises(EpisodeError, match="support_size"):
             sample_episode_unbalanced(task, 16, 10, seed=0)
+
+
+class TestProtocol:
+    def test_can_sample_exactly_when_the_sampler_returns_an_episode(self):
+        for n_neg in range(7):
+            for n_pos in range(7):
+                task = chain_task("t", n_neg + n_pos, n_pos)
+                for sampling in ("balanced", "unbalanced"):
+                    for support_size in range(1, 11):
+                        protocol = ProtocolConfig(sampling, support_size, query_size=3)
+                        case = (n_neg, n_pos, sampling, support_size)
+                        try:
+                            episode = sample_episode(task, protocol, seed=0)
+                        except EpisodeError:
+                            assert not can_sample(task, protocol), case
+                            continue
+                        assert can_sample(task, protocol), case
+                        assert len(episode.support) == len(episode.support_idx) == support_size
+                        assert 1 <= len(episode.query) <= 3, case
+                        assert episode.protocol == sampling
 
 
 class TestSynthGenerate:

@@ -6,7 +6,7 @@ from molmatch import matcher as matcher_module
 from molmatch.cli import _trained_epochs
 from molmatch.config import RunConfig
 from molmatch.encoder import encode_frozen, encode_multilevel
-from molmatch.episodes import EpisodeError, sample_episode_balanced
+from molmatch.episodes import EpisodeError, sample_episode, sample_episode_balanced
 from molmatch.matcher import predict_detailed
 from molmatch.meta import (
     NumericalError,
@@ -202,7 +202,7 @@ class TestOuterTaskStep:
         self.model = init_model(self.cfg)
         self.task = chain_task("t", 12, 6)
         seed = self.cfg.train.seed
-        self.episode = meta._sample_episode(self.task, self.cfg, [seed, meta.KEY_EPISODE, 0, 0])
+        self.episode = sample_episode(self.task, self.cfg.protocol, [seed, meta.KEY_EPISODE, 0, 0])
         self.split = split_support(
             self.episode.support, self.cfg.train.support_split_fraction,
             [seed, meta.KEY_SPLIT, 0, 0],

@@ -105,19 +105,18 @@ class TestValidation:
 
 class TestAggregate:
     def test_spread_over_repeats(self):
-        result = aggregate("t", 16, [0.6, 0.8])
+        result = aggregate([0.6, 0.8])
         assert result.mean == pytest.approx(0.7)
         assert result.std == pytest.approx(np.sqrt(0.02), rel=1e-12)
         assert result.stderr == pytest.approx(0.1, rel=1e-12)
-        assert result.n == 2
 
     def test_single_run_has_no_spread(self):
-        result = aggregate("t", 16, [0.75])
+        result = aggregate([0.75])
         assert result.mean == 0.75 and result.std is None and result.stderr is None
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
-            aggregate("t", 16, [])
+            aggregate([])
 
 
 class TestPca:

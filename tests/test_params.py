@@ -7,7 +7,7 @@ from molmatch.config import RunConfig
 from molmatch.encoder import EncoderParams
 from molmatch.matcher import PROJECTION_GAIN, MatchParams
 from molmatch.meta import ModelParams, init_model
-from molmatch.smiles import DEFAULT_SCHEMA
+from molmatch.smiles import D_ATOM, D_BOND
 
 LAYER_NAMES = ("w1", "b1", "w2", "b2", "eps", "bond_embed")
 CHECKPOINT_NAMES = (
@@ -85,7 +85,6 @@ class TestStore:
 class TestSeededInit:
     # the draw order fixes the initial weights of every seed
     def test_encoder_draw_order(self):
-        d_atom, d_bond = DEFAULT_SCHEMA.d_atom, DEFAULT_SCHEMA.d_bond
         rng = np.random.default_rng(7)
         expected = {}
         for i in range(2):
@@ -94,9 +93,9 @@ class TestSeededInit:
             expected[f"layer{i}.w2"] = draw(rng, (3, 3), 3)
             expected[f"layer{i}.b2"] = draw(rng, (3,), 3)
             expected[f"layer{i}.eps"] = np.zeros(())
-            expected[f"layer{i}.bond_embed"] = draw(rng, (d_bond, 3), d_bond)
-        expected["input_w"] = draw(rng, (d_atom, 3), d_atom)
-        expected["input_b"] = draw(rng, (3,), d_atom)
+            expected[f"layer{i}.bond_embed"] = draw(rng, (D_BOND, 3), D_BOND)
+        expected["input_w"] = draw(rng, (D_ATOM, 3), D_ATOM)
+        expected["input_b"] = draw(rng, (3,), D_ATOM)
         params = EncoderParams.init(2, 3, seed=7)
         assert sorted(params.tensors()) == sorted(expected)
         for name, t in params.tensors().items():

@@ -134,15 +134,6 @@ class TestForward:
         assert out.shape == (2, 2, 3)
         np.testing.assert_array_equal(out.values[1], 2.0 * a.values)
 
-    def test_operator_sugar(self):
-        rng = np.random.default_rng(1)
-        a, b = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2)))
-        np.testing.assert_array_equal((a + b).values, a.values + b.values)
-        np.testing.assert_array_equal((a - b).values, a.values - b.values)
-        np.testing.assert_array_equal((a @ b).values, a.values @ b.values)
-        np.testing.assert_array_equal((2.0 * a).values, 2.0 * a.values)
-        np.testing.assert_array_equal((-a).values, -a.values)
-
 
 class TestForwardErrors:
     def test_matmul_shape_error_names_both_shapes(self):
