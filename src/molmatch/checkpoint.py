@@ -14,7 +14,8 @@ Layout (all integers little-endian):
 
 Tensors are stored as float32 regardless of compute precision, so a
 load reproduces values to float32 quantisation and save(load(save(x)))
-is byte-identical.  Checksum or magic mismatches are hard errors.
+is byte-identical.  Checksum or magic mismatches and non-finite
+values are hard errors.
 Writes go to a temporary file beside the target that then replaces it,
 so a failed save leaves any previous checkpoint intact.
 """
@@ -129,6 +130,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CheckpointError(f"{path}: checksum mismatch on tensor {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
     return tensors, metadata

@@ -4,7 +4,8 @@ export-embeddings and synth.
 Exit codes: 0 success, 2 configuration problem (bad file, unknown key,
 bad flag), 3 data or file problem (missing/empty/corrupt datasets or
 checkpoints, input that is not UTF-8 text, a file that cannot be read
-or written), 4 numerical abort (non-finite loss).
+or written, task vectors the relation metric cannot compare), 4
+numerical abort (non-finite loss, or trained weights not finite).
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ def main(argv=None) -> int:
 
 def _save_model(path, model: ModelParams, cfg: RunConfig, epoch: int) -> None:
     tensors = {name: t.values for name, t in model.tensors().items()}
+    with np.errstate(over="ignore"):  # a cast that overflows to inf is what this catches
+        for name, values in tensors.items():
+            if not np.isfinite(values.astype(np.float32)).all():
+                raise NumericalError(f"weight {name} is not finite as stored (float32)")
     save_checkpoint(
         path,
         tensors,
@@ -252,20 +257,18 @@ def _eval_seed(base: int, task_idx: int, repeat: int) -> list[int]:
 
 
 def _encode_episode_rows(task, episodes, encoder, batch_size: int):
-    """Frozen per-layer rows of every task example the episodes use.
+    """Frozen level stack of every task example the episodes use.
 
-    Returns (sorted example indices, one [n_used, hidden] array per
-    layer).  Encoding runs in batches of at most ``batch_size``
-    molecules, so memory stays at one episode's whatever the task size.
+    Returns (sorted example indices, their [L, n_used, hidden] stack).
+    Encoding runs in batches of at most ``batch_size`` molecules, so
+    memory stays at one episode's whatever the task size.
     """
-    if not episodes:
-        return np.zeros(0, dtype=np.int64), []
     used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for e in episodes]))
     chunks = [
         encode_frozen([task.examples[i].graph for i in used[start : start + batch_size]], encoder)
         for start in range(0, used.size, batch_size)
     ]
-    return used, [np.concatenate(layer) for layer in zip(*chunks)]
+    return used, np.concatenate(chunks, axis=1)
 
 
 def cmd_eval(args) -> int:
@@ -295,12 +298,15 @@ def cmd_eval(args) -> int:
         if not can_sample(task, cfg.protocol):
             rows.append({"task_id": task.task_id, "status": "skipped:protocol"})
             continue
-        collected: dict[str, list[float]] = {name: [] for name in metric_names}
         episodes = []
         for rep in range(repeats):
             episode = sample_episode(task, cfg.protocol, _eval_seed(seed, task_idx, rep))
             if len({y for _, y in episode.query}) >= 2:
                 episodes.append((rep, episode))
+        if not episodes:
+            rows.append({"task_id": task.task_id, "status": "skipped:single-class-queries"})
+            continue
+        collected: dict[str, list[float]] = {name: [] for name in metric_names}
         skipped_repeats = repeats - len(episodes)
         # theta is frozen: encode each molecule the episodes use once, then slice
         used, task_levels = _encode_episode_rows(
@@ -318,15 +324,12 @@ def cmd_eval(args) -> int:
                 [g for g, _ in episode.query],
                 cfg,
                 seed=_eval_seed(seed, task_idx, rep) + [1],
-                embeddings=[z[picked] for z in task_levels],
+                embeddings=task_levels[:, picked],
             )
             scores = probs[:, 0]
             collected["auroc"].append(metrics.auroc(scores, labels))
             collected["auprc"].append(metrics.auprc(scores, labels))
             collected["delta_auprc"].append(metrics.delta_auprc(scores, labels))
-        if not collected["auroc"]:
-            rows.append({"task_id": task.task_id, "status": "skipped:single-class-queries"})
-            continue
         evaluated += 1
         row = {
             "task_id": task.task_id,
@@ -461,7 +464,10 @@ def cmd_taskrel(args) -> int:
     vectors = [
         task_vector(task, model, cfg, mode, seed=[seed, i]) for i, task in enumerate(tasks)
     ]
-    rel = relation_matrix(vectors, metric)
+    try:
+        rel = relation_matrix(vectors, metric)
+    except ValueError as exc:  # e.g. a zero task vector under the cosine metric
+        raise DataError(str(exc)) from None
     matrix = row_normalize(rel.matrix) if args.normalize else rel.matrix
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,11 +86,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         t, e, m, p, r = self.train, self.encoder, self.matcher, self.protocol, self.taskrel
         checks = [
-            (t.alpha >= 0, "train.alpha must be >= 0"),
+            (0 <= t.alpha < math.inf, "train.alpha must be finite and >= 0"),
             (t.inner_steps >= 0, "train.inner_steps must be >= 0"),
-            (t.meta_lr >= 0, "train.meta_lr must be >= 0"),
+            (0 <= t.meta_lr < math.inf, "train.meta_lr must be finite and >= 0"),
             (t.optimizer in ("adam", "adamw"), "train.optimizer must be adam or adamw"),
-            (t.weight_decay >= 0, "train.weight_decay must be >= 0"),
+            (0 <= t.weight_decay < math.inf, "train.weight_decay must be finite and >= 0"),
             (t.batch_tasks >= 1, "train.batch_tasks must be >= 1"),
             (t.max_epochs >= 0, "train.max_epochs must be >= 0"),
             (t.seed >= 0, "train.seed must be >= 0"),

@@ -6,7 +6,7 @@ The embedding is linear, so the bond half of the sum is taken per atom:
 sum_u e_uv = (sum_u f_uv) @ bond_embed, with the summed bond features
 f_uv computed once per batch, not embedded per edge in every layer.
 After every layer the atom states are mean-pooled per molecule, so a
-forward pass yields one molecule embedding per layer.
+forward pass yields one [L, n_mols, hidden] stack of molecule embeddings.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .tensor import (
     relu,
     scatter_add_rows,
     segment_mean,
+    stack,
 )
 
 __all__ = [
@@ -118,35 +119,21 @@ class GraphBatch:
         if not graphs:
             raise ValueError("GraphBatch: need at least one graph")
         self.n_mols = len(graphs)
-        atom_blocks = []
-        mol_ids = []
-        src, dst, bond_rows = [], [], []
-        offset = 0
-        for i, g in enumerate(graphs):
-            atom_blocks.append(g.atom_feats.values)
-            mol_ids.extend([i] * g.n_atoms)
-            for (u, v), row in zip(g.bonds, g.bond_feats.values):
-                src.append(offset + u)
-                dst.append(offset + v)
-                bond_rows.append(row)
-                src.append(offset + v)
-                dst.append(offset + u)
-                bond_rows.append(row)
-            offset += g.n_atoms
-        self.n_atoms = offset
-        self.atom_feats = Tensor(np.concatenate(atom_blocks, axis=0))
-        self.mol_ids = np.asarray(mol_ids, dtype=np.int64)
-        self.n_edges = len(src)
-        if self.n_edges:
-            self.edge_src = np.asarray(src, dtype=np.int64)
-            self.edge_dst = np.asarray(dst, dtype=np.int64)
-            self.edge_feats = Tensor(np.stack(bond_rows))
-            self.bond_sums = scatter_add_rows(self.edge_feats, self.edge_dst, self.n_atoms)
-        else:
-            self.edge_src = np.zeros(0, dtype=np.int64)
-            self.edge_dst = np.zeros(0, dtype=np.int64)
-            self.edge_feats = None
-            self.bond_sums = None
+        sizes = np.array([g.n_atoms for g in graphs], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        self.n_atoms = int(sizes.sum())
+        self.atom_feats = Tensor(np.concatenate([g.atom_feats.values for g in graphs]))
+        self.mol_ids = np.repeat(np.arange(self.n_mols, dtype=np.int64), sizes)
+        # one (u, v) row per bond in batch atom numbers; each bond becomes
+        # the directed edges u->v then v->u, in bond order
+        bonds = np.array([b for g in graphs for b in g.bonds], dtype=np.int64).reshape(-1, 2)
+        bonds += np.repeat(offsets, [g.n_bonds for g in graphs])[:, None]
+        self.edge_src = bonds.reshape(-1)
+        self.edge_dst = bonds[:, ::-1].reshape(-1)
+        self.n_edges = self.edge_src.size
+        bond_rows = np.concatenate([g.bond_feats.values for g in graphs])
+        self.edge_feats = Tensor(np.repeat(bond_rows, 2, axis=0))
+        self.bond_sums = scatter_add_rows(self.edge_feats, self.edge_dst, self.n_atoms)
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -> Tensor:
@@ -169,30 +156,30 @@ def encode_multilevel(
     graphs: list[MolGraph],
     params: EncoderParams,
     *,
-    training: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> list[Tensor]:
-    """Run all layers; return one mean-pooled embedding matrix per layer.
+) -> Tensor:
+    """Run all layers; return the [L, n_mols, hidden] stack of per-layer
+    mean-pooled embeddings.
 
-    Output l has shape [n_mols, hidden] and row i summarises molecule i
-    after layer l+1.
+    Row ``[l, i]`` summarises molecule i after layer l+1.  Dropout with
+    ``dropout_rate`` follows every layer when the rate is above 0.
     """
     batch = GraphBatch(graphs)
     h = add(matmul(batch.atom_feats, params.input_w), params.input_b)
     levels = []
     for layer in range(params.n_layers):
         h = gin_layer(h, batch, params, layer)
-        if training and dropout_rate > 0.0:
+        if dropout_rate > 0.0:
             h = dropout(h, dropout_rate, rng)
         levels.append(segment_mean(h, batch.mol_ids, batch.n_mols))
-    return levels
+    return stack(levels)
 
 
-def encode_frozen(graphs: list[MolGraph], params: EncoderParams) -> list[np.ndarray]:
-    """Inference-mode ``encode_multilevel`` through a detached copy of
-    ``params``: the same per-layer rows as plain arrays, with no autodiff
-    graph recorded.  Theta is frozen wherever only w adapts, so a
-    molecule's rows depend on nothing but the molecule and can be reused.
+def encode_frozen(graphs: list[MolGraph], params: EncoderParams) -> np.ndarray:
+    """``encode_multilevel`` without dropout through a detached copy of
+    ``params``: the same stack as a plain array, with no autodiff graph
+    recorded.  Theta is frozen wherever only w adapts, so a molecule's
+    rows depend on nothing but the molecule and can be reused.
     """
-    return [z.values for z in encode_multilevel(graphs, params.detach())]
+    return encode_multilevel(graphs, params.detach()).values

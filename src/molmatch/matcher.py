@@ -134,7 +134,6 @@ def match_levels(
     y_support: Tensor,
     params: MatchParams,
     *,
-    training: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -144,6 +143,8 @@ def match_levels(
     stack the layers' embeddings.  Returns the fused [n_query, 2]
     probabilities, the label estimates [L, n_query, 1] and the attention
     [L, n_query, n_support]; ``layer_predictions`` splits the last two.
+    Dropout with ``dropout_rate`` applies to the attention and to the
+    fusion input when the rate is above 0.
     """
     n_layers, n_query, d = z_query.shape
     n_support = z_support.shape[1]
@@ -171,7 +172,7 @@ def match_levels(
         (n_layers, n_query, n_support),
     )
     used = attention
-    if training and dropout_rate > 0.0:
+    if dropout_rate > 0.0:
         # one [L, n_query, n_support] draw takes the generator's values in
         # the same order as L successive per-layer draws
         used = dropout(attention, dropout_rate, rng)
@@ -180,11 +181,11 @@ def match_levels(
         # A convex combination of the labels lies in their hull exactly,
         # but softmax rows only sum to 1 up to rounding, so the product
         # can spill one ulp past the boundary.  Snap it back.  Dropout
-        # rescaling leaves the simplex, so the training path is exempt.
+        # rescaling leaves the simplex, so the dropout path is exempt.
         np.clip(y_hat.values, y_support.values.min(), y_support.values.max(), out=y_hat.values)
     # combine the [n_query, L] label estimates into [n_query, 2] probabilities
     joint = transpose(reshape(y_hat, (n_layers, n_query)))
-    if training and dropout_rate > 0.0:
+    if dropout_rate > 0.0:
         joint = dropout(joint, dropout_rate, rng)
     probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
     return probs, y_hat, attention
@@ -206,18 +207,17 @@ def predict_detailed(
     encoder_params: EncoderParams,
     match_params: MatchParams,
     *,
-    training: bool = False,
     matcher_dropout: float = 0.0,
-    encoder_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    levels: list[Tensor] | None = None,
+    levels: Tensor | None = None,
 ) -> tuple[Tensor, list[LayerPrediction]]:
     """Encode support and queries jointly, match at every layer, combine.
 
-    ``levels`` supplies the encoding instead: ``encode_multilevel``
-    output for the support graphs followed by the query graphs, so a
-    caller that already ran the encoder does not run it again
-    (``encoder_params`` and ``encoder_dropout`` then go unused).
+    ``levels`` supplies the encoding instead: the [L, n, d]
+    ``encode_multilevel`` stack of the support graphs followed by the
+    query graphs, so a caller that already ran the encoder (with or
+    without dropout) does not run it again; ``encoder_params`` then goes
+    unused.  Without ``levels`` the encoder runs without dropout.
 
     Returns the fused [n_query, 2] probabilities together with each
     layer's attention and label estimate.
@@ -229,20 +229,14 @@ def predict_detailed(
     n_s = len(support_graphs)
     n_rows = n_s + len(query_graphs)
     if levels is None:
-        levels = encode_multilevel(
-            list(support_graphs) + list(query_graphs),
-            encoder_params,
-            training=training,
-            dropout_rate=encoder_dropout,
-            rng=rng,
-        )
-    elif any(z.shape[0] != n_rows for z in levels):
+        levels = encode_multilevel(list(support_graphs) + list(query_graphs), encoder_params)
+    elif levels.shape[1] != n_rows:
         raise ValueError(f"predict: levels must have {n_rows} rows")
     y_s = Tensor(np.asarray(support_labels, dtype=np.float64).reshape(-1, 1))
     if y_s.shape[0] != n_s:
         raise ValueError(f"predict: {y_s.shape[0]} labels for {n_s} support graphs")
-    n_layers, d = len(levels), levels[0].shape[1]
-    flat = reshape(stack(levels), (n_layers * n_rows, d))
+    n_layers, _, d = levels.shape
+    flat = reshape(levels, (n_layers * n_rows, d))
     first = n_rows * np.arange(n_layers)[:, None]  # each layer's first row in flat
 
     def rows(start: int, stop: int) -> Tensor:
@@ -250,8 +244,6 @@ def predict_detailed(
         return reshape(picked, (n_layers, stop - start, d))
 
     probs, y_hat, attention = match_levels(
-        rows(n_s, n_rows), rows(0, n_s), y_s, match_params,
-        training=training, dropout_rate=matcher_dropout, rng=rng,
+        rows(n_s, n_rows), rows(0, n_s), y_s, match_params, dropout_rate=matcher_dropout, rng=rng
     )
     return probs, layer_predictions(y_hat, attention)
-

@@ -198,13 +198,13 @@ def episode_loss(
     *,
     training: bool = False,
     matcher_dropout: float = 0.0,
-    encoder_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    levels: list[Tensor] | None = None,
+    levels: Tensor | None = None,
 ) -> Tensor:
     """Summed cross-entropy of the fused predictions over the query set.
 
-    ``levels`` is ``predict_detailed``'s: the encoder's output for the
+    ``training`` switches ``matcher_dropout`` on.  ``levels`` is
+    ``predict_detailed``'s: the encoder's [L, n, d] stack for the
     support graphs followed by the query graphs, used instead of
     encoding them here.
     """
@@ -216,9 +216,7 @@ def episode_loss(
         [g for g, _ in query],
         encoder_params,
         match_params,
-        training=training,
-        matcher_dropout=matcher_dropout,
-        encoder_dropout=encoder_dropout,
+        matcher_dropout=matcher_dropout if training else 0.0,
         rng=rng,
         levels=levels,
     )
@@ -238,7 +236,7 @@ def inner_adapt(
     cfg: TrainConfig,
     task_id: str = "",
     *,
-    embeddings: list[np.ndarray] | None = None,
+    embeddings: np.ndarray | None = None,
 ) -> AdaptedParams:
     """Gradient-descent adaptation of w with theta frozen.
 
@@ -246,7 +244,7 @@ def inner_adapt(
     the inner objective is deterministic (no dropout), so each step is
     exactly w <- w - alpha * grad.  With zero steps the clone of w is
     returned untouched, which is the zero-shot path.  ``embeddings``
-    supplies the rows instead: the per-layer encoding of the support
+    supplies the rows instead: the [L, n, d] encoding of the support
     graphs followed by the query graphs, as ``encode_frozen`` returns it.
     """
     if not support:
@@ -255,11 +253,11 @@ def inner_adapt(
     n_s = len(support)
     if embeddings is None:
         embeddings = encode_frozen([g for g, _ in pairs], encoder_params)
-    elif any(z.shape[0] != len(pairs) for z in embeddings):
+    elif embeddings.shape[1] != len(pairs):
         raise ValueError(f"inner_adapt: embeddings must have {len(pairs)} rows")
     return _adapt_on_rows(
         match_params,
-        np.stack(embeddings),
+        embeddings,
         np.asarray([y for _, y in pairs], dtype=np.float64),
         np.arange(n_s),
         np.arange(n_s, len(pairs)),
@@ -341,11 +339,9 @@ def _outer_task_step(
     levels = encode_multilevel(
         [g for g, _ in episode.support + episode.query],
         model.encoder,
-        training=True,
         dropout_rate=cfg.encoder.dropout,
         rng=rng,
     )
-    rows = s_rows + q_rows
     adapted = inner_adapt(
         model.encoder,
         model.matcher,
@@ -353,7 +349,7 @@ def _outer_task_step(
         [episode.support[i] for i in q_rows],
         cfg.train,
         task.task_id,
-        embeddings=None if cfg.encoder.dropout > 0.0 else [z.values[rows] for z in levels],
+        embeddings=None if cfg.encoder.dropout > 0.0 else levels.values[:, s_rows + q_rows],
     )
     loss = episode_loss(
         episode.support,
@@ -480,7 +476,7 @@ def finetune_and_predict(
     cfg: RunConfig,
     seed,
     *,
-    embeddings: list[np.ndarray] | None = None,
+    embeddings: np.ndarray | None = None,
 ) -> np.ndarray:
     probs, _ = finetune_and_predict_detailed(
         model, support_set, query_graphs, cfg, seed, embeddings=embeddings
@@ -495,7 +491,7 @@ def finetune_and_predict_detailed(
     cfg: RunConfig,
     seed,
     *,
-    embeddings: list[np.ndarray] | None = None,
+    embeddings: np.ndarray | None = None,
 ):
     """Inference: adapt w on a split of the labelled set, then predict
     the queries with the full labelled set as attention support.
@@ -503,9 +499,9 @@ def finetune_and_predict_detailed(
     Theta is frozen here, so the support and queries are encoded once,
     without an autodiff graph, and both the inner loop and the final
     match slice those rows.  ``embeddings`` supplies the rows instead:
-    ``encode_frozen`` output for the support graphs followed by the
-    query graphs, so a caller scoring many episodes of one task encodes
-    each molecule once.
+    the [L, n, d] ``encode_frozen`` stack of the support graphs followed
+    by the query graphs, so a caller scoring many episodes of one task
+    encodes each molecule once.
 
     Returns ([n_query, 2] probabilities, per-layer predictions).  Theta
     is never modified.
@@ -517,20 +513,17 @@ def finetune_and_predict_detailed(
     n_s = len(support_set)
     n_rows = n_s + len(query_graphs)
     if embeddings is None:
-        embeddings = encode_frozen(
-            [g for g, _ in support_set] + list(query_graphs), model.encoder
-        )
-    elif any(z.shape[0] != n_rows for z in embeddings):
+        embeddings = encode_frozen([g for g, _ in support_set] + list(query_graphs), model.encoder)
+    elif embeddings.shape[1] != n_rows:
         raise ValueError(f"finetune_and_predict: embeddings must have {n_rows} rows")
     labels = np.asarray([y for _, y in support_set], dtype=np.float64)
-    stacked = np.stack(embeddings)
     s_fine, q_fine = _split_rows(labels, cfg.train.support_split_fraction, seed)
     adapted = _adapt_on_rows(
-        model.matcher, stacked, labels, s_fine, q_fine, cfg.train, task_id="finetune"
+        model.matcher, embeddings, labels, s_fine, q_fine, cfg.train, task_id="finetune"
     )
     probs, y_hat, attention = match_levels(
-        _rows(stacked, slice(n_s, n_rows)),
-        _rows(stacked, slice(0, n_s)),
+        _rows(embeddings, slice(n_s, n_rows)),
+        _rows(embeddings, slice(0, n_s)),
         Tensor(labels.reshape(-1, 1)),
         adapted.w_tau.detach(),
     )

@@ -4,8 +4,8 @@ Everything here recomputes expected values from first principles with
 plain numpy or pure Python, deliberately avoiding the package's own
 code paths: central finite differences for gradients, O(n^2) pair
 counting for ranking metrics, permutation search for graph isomorphism,
-a dense eigendecomposition for PCA and per-tensor loops for the
-task-relation updates.
+a dense eigendecomposition for PCA, per-tensor loops for the
+task-relation updates and a per-bond loop for the batched graph.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ def broadcast_batched_matmul(a, b, g):
     return out, grad_a, grad_b
 
 
-def match_per_layer(z_query, z_support, y_support, params, *, training=False,
-                    dropout_rate=0.0, rng=None):
+def match_per_layer(z_query, z_support, y_support, params, *, dropout_rate=0.0, rng=None):
     """Per-layer reference for the stacked matcher: one attention block
     per layer on 2-d autodiff ops, then the fused probabilities.
 
@@ -92,7 +91,7 @@ def match_per_layer(z_query, z_support, y_support, params, *, training=False,
     """
     from molmatch.tensor import add, concat_cols, dropout, matmul, scale, softmax_rows, transpose
 
-    drop = training and dropout_rate > 0.0
+    drop = dropout_rate > 0.0
     y_hats, attentions = [], []
     for layer, (zq, zs) in enumerate(zip(z_query, z_support)):
         wq, wk = params.qk(layer)
@@ -109,6 +108,34 @@ def match_per_layer(z_query, z_support, y_support, params, *, training=False,
         joint = dropout(joint, dropout_rate, rng)
     probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
     return probs, y_hats, attentions
+
+
+def graph_batch_per_bond(graphs) -> dict:
+    """Per-bond loop reference for ``GraphBatch``'s flat arrays: each
+    bond (u, v) becomes the edges u->v then v->u, both carrying the
+    bond's feature row, and ``bond_sums`` adds every edge's row into its
+    destination atom in edge order."""
+    src, dst, rows, mol_ids = [], [], [], []
+    offset = 0
+    for i, g in enumerate(graphs):
+        mol_ids.extend([i] * g.n_atoms)
+        for (u, v), row in zip(g.bonds, g.bond_feats.values):
+            src += [offset + u, offset + v]
+            dst += [offset + v, offset + u]
+            rows += [row, row]
+        offset += g.n_atoms
+    width = graphs[0].bond_feats.values.shape[1]
+    edge_feats = np.array(rows, dtype=np.float64).reshape(-1, width)
+    bond_sums = np.zeros((offset, width))
+    for d, row in zip(dst, edge_feats):
+        bond_sums[d] += row
+    return {
+        "edge_src": np.array(src, dtype=np.int64),
+        "edge_dst": np.array(dst, dtype=np.int64),
+        "edge_feats": edge_feats,
+        "bond_sums": bond_sums,
+        "mol_ids": np.array(mol_ids, dtype=np.int64),
+    }
 
 
 def implicit_inner_per_tensor(w_list, m):

@@ -143,6 +143,17 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="bad tensor name"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_names_the_tensor(self, tmp_path, bad):
+        path = tmp_path / "model.ckpt"
+        tensors = sample_tensors()
+        name = sorted(tensors)[-1]
+        tensors[name] = np.array(tensors[name], dtype=np.float64)
+        tensors[name].reshape(-1)[0] = bad
+        save_checkpoint(path, tensors, {"seed": 0})
+        with pytest.raises(CheckpointError, match=f"tensor '{name}' holds non-finite values"):
+            load_checkpoint(path)
+
 
 class _HalfWrite(io.FileIO):
     """A file that runs out of space halfway through the first write."""

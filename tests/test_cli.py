@@ -165,6 +165,32 @@ class TestTrain:
                      "--data", str(workspace["data"]),
                      "--out", str(tmp_path / "x.ckpt"), "--seed", "-1"]) == 2
 
+    def test_infinite_rate_is_config_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "inf.cfg"
+        config.write_text(TINY_CONFIG.replace("[train]", "[train]\nmeta_lr = inf"), encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 2
+        assert "train.meta_lr must be finite" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_weights_not_finite_as_float32_are_numerical_abort(self, workspace, tmp_path, capsys):
+        # a meta_lr of 1e308 passes validation, but its step drives the
+        # weights past float32's range
+        config = tmp_path / "huge.cfg"
+        config.write_text(
+            TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1\nmeta_lr = 1e308"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "m.ckpt"
+        with np.errstate(over="ignore"):
+            code = main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                         "--out", str(out)])
+        assert code == 4
+        line = one_error_line(capsys)
+        assert line.startswith("numerical abort: weight ") and "not finite as stored" in line
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_missing_data_is_data_error(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace["config"]),
                      "--data", str(tmp_path / "absent"),
@@ -322,13 +348,17 @@ class TestEval:
         assert max(len(b) for b in batches) <= batch_cap
 
     def test_nan_checkpoint_is_numerical_abort(self, workspace, tmp_path, capsys):
+        # every weight 1e30 is finite as stored, but the forward pass
+        # overflows and the attention softmax turns inf into NaN
         cfg = tiny_run_config()
         model = init_model(cfg)
-        model.matcher.tensors()["wq0"].values[:] = np.nan
+        model = model.replace_values({k: np.full(t.shape, 1e30) for k, t in model.tensors().items()})
         poisoned = tmp_path / "nan.ckpt"
         _save_model(poisoned, model, cfg, epoch=0)
-        assert main(["eval", "--ckpt", str(poisoned), "--data", str(workspace["data"])]) == 4
-        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["eval", "--ckpt", str(poisoned), "--data", str(workspace["data"])])
+        assert code == 4
+        assert "non-finite inner loss" in capsys.readouterr().err
 
     def test_nonfinite_gradient_is_numerical_abort(self, workspace, tmp_path, monkeypatch, capsys):
         poison_first_gradient(monkeypatch)
@@ -424,6 +454,23 @@ class TestPredict:
         assert main(argv) == 0
         assert capsys.readouterr() == plain
 
+    def test_non_finite_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        tensors, meta = load_checkpoint(workspace["ckpt"])
+        tensors["matcher.wq0"][0, 0] = np.inf
+        ckpt = tmp_path / "inf.ckpt"
+        save_checkpoint(ckpt, tensors, meta)
+        support = tmp_path / "support.jsonl"
+        lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()
+        labels = [json.loads(line)["label"] for line in lines]
+        support.write_text(lines[labels.index(0)] + "\n" + lines[labels.index(1)] + "\n",
+                           encoding="utf-8")
+        query = tmp_path / "query.txt"
+        query.write_text("CCO\nCCN\n", encoding="utf-8")
+        assert main(["predict", "--ckpt", str(ckpt), "--support", str(support),
+                     "--query", str(query)]) == 3
+        line = one_error_line(capsys)
+        assert line.startswith("data error: ") and "'matcher.wq0' holds non-finite" in line
+
     def test_single_class_support_warns(self, workspace, tmp_path, capsys):
         lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in lines]
@@ -466,6 +513,20 @@ class TestTaskRel:
         matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-8)
         assert json.loads((tmp_path / "rel.csv.meta.jsonl").read_text())["normalization"] == "softmax"
+
+    def test_zero_task_vectors_are_data_error(self, workspace, tmp_path, capsys):
+        # with alpha = 0 adaptation never moves w, so every adapted-w-delta
+        # vector is zero and the cosine metric is undefined
+        cfg = tiny_run_config()
+        cfg.train.alpha = 0.0
+        ckpt = tmp_path / "still.ckpt"
+        _save_model(ckpt, init_model(cfg), cfg, epoch=0)
+        out = tmp_path / "rel.csv"
+        assert main(["taskrel", "--ckpt", str(ckpt), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 3
+        line = one_error_line(capsys)
+        assert line.startswith("data error: ") and "task 'synth-0000' has a zero vector" in line
+        assert not out.exists()
 
     def test_too_few_tasks_is_data_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "rel.csv"

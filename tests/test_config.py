@@ -114,6 +114,9 @@ class TestLoadConfig:
             ("[train]\noptimizer = sgd\n", "optimizer"),
             ("[taskrel]\nmetric = manhattan\n", "metric"),
             ("[protocol]\nsupport_size = 7\n", "even for balanced sampling"),
+            ("[train]\nalpha = inf\n", "alpha must be finite"),
+            ("[train]\nmeta_lr = inf\n", "meta_lr must be finite"),
+            ("[train]\nweight_decay = inf\n", "weight_decay must be finite"),
         ]
         for text, needle in cases:
             with pytest.raises(ConfigError, match=needle):

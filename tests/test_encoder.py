@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from molmatch.encoder import EncoderParams, GraphBatch, encode_multilevel, gin_layer
+from pathlib import Path
+
+from molmatch.encoder import EncoderParams, GraphBatch, encode_frozen, encode_multilevel, gin_layer
 from molmatch.smiles import D_ATOM, D_BOND, graph_from_smiles
 from molmatch.tensor import Tensor, backward, mul, sum_all
-from oracles import assert_grads_match, fd_gradients
+from oracles import assert_grads_match, fd_gradients, graph_batch_per_bond
 
 MOLS = ["CCO", "c1ccccc1", "CC(=O)O", "C", "N#Cc1ccccc1"]
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "molmatch" / "data" / "smiles_corpus.txt"
+
+
+def corpus_graphs():
+    """The parser corpus's 50 molecules, in file order."""
+    lines = CORPUS.read_text(encoding="utf-8").splitlines()
+    return [graph_from_smiles(line.split("\t")[0]) for line in lines if line and line[0] != "#"]
 
 
 def small_params(seed=0, layers=2, hidden=5):
@@ -71,7 +80,30 @@ class TestGraphBatch:
 
     def test_bond_free_batch(self):
         batch = GraphBatch([graph_from_smiles("C"), graph_from_smiles("[NH4+]")])
-        assert batch.n_edges == 0 and batch.edge_feats is None
+        assert batch.n_edges == 0 and batch.edge_feats.shape == (0, D_BOND)
+        np.testing.assert_array_equal(batch.bond_sums.values, np.zeros((2, D_BOND)))
+
+    @pytest.mark.parametrize("which", ["corpus", "bond-free"])
+    def test_arrays_equal_the_per_bond_reference(self, which):
+        if which == "corpus":
+            graphs = corpus_graphs()
+            assert len(graphs) == 50
+        else:
+            graphs = [graph_from_smiles(s) for s in ("C", "[NH4+]", "O", "[Na+]")]
+        batch = GraphBatch(graphs)
+        expect = graph_batch_per_bond(graphs)
+        got = {
+            "edge_src": batch.edge_src,
+            "edge_dst": batch.edge_dst,
+            "edge_feats": batch.edge_feats.values,
+            "bond_sums": batch.bond_sums.values,
+            "mol_ids": batch.mol_ids,
+        }
+        for name, want in expect.items():
+            assert got[name].dtype == want.dtype, name
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
+        assert batch.n_edges == len(expect["edge_src"])
+        assert batch.n_atoms == sum(g.n_atoms for g in graphs)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -101,14 +133,14 @@ class TestGinLayer:
     def test_self_term_scales_by_one_plus_eps(self):
         # an isolated atom sees only (1 + eps) * h through the identity MLP
         params = identity_mlp_params(4)
-        out = encode_multilevel([graph_from_smiles("C")], params)[0]
-        np.testing.assert_allclose(out.values, np.full((1, 4), 1.5), rtol=1e-14)
+        out = encode_multilevel([graph_from_smiles("C")], params).values[0]
+        np.testing.assert_allclose(out, np.full((1, 4), 1.5), rtol=1e-14)
 
     def test_neighbour_sum_with_bond_vector(self):
         # two bonded atoms: each gets 1.5*1 + (1*1 + 0.25) = 2.75
         params = identity_mlp_params(4)
-        out = encode_multilevel([graph_from_smiles("CC")], params)[0]
-        np.testing.assert_allclose(out.values, np.full((1, 4), 2.75), rtol=1e-14)
+        out = encode_multilevel([graph_from_smiles("CC")], params).values[0]
+        np.testing.assert_allclose(out, np.full((1, 4), 2.75), rtol=1e-14)
 
     def test_matches_per_edge_message_sum(self):
         # sum over incoming edges of (h_u + e_uv), each edge's bond
@@ -139,8 +171,7 @@ class TestGinLayer:
         zeros = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
         silenced = params.replace_values(zeros)
         levels = encode_multilevel([graph_from_smiles(s) for s in MOLS], silenced)
-        for z in levels:
-            np.testing.assert_array_equal(z.values, np.zeros(z.shape))
+        np.testing.assert_array_equal(levels.values, np.zeros(levels.shape))
 
     def test_layer_index_range(self):
         params = small_params()
@@ -154,9 +185,15 @@ class TestEncodeMultilevel:
     def test_output_shapes(self):
         params = small_params(layers=3, hidden=6)
         levels = encode_multilevel([graph_from_smiles(s) for s in MOLS], params)
-        assert len(levels) == 3
-        assert all(z.shape == (len(MOLS), 6) for z in levels)
-        assert all(np.isfinite(z.values).all() for z in levels)
+        assert levels.shape == (3, len(MOLS), 6)
+        assert np.isfinite(levels.values).all()
+
+    def test_frozen_stack_is_the_multilevel_stack(self):
+        params = small_params(layers=3, hidden=6, seed=4)
+        graphs = corpus_graphs()
+        frozen = encode_frozen(graphs, params)
+        assert isinstance(frozen, np.ndarray)
+        assert frozen.tobytes() == encode_multilevel(graphs, params).values.tobytes()
 
     def test_batch_invariance(self):
         # joint encoding must match each molecule encoded alone
@@ -165,10 +202,9 @@ class TestEncodeMultilevel:
         joint = encode_multilevel(graphs, params)
         for i, g in enumerate(graphs):
             alone = encode_multilevel([g], params)
-            for layer in range(2):
-                np.testing.assert_allclose(
-                    joint[layer].values[i], alone[layer].values[0], rtol=1e-12, atol=1e-12
-                )
+            np.testing.assert_allclose(
+                joint.values[:, i], alone.values[:, 0], rtol=1e-12, atol=1e-12
+            )
 
     def test_atom_order_invariance(self):
         # the same molecule written with different atom orders pools identically
@@ -177,35 +213,27 @@ class TestEncodeMultilevel:
         for left, right in pairs:
             za = encode_multilevel([graph_from_smiles(left)], params)
             zb = encode_multilevel([graph_from_smiles(right)], params)
-            for a, b in zip(za, zb):
-                np.testing.assert_allclose(a.values, b.values, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(za.values, zb.values, rtol=1e-10, atol=1e-12)
 
     def test_dropout_only_in_training(self):
         params = small_params(seed=2)
         graphs = [graph_from_smiles("CCO")]
         clean = encode_multilevel(graphs, params)
-        eval_mode = encode_multilevel(
-            graphs, params, training=False, dropout_rate=0.5, rng=np.random.default_rng(0)
-        )
-        train_mode = encode_multilevel(
-            graphs, params, training=True, dropout_rate=0.5, rng=np.random.default_rng(0)
-        )
-        np.testing.assert_array_equal(clean[0].values, eval_mode[0].values)
-        assert not np.array_equal(clean[0].values, train_mode[0].values)
+        rate_zero = encode_multilevel(graphs, params, dropout_rate=0.0, rng=np.random.default_rng(0))
+        dropped = encode_multilevel(graphs, params, dropout_rate=0.5, rng=np.random.default_rng(0))
+        assert clean.values.tobytes() == rate_zero.values.tobytes()
+        assert not np.array_equal(clean.values[0], dropped.values[0])
 
 
 class TestEncoderGradients:
     def test_full_encoder_gradcheck(self):
-        from molmatch.tensor import add
-
         rng = np.random.default_rng(7)
         params = EncoderParams.init(2, 3, seed=11)
         graphs = [graph_from_smiles(s) for s in ("CCO", "C", "C=C")]
-        weights = [Tensor(rng.normal(size=(3, 3))) for _ in range(2)]
+        weights = Tensor(rng.normal(size=(2, 3, 3)))
 
         def build_loss():
-            levels = encode_multilevel(graphs, params)
-            return add(sum_all(mul(levels[0], weights[0])), sum_all(mul(levels[1], weights[1])))
+            return sum_all(mul(encode_multilevel(graphs, params), weights))
 
         tensors = params.tensors()
         analytic = backward(build_loss(), params=tensors.values(), write_grad=False)

@@ -185,12 +185,10 @@ class TestPredict:
         enc, match = self.make_model(seed=6)
         args = (graphs(SUPPORT), [1, 0, 1, 0], graphs(QUERIES), enc, match)
         clean = predict_detailed(*args)[0]
-        eval_mode = predict_detailed(*args, matcher_dropout=0.5, rng=np.random.default_rng(0))[0]
-        np.testing.assert_array_equal(clean.values, eval_mode.values)
-        train_mode, preds = predict_detailed(
-            *args, training=True, matcher_dropout=0.5, rng=np.random.default_rng(0)
-        )
-        assert not np.array_equal(clean.values, train_mode.values)
+        rate_zero = predict_detailed(*args, matcher_dropout=0.0, rng=np.random.default_rng(0))[0]
+        assert clean.values.tobytes() == rate_zero.values.tobytes()
+        dropped, preds = predict_detailed(*args, matcher_dropout=0.5, rng=np.random.default_rng(0))
+        assert not np.array_equal(clean.values, dropped.values)
         # the reported attention is the pre-dropout distribution
         for p in preds:
             np.testing.assert_allclose(p.attention.values.sum(axis=1), 1.0, atol=1e-12)
@@ -232,13 +230,11 @@ class TestStackedMatch:
             zs = [Tensor(rng.normal(size=(n_s, d)), requires_grad=True) for _ in range(n_layers)]
             y_s = Tensor(rng.integers(0, 2, size=(n_s, 1)).astype(float))
             target = Tensor(np.eye(2)[rng.integers(0, 2, size=n_q)])
-            kwargs = dict(training=rate > 0, dropout_rate=rate)
-
             probs, y_hat, attention = match_levels(
-                stack(zq), stack(zs), y_s, params, rng=np.random.default_rng(seed), **kwargs
+                stack(zq), stack(zs), y_s, params, dropout_rate=rate, rng=np.random.default_rng(seed)
             )
             ref_probs, ref_y, ref_att = match_per_layer(
-                zq, zs, y_s, params, rng=np.random.default_rng(seed), **kwargs
+                zq, zs, y_s, params, dropout_rate=rate, rng=np.random.default_rng(seed)
             )
             np.testing.assert_allclose(probs.values, ref_probs.values, rtol=0, atol=1e-12)
             preds = layer_predictions(y_hat, attention)
@@ -258,24 +254,22 @@ class TestStackedMatch:
         enc = EncoderParams.init(3, 6, seed=2)
         match = MatchParams.init(3, 6, seed=3, share_qk=False)
         labels = [1, 0, 1, 0]
-        kwargs = dict(training=True, matcher_dropout=0.25, encoder_dropout=0.2)
-        probs, preds = predict_detailed(
-            graphs(SUPPORT), labels, graphs(QUERIES), enc, match,
-            rng=np.random.default_rng(9), **kwargs,
-        )
-        # the reference draws from the same generator in the same order:
-        # encoder dropout, then the matcher's per-layer and fusion masks
+        # encoder dropout, then the matcher's per-layer and fusion masks,
+        # all from one generator; the reference draws in the same order
         rng = np.random.default_rng(9)
-        levels = encode_multilevel(
-            graphs(SUPPORT + QUERIES), enc, training=True, dropout_rate=0.2, rng=rng
+        levels = encode_multilevel(graphs(SUPPORT + QUERIES), enc, dropout_rate=0.2, rng=rng)
+        probs, preds = predict_detailed(
+            graphs(SUPPORT), labels, graphs(QUERIES), None, match,
+            matcher_dropout=0.25, rng=rng, levels=levels,
         )
+        rng = np.random.default_rng(9)
+        levels = encode_multilevel(graphs(SUPPORT + QUERIES), enc, dropout_rate=0.2, rng=rng)
         n_s = len(SUPPORT)
         ref_probs, ref_y, ref_att = match_per_layer(
-            [Tensor(z.values[n_s:]) for z in levels],
-            [Tensor(z.values[:n_s]) for z in levels],
+            [Tensor(z[n_s:]) for z in levels.values],
+            [Tensor(z[:n_s]) for z in levels.values],
             Tensor(np.asarray(labels, dtype=float).reshape(-1, 1)),
             match,
-            training=True,
             dropout_rate=0.25,
             rng=rng,
         )

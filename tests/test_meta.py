@@ -193,7 +193,7 @@ class TestInnerAdapt:
         supplied = inner_adapt(*args, embeddings=levels)
         assert supplied.loss_history == inner_adapt(*args).loss_history
         with pytest.raises(ValueError, match=f"embeddings must have {len(graphs)} rows"):
-            inner_adapt(*args, embeddings=[z[:-1] for z in levels])
+            inner_adapt(*args, embeddings=levels[:, :-1])
 
 
 class TestOuterTaskStep:
@@ -330,7 +330,6 @@ class TestMetaTrain:
                 adapted.w_tau,
                 training=True,
                 matcher_dropout=cfg.matcher.dropout,
-                encoder_dropout=cfg.encoder.dropout,
                 rng=np.random.default_rng([seed, 4, 0, slot]),
             )
             watched = {f"encoder.{k}": t for k, t in model.encoder.tensors().items()}
@@ -469,7 +468,7 @@ class TestFinetuneAndPredict:
         finetune_and_predict(self.model, self.support_set, self.query_graphs, self.cfg, seed=0)
         assert [n for n, _ in outputs] == [len(self.support_set) + len(self.query_graphs)]
         for _, levels in outputs:
-            assert all(not z.requires_grad for z in levels)
+            assert not levels.requires_grad
 
     def test_embeddings_must_cover_support_and_queries(self):
         graphs = [g for g, _ in self.support_set] + self.query_graphs
@@ -484,7 +483,7 @@ class TestFinetuneAndPredict:
         with pytest.raises(ValueError, match="embeddings must have 14 rows"):
             finetune_and_predict(
                 self.model, self.support_set, self.query_graphs, self.cfg, seed=0,
-                embeddings=[z[:-1] for z in levels],
+                embeddings=levels[:, :-1],
             )
 
     def test_detailed_exposes_per_layer_predictions(self):
