@@ -466,7 +466,7 @@ def cmd_taskrel(args) -> int:
     ]
     try:
         rel = relation_matrix(vectors, metric)
-    except ValueError as exc:  # e.g. a zero task vector under the cosine metric
+    except ValueError as exc:  # e.g. a zero task vector
         raise DataError(str(exc)) from None
     matrix = row_normalize(rel.matrix) if args.normalize else rel.matrix
 

@@ -17,18 +17,7 @@ import numpy as np
 
 from .params import Params, uniform_init
 from .smiles import D_ATOM, D_BOND, MolGraph
-from .tensor import (
-    Tensor,
-    add,
-    dropout,
-    gather_rows,
-    matmul,
-    mul,
-    relu,
-    scatter_add_rows,
-    segment_mean,
-    stack,
-)
+from .tensor import SlotTable, Tensor, add, dropout, gin_conv, matmul, segment_mean, stack
 
 __all__ = [
     "GinLayerParams",
@@ -38,9 +27,6 @@ __all__ = [
     "encode_multilevel",
     "encode_frozen",
 ]
-
-_ONE = Tensor(1.0)
-
 
 @dataclass(frozen=True)
 class GinLayerParams:
@@ -110,9 +96,11 @@ class GraphBatch:
     """A list of molecular graphs packed into flat arrays.
 
     Bonds are expanded to directed edges in both directions so a single
-    scatter-add realises the neighbour sum for every atom at once.
-    ``bond_sums`` holds each atom's summed incoming bond features, a
-    constant of the batch.
+    grouped sum realises the neighbour sum for every atom at once.
+    ``by_dst`` and ``by_src`` are the slot tables of the edge
+    destinations and sources, built once here and shared by every
+    layer's forward and backward.  ``bond_sums`` holds each atom's summed
+    incoming bond features, a constant of the batch.
     """
 
     def __init__(self, graphs: list[MolGraph]):
@@ -133,23 +121,21 @@ class GraphBatch:
         self.n_edges = self.edge_src.size
         bond_rows = np.concatenate([g.bond_feats.values for g in graphs])
         self.edge_feats = Tensor(np.repeat(bond_rows, 2, axis=0))
-        self.bond_sums = scatter_add_rows(self.edge_feats, self.edge_dst, self.n_atoms)
+        self.by_dst = SlotTable(self.edge_dst, self.n_atoms)
+        self.by_src = SlotTable(self.edge_src, self.n_atoms)
+        self.bond_sums = Tensor(self.by_dst.sum(self.edge_feats.values))
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -> Tensor:
-    """One message-passing layer over the batched graph."""
+    """One message-passing layer over the batched graph, recorded as one
+    autodiff node (``tensor.gin_conv``)."""
     if not 0 <= layer < params.n_layers:
         raise ValueError(f"gin_layer: layer index {layer} out of range [0, {params.n_layers})")
     lp = params.layer(layer)
-    self_term = mul(h, add(lp.eps, _ONE))
-    if batch.n_edges:
-        neighbours = scatter_add_rows(gather_rows(h, batch.edge_src), batch.edge_dst, batch.n_atoms)
-        bonds = matmul(batch.bond_sums, lp.bond_embed)
-        x = add(self_term, add(neighbours, bonds))
-    else:
-        x = self_term  # isolated atoms: empty neighbour sum
-    x = relu(add(matmul(x, lp.w1), lp.b1))
-    return add(matmul(x, lp.w2), lp.b2)
+    return gin_conv(
+        h, lp.eps, lp.bond_embed, lp.w1, lp.b1, lp.w2, lp.b2,
+        batch.bond_sums.values, batch.by_dst, batch.by_src,
+    )
 
 
 def encode_multilevel(

@@ -53,7 +53,7 @@ KEY_MATCH_INIT = 11
 
 
 class NumericalError(ArithmeticError):
-    """A loss or gradient went non-finite."""
+    """A loss, gradient or updated weight went non-finite."""
 
 
 def _rng(*keys) -> np.random.Generator:
@@ -420,7 +420,14 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
             raise NumericalError(f"epoch {epoch}: non-finite batch loss")
 
         values = {name: t.values for name, t in model.tensors().items()}
-        model = model.replace_values(optimizer.step(values, summed))
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            values = optimizer.step(values, summed)
+        for name in summed:
+            if not np.isfinite(values[name]).all():
+                raise NumericalError(
+                    f"epoch {epoch}: non-finite weight {name} after the optimizer step"
+                )
+        model = model.replace_values(values)
 
         entry = EpochLog(
             epoch=epoch,

@@ -92,9 +92,10 @@ def _seed_list(seed) -> list[int]:
 def relation_matrix(vectors: list[TaskVector], metric: str) -> TaskRelationMatrix:
     """Pairwise similarity matrix over task vectors.
 
-    dot: p_i . p_j; cosine: the same after unit-normalising each vector
-    (zero vectors are an error); euclidean: negated squared distance,
-    so larger still means more related.
+    dot: p_i . p_j; cosine: the same after unit-normalising each vector;
+    euclidean: negated squared distance, so larger still means more
+    related.  A zero vector is an error under every metric: it relates
+    its task to none (and under cosine it has no direction).
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
@@ -104,13 +105,13 @@ def relation_matrix(vectors: list[TaskVector], metric: str) -> TaskRelationMatri
     if len(dims) != 1:
         raise ValueError(f"task vectors disagree in length: {sorted(dims)}")
     p = np.stack([v.vector for v in vectors])
+    norms = np.linalg.norm(p, axis=1)
+    zero = np.nonzero(norms == 0.0)[0]
+    if zero.size:
+        raise ValueError(
+            f"{metric} relation undefined: task {vectors[int(zero[0])].task_id!r} has a zero vector"
+        )
     if metric == "cosine":
-        norms = np.linalg.norm(p, axis=1)
-        zero = np.nonzero(norms == 0.0)[0]
-        if zero.size:
-            raise ValueError(
-                f"cosine similarity undefined: task {vectors[int(zero[0])].task_id!r} has a zero vector"
-            )
         p = p / norms[:, None]
         m = p @ p.T
     elif metric == "dot":

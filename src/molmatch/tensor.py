@@ -3,9 +3,9 @@
 Only the operations the matching model actually needs: matrix products
 (single and stacked), reshapes and stacking, row softmax, segment means,
 gathers/scatters, elementwise arithmetic, ReLU, column concatenation,
-inverted-scaling dropout and a summed cross-entropy.  Op functions
-build the graph implicitly; ``backward`` replays it once in reverse
-topological order.
+inverted-scaling dropout, a summed cross-entropy and one fused GIN
+layer.  Op functions build the graph implicitly; ``backward`` replays it
+once in reverse topological order.
 
 Tensors are treated as immutable once created (the ``grad`` slot is the
 one exception), so parameter updates always construct fresh tensors and
@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "SlotTable",
     "add",
     "mul",
     "scale",
@@ -34,6 +35,7 @@ __all__ = [
     "segment_mean",
     "gather_rows",
     "scatter_add_rows",
+    "gin_conv",
     "concat_cols",
     "cross_entropy",
     "sum_all",
@@ -269,45 +271,69 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-# Block size of _grouped_row_sum in float64 elements: each block's
+# Block size of SlotTable.sum in float64 elements: each block's
 # accumulator and slot temporary hold at most this many (512 KB), so they
-# stay in cache and the op's extra memory does not grow with the input.
+# stay in cache and the sum's extra memory does not grow with the input.
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _grouped_row_sum(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """``out[j]`` = the sum of the rows ``values[i]`` with ``index[i] == j``.
+class SlotTable:
+    """The rows of an index array grouped by bucket, built once and
+    summed through any number of times.
 
-    Bit-identical to adding the rows into zeros one at a time, in input
-    order (an unbuffered ufunc ``at``), without that path's per-element
-    cost.  The buckets are ranked by size, largest first, and each one
-    lists its input rows in input order (the slot table).  Slot ``k``
-    holds every bucket's k-th row, and the buckets that have one form a
-    prefix of the ranking.  Adding slot after slot into zeros adds each
-    bucket's rows in input order for any row width, which a reduction
-    over a padded slot axis does not (numpy sums a contiguous axis
-    pairwise).  Ranked buckets are summed a block of rows at a time.
+    ``index`` puts input row ``i`` in bucket ``index[i]`` of ``n``.  The
+    buckets are ranked by size, largest first, and each one lists its
+    input rows in input order.  Slot ``k`` holds every bucket's k-th row,
+    and the buckets that have one form a prefix of the ranking.
     """
-    d = values.shape[1]
-    out = np.zeros((n, d), dtype=np.float64)
-    if not index.size:
+
+    __slots__ = ("index", "n", "_by_bucket", "_rank", "_first", "_size", "_filled")
+
+    def __init__(self, index, n: int):
+        index = np.asarray(index, dtype=np.int64)
+        if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= n)):
+            raise ValueError(f"SlotTable: index must be 1-d with entries in [0, {n})")
+        self.index, self.n = index, int(n)
+        counts = np.bincount(index, minlength=n)
+        self._by_bucket = np.argsort(index, kind="stable")  # input rows grouped by bucket
+        self._rank = np.argsort(-counts, kind="stable")  # buckets, largest first
+        # each ranked bucket's start in _by_bucket
+        self._first = (np.cumsum(counts) - counts)[self._rank]
+        self._size = counts[self._rank]
+        self._filled = int(np.count_nonzero(self._size))
+
+    def sum(self, values: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """``out[j]`` = the sum of the rows ``values[rows[i]]`` with
+        ``index[i] == j``.  ``rows`` has one entry per index entry and
+        defaults to the identity; every row it names must exist in
+        ``values`` (callers check their indices once, not per sum).
+
+        Bit-identical to adding the rows into zeros one at a time, in input
+        order (an unbuffered ufunc ``at``), without that path's per-element
+        cost.  Adding slot after slot into zeros adds each bucket's rows in
+        input order for any row width, which a reduction over a padded slot
+        axis does not (numpy sums a contiguous axis pairwise).  Ranked
+        buckets are summed a block of rows at a time.
+        """
+        d = values.shape[1]
+        out = np.zeros((self.n, d), dtype=np.float64)
+        order = self._by_bucket if rows is None else rows[self._by_bucket]
+        step = max(1, _BLOCK_ELEMENTS // max(1, d))
+        for lo in range(0, self._filled, step):
+            hi = min(lo + step, self._filled)
+            acc = np.zeros((hi - lo, d), dtype=np.float64)
+            for k in range(int(self._size[lo])):
+                m = int(np.count_nonzero(self._size[lo:hi] > k))
+                # the rows are in range (see above); "clip" skips the bounds check
+                acc[:m] += values.take(order[self._first[lo : lo + m] + k], axis=0, mode="clip")
+            out[self._rank[lo:hi]] = acc
         return out
-    counts = np.bincount(index, minlength=n)
-    by_bucket = np.argsort(index, kind="stable")  # input rows grouped by bucket
-    rank = np.argsort(-counts, kind="stable")  # buckets, largest first
-    first = (np.cumsum(counts) - counts)[rank]  # each ranked bucket's start in by_bucket
-    size = counts[rank]
-    filled = int(np.count_nonzero(size))
-    step = max(1, _BLOCK_ELEMENTS // max(1, d))
-    for lo in range(0, filled, step):
-        hi = min(lo + step, filled)
-        acc = np.zeros((hi - lo, d), dtype=np.float64)
-        for k in range(int(size[lo])):
-            m = int(np.count_nonzero(size[lo:hi] > k))
-            # rows are in range by construction; "clip" skips the bounds check
-            acc[:m] += values.take(by_bucket[first[lo : lo + m] + k], axis=0, mode="clip")
-        out[rank[lo:hi]] = acc
-    return out
+
+
+def _grouped_row_sum(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """``out[j]`` = the sum of the rows ``values[i]`` with ``index[i] == j``,
+    through a slot table built for this one sum."""
+    return SlotTable(index, n).sum(values)
 
 
 def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -363,6 +389,86 @@ def scatter_add_rows(a: Tensor, index, n_rows: int) -> Tensor:
         return (g[idx],)
 
     return _make(_grouped_row_sum(a.values, idx, n_rows), (a,), vjp)
+
+
+def gin_conv(
+    h: Tensor,
+    eps: Tensor,
+    bond_embed: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    bond_sums: np.ndarray,
+    by_dst: SlotTable,
+    by_src: SlotTable,
+) -> Tensor:
+    """One GIN layer as a single op: ``relu(x @ w1 + b1) @ w2 + b2`` with
+    ``x = (1 + eps) * h + (sum_{u->v} h_u + bond_sums @ bond_embed)``.
+
+    The directed edges are given by their two slot tables, ``by_dst``
+    over the destination atoms and ``by_src`` over the source atoms (so
+    ``by_dst.index`` is the edge destinations).  The neighbour sum takes
+    the rows of ``h`` at the edge sources straight through ``by_dst``,
+    and the VJP sums the neighbour gradient through ``by_src`` the same
+    way, so no per-edge array is formed.  ``bond_sums`` [n, k], each
+    atom's summed bond features, is a constant.  The forward adds the same rows in the same order as the
+    composition of mul/add/gather_rows/scatter_add_rows/matmul/relu, so
+    its values are bit-identical to it; the ReLU maps NaN to 0.
+    """
+    hv, e1, bev = h.values, eps.values + 1.0, bond_embed.values
+    w1v, b1v, w2v, b2v = w1.values, b1.values, w2.values, b2.values
+    n, d = hv.shape if hv.ndim == 2 else (-1, -1)
+    if (
+        by_dst.n != n
+        or by_src.n != n
+        or by_dst.index.size != by_src.index.size
+        or eps.values.size != 1
+        or bond_sums.ndim != 2
+        or bond_sums.shape[0] != n
+        or bev.shape != (bond_sums.shape[1], d)
+        or w1v.shape[:1] != (d,)
+        or b1v.shape != w1v.shape[1:]
+        or w2v.shape[:1] != b1v.shape
+        or b2v.shape != w2v.shape[1:]
+    ):
+        raise ValueError(
+            f"gin_conv: incompatible shapes h {h.shape}, bond_embed {bond_embed.shape}, "
+            f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
+            f"bond_sums {bond_sums.shape}, tables over {by_dst.n} and {by_src.n} rows"
+        )
+    edges = by_dst.index.size > 0  # without edges the neighbour and bond terms are absent
+    x = hv * e1
+    if edges:
+        neighbours = by_dst.sum(hv, by_src.index)
+        neighbours += bond_sums @ bev
+        x += neighbours
+    r = x @ w1v
+    r += b1v
+    # relu with np.where(r > 0, r, 0)'s values: fmax maps NaN to 0, and
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    np.fmax(r, 0.0, out=r)
+    r += 0.0
+    out = r @ w2v
+    out += b2v
+
+    def vjp(g):
+        gw2, gb2 = r.T @ g, g.sum(axis=0)
+        gt = g @ w2v.T
+        gt *= r > 0.0  # r > 0 exactly where the pre-activation was
+        gw1, gb1 = x.T @ gt, gt.sum(axis=0)
+        gx = gt @ w1v.T
+        geps = np.einsum("ij,ij->", gx, hv).reshape(eps.values.shape)
+        gbe = None
+        if edges:
+            gbe = bond_sums.T @ gx
+            gh = by_src.sum(gx, by_dst.index)
+            gh += np.multiply(gx, e1, out=gx)
+        else:
+            gh = np.multiply(gx, e1, out=gx)
+        return gh, geps, gbe, gw1, gb1, gw2, gb2
+
+    return _make(out, (h, eps, bond_embed, w1, b1, w2, b2), vjp)
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:

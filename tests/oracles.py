@@ -5,7 +5,8 @@ plain numpy or pure Python, deliberately avoiding the package's own
 code paths: central finite differences for gradients, O(n^2) pair
 counting for ranking metrics, permutation search for graph isomorphism,
 a dense eigendecomposition for PCA, per-tensor loops for the
-task-relation updates and a per-bond loop for the batched graph.
+task-relation updates, a per-bond loop for the batched graph and the
+GIN layer as a composition of the ops criterion 1 checks one by one.
 """
 
 from __future__ import annotations
@@ -136,6 +137,40 @@ def graph_batch_per_bond(graphs) -> dict:
         "bond_sums": bond_sums,
         "mol_ids": np.array(mol_ids, dtype=np.int64),
     }
+
+
+def gin_layer_unfused(h, edge_src, edge_dst, bond_sums, lp):
+    """The GIN layer as a composition of 2-d autodiff ops, the reference
+    for ``tensor.gin_conv``: the per-edge rows ``h[edge_src]`` scattered
+    into their destinations, the bond term, the self term and the MLP,
+    one op each.  ``bond_sums`` is a Tensor, ``lp`` a ``GinLayerParams``."""
+    from molmatch.tensor import Tensor, add, gather_rows, matmul, mul, relu, scatter_add_rows
+
+    self_term = mul(h, add(lp.eps, Tensor(1.0)))
+    if len(edge_src):
+        neighbours = scatter_add_rows(gather_rows(h, edge_src), edge_dst, h.shape[0])
+        bonds = matmul(bond_sums, lp.bond_embed)
+        x = add(self_term, add(neighbours, bonds))
+    else:
+        x = self_term  # isolated atoms: empty neighbour sum
+    x = relu(add(matmul(x, lp.w1), lp.b1))
+    return add(matmul(x, lp.w2), lp.b2)
+
+
+def encode_unfused(graphs, params):
+    """``encode_multilevel`` without dropout, through ``gin_layer_unfused``
+    and bond sums scattered from the per-edge feature rows."""
+    from molmatch.encoder import GraphBatch
+    from molmatch.tensor import add, matmul, scatter_add_rows, segment_mean, stack
+
+    batch = GraphBatch(graphs)
+    bond_sums = scatter_add_rows(batch.edge_feats, batch.edge_dst, batch.n_atoms)
+    h = add(matmul(batch.atom_feats, params.input_w), params.input_b)
+    levels = []
+    for lp in params.layers:
+        h = gin_layer_unfused(h, batch.edge_src, batch.edge_dst, bond_sums, lp)
+        levels.append(segment_mean(h, batch.mol_ids, batch.n_mols))
+    return stack(levels)
 
 
 def implicit_inner_per_tensor(w_list, m):

@@ -41,6 +41,7 @@ from molmatch.taskrel import (
     relation_matrix,
 )
 from molmatch.tensor import (
+    SlotTable,
     Tensor,
     add,
     backward,
@@ -49,6 +50,7 @@ from molmatch.tensor import (
     cross_entropy,
     dropout,
     gather_rows,
+    gin_conv,
     matmul,
     mul,
     relu,
@@ -197,6 +199,20 @@ def _op_cases(seed: int):
     ka, kb = tensors((2, 3), (2, 3))
     w14 = weight((2, 2, 3))
     cases["stack"] = ({"a": ka, "b": kb}, lambda: sum_all(mul(stack([ka, kb]), w14)))
+
+    # five atoms, four bonds as eight directed edges; atom 1 has three neighbours
+    src = np.array([0, 1, 1, 2, 1, 3, 3, 4])
+    dst = np.array([1, 0, 2, 1, 3, 1, 4, 3])
+    by_dst, by_src = SlotTable(dst, 5), SlotTable(src, 5)
+    gh, geps, gbe, gw1, gb1, gw2, gb2 = tensors((5, 3), (), (4, 3), (3, 4), (4,), (4, 2), (2,))
+    bond_sums = rng.normal(size=(5, 4))
+    w15 = weight((5, 2))
+    cases["gin_conv"] = (
+        {"h": gh, "eps": geps, "bond_embed": gbe, "w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2},
+        lambda: sum_all(
+            mul(gin_conv(gh, geps, gbe, gw1, gb1, gw2, gb2, bond_sums, by_dst, by_src), w15)
+        ),
+    )
 
     return cases
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -175,11 +176,11 @@ class TestTrain:
         assert not out.exists()
 
     def test_weights_not_finite_as_float32_are_numerical_abort(self, workspace, tmp_path, capsys):
-        # a meta_lr of 1e308 passes validation, but its step drives the
-        # weights past float32's range
+        # a meta_lr of 1e39 passes validation, and its step leaves finite
+        # float64 weights past float32's range
         config = tmp_path / "huge.cfg"
         config.write_text(
-            TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1\nmeta_lr = 1e308"),
+            TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1\nmeta_lr = 1e39"),
             encoding="utf-8",
         )
         out = tmp_path / "m.ckpt"
@@ -189,6 +190,24 @@ class TestTrain:
         assert code == 4
         line = one_error_line(capsys)
         assert line.startswith("numerical abort: weight ") and "not finite as stored" in line
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_overflowing_optimizer_step_is_numerical_abort(self, workspace, tmp_path, capsys):
+        # a meta_lr of 1e308 overflows the first Adam step to infinite weights
+        config = tmp_path / "huge.cfg"
+        config.write_text(
+            TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1\nmeta_lr = 1e308"),
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                         "--out", str(tmp_path / "m.ckpt")])
+        assert code == 4
+        assert [str(w.message) for w in caught] == []
+        line = one_error_line(capsys)
+        assert line.startswith("numerical abort: epoch 0: non-finite weight ")
+        assert line.endswith(" after the optimizer step")
         assert list(tmp_path.iterdir()) == [config]
 
     def test_missing_data_is_data_error(self, workspace, tmp_path):
@@ -514,16 +533,17 @@ class TestTaskRel:
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-8)
         assert json.loads((tmp_path / "rel.csv.meta.jsonl").read_text())["normalization"] == "softmax"
 
-    def test_zero_task_vectors_are_data_error(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("metric", ["cosine", "dot", "euclidean"])
+    def test_zero_task_vectors_are_data_error(self, workspace, tmp_path, capsys, metric):
         # with alpha = 0 adaptation never moves w, so every adapted-w-delta
-        # vector is zero and the cosine metric is undefined
+        # vector is zero and relates its task to none
         cfg = tiny_run_config()
         cfg.train.alpha = 0.0
         ckpt = tmp_path / "still.ckpt"
         _save_model(ckpt, init_model(cfg), cfg, epoch=0)
         out = tmp_path / "rel.csv"
         assert main(["taskrel", "--ckpt", str(ckpt), "--data", str(workspace["data"]),
-                     "--out", str(out)]) == 3
+                     "--out", str(out), "--metric", metric]) == 3
         line = one_error_line(capsys)
         assert line.startswith("data error: ") and "task 'synth-0000' has a zero vector" in line
         assert not out.exists()

@@ -1,12 +1,27 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pathlib import Path
-
-from molmatch.encoder import EncoderParams, GraphBatch, encode_frozen, encode_multilevel, gin_layer
-from molmatch.smiles import D_ATOM, D_BOND, graph_from_smiles
-from molmatch.tensor import Tensor, backward, mul, sum_all
-from oracles import assert_grads_match, fd_gradients, graph_batch_per_bond
+from molmatch import tensor as tensor_module
+from molmatch.encoder import (
+    EncoderParams,
+    GinLayerParams,
+    GraphBatch,
+    encode_frozen,
+    encode_multilevel,
+    gin_layer,
+)
+from molmatch.smiles import D_ATOM, D_BOND, MolGraph, graph_from_smiles
+from molmatch.tensor import SlotTable, Tensor, backward, mul, scatter_add_rows, sum_all
+from oracles import (
+    assert_grads_match,
+    encode_unfused,
+    fd_gradients,
+    gin_layer_unfused,
+    graph_batch_per_bond,
+)
 
 MOLS = ["CCO", "c1ccccc1", "CC(=O)O", "C", "N#Cc1ccccc1"]
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "molmatch" / "data" / "smiles_corpus.txt"
@@ -20,6 +35,17 @@ def corpus_graphs():
 
 def small_params(seed=0, layers=2, hidden=5):
     return EncoderParams.init(layers, hidden, seed=seed)
+
+
+def star_graph(n_leaves):
+    """A hub atom bonded to ``n_leaves`` others: no molecule, but a valid
+    graph whose hub collects more rows than one slot-table block holds."""
+    atom_feats = np.zeros((n_leaves + 1, D_ATOM))
+    atom_feats[:, 0] = 1.0
+    atom_feats[0, 1] = 1.0
+    bond_feats = np.eye(D_BOND)[np.arange(n_leaves) % D_BOND]
+    bonds = [(0, i) for i in range(1, n_leaves + 1)]
+    return MolGraph(Tensor(atom_feats), bonds, Tensor(bond_feats), "star")
 
 
 class TestInit:
@@ -179,6 +205,93 @@ class TestGinLayer:
         h = Tensor(np.zeros((2, 5)))
         with pytest.raises(ValueError, match="out of range"):
             gin_layer(h, batch, params, 2)
+
+
+def assert_close_to_scale(got, want, name, tol=1e-12):
+    """Every coordinate within ``tol`` of the reference's largest magnitude."""
+    scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
+    assert np.abs(got - want).max(initial=0.0) <= tol * scale, name
+
+
+class TestFusedGinLayer:
+    """``gin_layer`` runs the fused ``tensor.gin_conv``; the unfused op
+    composition in oracles.py is its reference."""
+
+    @pytest.mark.parametrize("which", ["corpus", "bond-free", "hub"])
+    def test_matches_unfused_reference(self, which):
+        hidden = 8
+        if which == "corpus":
+            graphs = corpus_graphs()
+        elif which == "bond-free":
+            graphs = [graph_from_smiles(s) for s in ("C", "[NH4+]", "O", "[Na+]")]
+        else:
+            graphs, hidden = [star_graph(1200)], 64
+            assert 1200 * hidden > tensor_module._BLOCK_ELEMENTS
+        batch = GraphBatch(graphs)
+        params = EncoderParams.init(1, hidden, seed=5).replace_values({"layer0.eps": np.array(0.3)})
+        lp = params.layer(0)
+        rng = np.random.default_rng(2)
+        h = Tensor(rng.normal(size=(batch.n_atoms, hidden)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(batch.n_atoms, hidden)))
+        bond_sums = scatter_add_rows(batch.edge_feats, batch.edge_dst, batch.n_atoms)
+        fused = gin_layer(h, batch, params, 0)
+        ref = gin_layer_unfused(h, batch.edge_src, batch.edge_dst, bond_sums, lp)
+        assert fused.values.tobytes() == ref.values.tobytes()
+
+        watched = {"h": h, **{f.name: getattr(lp, f.name) for f in fields(GinLayerParams)}}
+        got = backward(sum_all(mul(fused, weights)), params=watched.values(), write_grad=False)
+        want = backward(sum_all(mul(ref, weights)), params=watched.values(), write_grad=False)
+        for name, t in watched.items():
+            assert got[t].shape == t.shape, name
+            assert_close_to_scale(got[t], want[t], name)
+
+    def test_relu_maps_nan_to_zero(self):
+        # a NaN pre-activation leaves the layer as 0, as np.where does in relu
+        params = small_params(layers=1)
+        batch = GraphBatch([graph_from_smiles("CCO")])
+        h = Tensor(np.where(np.arange(15).reshape(3, 5) == 4, np.nan, 1.0))
+        ref = gin_layer_unfused(h, batch.edge_src, batch.edge_dst, batch.bond_sums, params.layer(0))
+        out = gin_layer(h, batch, params, 0)
+        assert out.values.tobytes() == ref.values.tobytes()
+
+    def test_gin_layer_records_one_node(self):
+        params = small_params()
+        batch = GraphBatch([graph_from_smiles(s) for s in MOLS])
+        h = Tensor(np.ones((batch.n_atoms, 5)), requires_grad=True)
+        out = gin_layer(h, batch, params, 1)
+        lp = params.layer(1)
+        assert out._vjp is not None
+        assert out._parents == (h, lp.eps, lp.bond_embed, lp.w1, lp.b1, lp.w2, lp.b2)
+        assert all(p._vjp is None for p in out._parents)
+
+    def test_encode_builds_each_edge_table_once(self, monkeypatch):
+        graphs = [graph_from_smiles(s) for s in MOLS]
+        batch = GraphBatch(graphs)
+        built = []
+        build = SlotTable.__init__
+
+        def counting_build(table, index, n):
+            built.append(np.array(index))
+            build(table, index, n)
+
+        monkeypatch.setattr(SlotTable, "__init__", counting_build)
+        params = small_params(layers=3)
+        backward(sum_all(encode_multilevel(graphs, params)), params=params.tensors().values())
+        for edges in (batch.edge_dst, batch.edge_src):
+            assert sum(np.array_equal(index, edges) for index in built) == 1
+
+
+@pytest.fixture(scope="module", params=[(5, 300), (2, 7)], ids=["full-width", "narrow"])
+def corpus_oracle(request):
+    """Encoder params and the unfused reference's levels for the corpus."""
+    layers, hidden = request.param
+    params = EncoderParams.init(layers, hidden, seed=0)
+    return params, encode_unfused(corpus_graphs(), params.detach()).values
+
+
+def test_frozen_corpus_equals_unfused_reference(corpus_oracle):
+    params, want = corpus_oracle
+    assert encode_frozen(corpus_graphs(), params).tobytes() == want.tobytes()
 
 
 class TestEncodeMultilevel:

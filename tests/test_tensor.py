@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from molmatch import tensor as tensor_module
 from molmatch.tensor import (
+    SlotTable,
     Tensor,
     _grouped_row_sum,
     add,
@@ -18,6 +19,7 @@ from molmatch.tensor import (
     cross_entropy,
     dropout,
     gather_rows,
+    gin_conv,
     matmul,
     mul,
     relu,
@@ -181,6 +183,26 @@ class TestForwardErrors:
     def test_gather_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             gather_rows(Tensor(np.ones((2, 2))), [3])
+
+    def test_slot_table_index_range(self):
+        for index in ([0, 3], [-1], [[0, 1]]):
+            with pytest.raises(ValueError, match="SlotTable"):
+                SlotTable(index, 3)
+
+    def test_gin_conv_shape_errors(self):
+        z = lambda *shape: Tensor(np.zeros(shape))
+        tables = SlotTable([1, 0], 2), SlotTable([0, 1], 2)
+        good = [z(2, 3), z(), z(4, 3), z(3, 5), z(5), z(5, 2), z(2)]
+        assert gin_conv(*good, np.zeros((2, 4)), *tables).shape == (2, 2)
+        wrong = [(0, z(3, 3)), (2, z(4, 2)), (3, z(2, 5)), (4, z(4)), (5, z(4, 2)), (6, z(3))]
+        for i, bad in wrong:  # h, bond_embed, w1, b1, w2, b2 of a mismatched shape
+            args = good[:i] + [bad] + good[i + 1 :]
+            with pytest.raises(ValueError, match="gin_conv"):
+                gin_conv(*args, np.zeros((2, 4)), *tables)
+        with pytest.raises(ValueError, match="gin_conv"):
+            gin_conv(*good, np.zeros((2, 3)), *tables)
+        with pytest.raises(ValueError, match="gin_conv"):
+            gin_conv(*good, np.zeros((2, 4)), SlotTable([0], 2), tables[1])
 
     def test_cross_entropy_rejects_soft_targets(self):
         with pytest.raises(ValueError, match="row 0.*not one-hot"):
@@ -464,11 +486,15 @@ class TestGroupedRowSum:
         values, index, n = case
         ref = add_at_rows(values, index, n)
         # the default block, then blocks of one row and of a few rows
+        # a row map reads values[rows[i]] for input row i
+        rows = np.arange(len(index))[::-1]
         for block in (tensor_module._BLOCK_ELEMENTS, 1, 5):
             with mock.patch.object(tensor_module, "_BLOCK_ELEMENTS", block):
                 out = _grouped_row_sum(values, index, n)
+                mapped = SlotTable(index, n).sum(values[::-1], rows)
             assert np.array_equal(out, ref)
             assert out.tobytes() == ref.tobytes()
+            assert mapped.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("d", [1, 300])
     def test_long_buckets(self, d):
