@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 configuration problem (bad file, unknown key,
 bad flag), 3 data or file problem (missing/empty/corrupt datasets or
 checkpoints, input that is not UTF-8 text, a file that cannot be read
 or written, task vectors the relation metric cannot compare), 4
-numerical abort (non-finite loss, or trained weights not finite).
+numerical abort (non-finite loss or prediction, or trained weights not
+finite).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .episodes import (
     load_registry,
     load_task_file,
     read_lines,
-    sample_episode,
     synth_generate,
     write_registry,
 )
@@ -41,10 +41,10 @@ from .meta import (
     KEY_EVAL,
     ModelParams,
     NumericalError,
-    finetune_and_predict,
     finetune_and_predict_detailed,
     init_model,
     meta_train,
+    score_task,
 )
 from .smiles import SmilesError, graph_from_smiles
 from .taskrel import relation_matrix, row_normalize, task_vector
@@ -252,23 +252,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+EVAL_METRICS = {"auroc": metrics.auroc, "auprc": metrics.auprc, "delta_auprc": metrics.delta_auprc}
+
+
 def _eval_seed(base: int, task_idx: int, repeat: int) -> list[int]:
     return [base, KEY_EVAL, task_idx, repeat]
-
-
-def _encode_episode_rows(task, episodes, encoder, batch_size: int):
-    """Frozen level stack of every task example the episodes use.
-
-    Returns (sorted example indices, their [L, n_used, hidden] stack).
-    Encoding runs in batches of at most ``batch_size`` molecules, so
-    memory stays at one episode's whatever the task size.
-    """
-    used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for e in episodes]))
-    chunks = [
-        encode_frozen([task.examples[i].graph for i in used[start : start + batch_size]], encoder)
-        for start in range(0, used.size, batch_size)
-    ]
-    return used, np.concatenate(chunks, axis=1)
 
 
 def cmd_eval(args) -> int:
@@ -290,87 +278,46 @@ def cmd_eval(args) -> int:
     if not tasks:
         raise DataError(f"{args.data}: no tasks in split {args.split!r}")
 
-    metric_names = ("auroc", "auprc", "delta_auprc")
-    rows = []
-    per_task_means: dict[str, list[float]] = {name: [] for name in metric_names}
-    evaluated = 0
+    rows = []  # (task_id, status, {metric: EvalResult}), empty for a skipped task
     for task_idx, task in enumerate(sorted(tasks, key=lambda t: t.task_id)):
         if not can_sample(task, cfg.protocol):
-            rows.append({"task_id": task.task_id, "status": "skipped:protocol"})
+            rows.append((task.task_id, "skipped:protocol", {}))
             continue
-        episodes = []
-        for rep in range(repeats):
-            episode = sample_episode(task, cfg.protocol, _eval_seed(seed, task_idx, rep))
-            if len({y for _, y in episode.query}) >= 2:
-                episodes.append((rep, episode))
-        if not episodes:
-            rows.append({"task_id": task.task_id, "status": "skipped:single-class-queries"})
+        seeds = [_eval_seed(seed, task_idx, rep) for rep in range(repeats)]
+        scored = score_task(model, task, cfg, seeds)
+        if not scored:
+            rows.append((task.task_id, "skipped:single-class-queries", {}))
             continue
-        collected: dict[str, list[float]] = {name: [] for name in metric_names}
-        skipped_repeats = repeats - len(episodes)
-        # theta is frozen: encode each molecule the episodes use once, then slice
-        used, task_levels = _encode_episode_rows(
-            task,
-            [e for _, e in episodes],
-            model.encoder,
-            cfg.protocol.support_size + cfg.protocol.query_size,
-        )
-        for rep, episode in episodes:
-            labels = [y for _, y in episode.query]
-            picked = np.searchsorted(used, np.r_[episode.support_idx, episode.query_idx])
-            probs = finetune_and_predict(
-                model,
-                episode.support,
-                [g for g, _ in episode.query],
-                cfg,
-                seed=_eval_seed(seed, task_idx, rep) + [1],
-                embeddings=task_levels[:, picked],
-            )
-            scores = probs[:, 0]
-            collected["auroc"].append(metrics.auroc(scores, labels))
-            collected["auprc"].append(metrics.auprc(scores, labels))
-            collected["delta_auprc"].append(metrics.delta_auprc(scores, labels))
-        evaluated += 1
-        row = {
-            "task_id": task.task_id,
-            "status": "ok" if not skipped_repeats else f"ok:{skipped_repeats}-repeats-skipped",
+        skipped = repeats - len(scored)
+        status = "ok" if not skipped else f"ok:{skipped}-repeats-skipped"
+        results = {
+            name: metrics.aggregate([fn(s, y) for s, y in scored])
+            for name, fn in EVAL_METRICS.items()
         }
-        for name in metric_names:
-            agg = metrics.aggregate(collected[name])
-            row[f"{name}_mean"] = agg.mean
-            row[f"{name}_std"] = agg.std
-            row[f"{name}_se"] = agg.stderr
-            per_task_means[name].append(agg.mean)
-        rows.append(row)
+        rows.append((task.task_id, status, results))
 
-    if not evaluated:
+    per_task = [results for _, _, results in rows if results]
+    if not per_task:
         raise DataError("no task produced a scoreable episode")
-
-    overall = {"task_id": "ALL", "status": f"{evaluated}-tasks"}
-    for name in metric_names:
-        agg = metrics.aggregate(per_task_means[name])
-        overall[f"{name}_mean"] = agg.mean
-        overall[f"{name}_std"] = agg.std
-        overall[f"{name}_se"] = agg.stderr
-    rows.append(overall)
+    overall = {name: metrics.aggregate([r[name].mean for r in per_task]) for name in EVAL_METRICS}
+    rows.append(("ALL", f"{len(per_task)}-tasks", overall))
 
     with_spread = repeats > 1
     header = ["task_id", "protocol", "support_size", "repeats"]
-    for name in metric_names:
+    for name in EVAL_METRICS:
         header.append(f"{name}_mean")
         if with_spread:
             header += [f"{name}_std", f"{name}_se"]
     header.append("status")
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
-    for row in rows:
-        out = [row["task_id"], cfg.protocol.sampling, cfg.protocol.support_size, repeats]
-        for name in metric_names:
-            out.append(_fmt(row.get(f"{name}_mean")))
-            if with_spread:
-                out.append(_fmt(row.get(f"{name}_std")))
-                out.append(_fmt(row.get(f"{name}_se")))
-        out.append(row["status"])
+    for task_id, status, results in rows:
+        out = [task_id, cfg.protocol.sampling, cfg.protocol.support_size, repeats]
+        for name in EVAL_METRICS:
+            agg = results.get(name)
+            fields = (agg.mean, agg.std, agg.stderr) if agg else (None, None, None)
+            out += [_fmt(v) for v in (fields if with_spread else fields[:1])]
+        out.append(status)
         writer.writerow(out)
     return EXIT_OK
 
@@ -418,20 +365,14 @@ def cmd_predict(args) -> int:
     probs, layer_preds = finetune_and_predict_detailed(
         model, support, [g for _, g in good], cfg, seed=[seed, KEY_EVAL]
     )
-    by_smiles = {}
-    for (smiles, _), p in zip(good, probs[:, 0]):
-        by_smiles.setdefault(smiles, []).append(p)
-
+    scores = iter(probs[:, 0])
     writer = csv.writer(sys.stdout)
     writer.writerow(["smiles", "p_positive", "error"])
-    used: dict[str, int] = {}
     for smiles, graph_or_err in queries:
         if isinstance(graph_or_err, str):
             writer.writerow([smiles, "", graph_or_err])
         else:
-            i = used.get(smiles, 0)
-            used[smiles] = i + 1
-            writer.writerow([smiles, f"{by_smiles[smiles][i]:.6f}", ""])
+            writer.writerow([smiles, f"{next(scores):.6f}", ""])
     print(f"{len(good)} queries scored, {failed} failed to parse", file=sys.stderr)
 
     if args.attention_out:

@@ -38,6 +38,7 @@ __all__ = [
     "meta_train",
     "finetune_and_predict",
     "finetune_and_predict_detailed",
+    "score_task",
 ]
 
 log = logging.getLogger(__name__)
@@ -384,6 +385,9 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     if not tasks:
         raise EpisodeError("no train task can satisfy the episode protocol")
     tasks = sorted(tasks, key=lambda t: t.task_id)
+    valid = registry.split_tasks("valid") if cfg.train.early_stop else []
+    if valid and not any(can_sample(t, cfg.protocol) for t in valid):
+        raise EpisodeError("no valid task can satisfy the episode protocol")
 
     model = init_model(cfg)
     optimizer = make_optimizer(cfg.train.optimizer, cfg.train.meta_lr, cfg.train.weight_decay)
@@ -434,8 +438,8 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
             mean_outer_loss=total_loss / len(jobs),
             wall_seconds=time.perf_counter() - start,
         )
-        if cfg.train.early_stop and registry.split_tasks("valid"):
-            entry.val_metric = _validation_metric(model, registry, cfg, epoch)
+        if valid:
+            entry.val_metric = _validation_metric(model, valid, cfg, epoch)
             if entry.val_metric > best_val:
                 best_val = entry.val_metric
                 best_model = model
@@ -452,28 +456,58 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     return (model if best_model is None else best_model), logs
 
 
-def _validation_metric(model: ModelParams, registry: Registry, cfg: RunConfig, epoch: int) -> float:
-    """Mean query-set lift of the precision sweep over validation tasks."""
+def _validation_metric(
+    model: ModelParams, valid: list[TaskRecord], cfg: RunConfig, epoch: int
+) -> float:
+    """Mean query-set lift of the precision sweep over the validation
+    tasks, one ``score_task`` episode each."""
     scores = []
-    for i, task in enumerate(registry.split_tasks("valid")):
-        if not can_sample(task, cfg.protocol):
-            continue
-        try:
-            episode = sample_episode(task, cfg.protocol, [cfg.train.seed, KEY_EVAL, epoch, i])
-            probs = finetune_and_predict(
-                model,
-                episode.support,
-                [g for g, _ in episode.query],
-                cfg,
-                seed=[cfg.train.seed, KEY_EVAL, epoch, i, 1],
-            )
-            labels = [y for _, y in episode.query]
-            if len(set(labels)) < 2:
-                continue
-            scores.append(metrics.delta_auprc(probs[:, 0], labels))
-        except (EpisodeError, NumericalError):
-            continue
+    for i, task in enumerate(valid):
+        if can_sample(task, cfg.protocol):
+            seeds = [[cfg.train.seed, KEY_EVAL, epoch, i]]
+            scores += [metrics.delta_auprc(s, y) for s, y in score_task(model, task, cfg, seeds)]
     return float(np.mean(scores)) if scores else -np.inf
+
+
+def score_task(
+    model: ModelParams, task: TaskRecord, cfg: RunConfig, seeds
+) -> list[tuple[np.ndarray, list[int]]]:
+    """The evaluation protocol for one task: one episode per seed.
+
+    Episodes whose queries are all one class are dropped before any
+    work.  Theta is frozen, so every molecule the kept episodes use is
+    encoded once, in batches of at most one episode's size, and each
+    episode fine-tunes on its slice of those rows with ``seed + [1]``.
+    Returns (positive-class scores, query labels) per kept episode, in
+    seed order.
+    """
+    episodes = [(seed, sample_episode(task, cfg.protocol, seed)) for seed in seeds]
+    episodes = [(seed, e) for seed, e in episodes if len({y for _, y in e.query}) >= 2]
+    if not episodes:
+        return []
+    used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for _, e in episodes]))
+    graphs = [task.examples[i].graph for i in used]
+    batch = cfg.protocol.support_size + cfg.protocol.query_size
+    levels = np.concatenate(
+        [
+            encode_frozen(graphs[start : start + batch], model.encoder)
+            for start in range(0, len(graphs), batch)
+        ],
+        axis=1,
+    )
+    scored = []
+    for seed, episode in episodes:
+        picked = np.searchsorted(used, np.r_[episode.support_idx, episode.query_idx])
+        probs = finetune_and_predict(
+            model,
+            episode.support,
+            [g for g, _ in episode.query],
+            cfg,
+            seed=[*seed, 1],
+            embeddings=levels[:, picked],
+        )
+        scored.append((probs[:, 0], [y for _, y in episode.query]))
+    return scored
 
 
 def finetune_and_predict(
@@ -534,4 +568,6 @@ def finetune_and_predict_detailed(
         Tensor(labels.reshape(-1, 1)),
         adapted.w_tau.detach(),
     )
+    if not np.isfinite(probs.values).all():
+        raise NumericalError("finetune: non-finite prediction")
     return probs.values, layer_predictions(y_hat, attention)

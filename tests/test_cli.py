@@ -7,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from molmatch import cli, encoder
+from molmatch import cli, encoder, meta
 from molmatch.checkpoint import load_checkpoint, save_checkpoint
 from molmatch.cli import _save_model, main
 from molmatch.encoder import encode_multilevel
-from molmatch.episodes import load_registry
-from molmatch.meta import finetune_and_predict
+from molmatch.episodes import load_registry, sample_episode
+from molmatch.meta import NumericalError, finetune_and_predict
 from helpers import first_name_offset, poison_first_gradient
 from molmatch.config import RunConfig
 from molmatch.meta import init_model
@@ -89,6 +89,17 @@ def task_file_smiles(workspace, split, index):
     return [r["smiles"] for r in rows]
 
 
+def overflowing_checkpoint(tmp_path):
+    """A tiny checkpoint whose weights are all 1e30: finite as stored, but
+    the forward pass overflows."""
+    cfg = tiny_run_config()
+    model = init_model(cfg)
+    model = model.replace_values({k: np.full(t.shape, 1e30) for k, t in model.tensors().items()})
+    path = tmp_path / "overflow.ckpt"
+    _save_model(path, model, cfg, epoch=0)
+    return path
+
+
 class TestSynth:
     def test_layout_and_counts(self, workspace):
         data = workspace["data"]
@@ -127,6 +138,44 @@ class TestTrain:
         assert best_epoch + 1 < len(scores) < 20  # stopped, and after the best epoch
         assert load_checkpoint(ckpt)[1]["epoch"] == best_epoch + 1
         assert f"best validation after epoch {best_epoch + 1}" in capsys.readouterr().err
+
+    @staticmethod
+    def early_stop_run(tmp_path, valid_lines=None):
+        """Synthetic data with a valid split, optionally cut to its first
+        ``valid_lines`` examples, and an early-stopping config."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--train", "3", "--valid", "1", "--test", "0",
+                     "--molecules", "12", "--seed", "0"]) == 0
+        if valid_lines is not None:
+            (task,) = (data / "valid").glob("*.jsonl")
+            task.write_text("".join(task.read_text().splitlines(True)[:valid_lines]))
+        config = tmp_path / "stop.cfg"
+        config.write_text(
+            TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 30\nearly_stop = true\npatience = 3"),
+            encoding="utf-8",
+        )
+        return ["train", "--config", str(config), "--data", str(data),
+                "--out", str(tmp_path / "m.ckpt")]
+
+    def test_no_usable_validation_task_is_data_error(self, tmp_path, capsys):
+        argv = self.early_stop_run(tmp_path, valid_lines=3)  # cannot field a 4-example support
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "no valid task can satisfy" in one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stop.cfg"]
+
+    def test_numerical_error_while_validating_is_numerical_abort(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        argv = self.early_stop_run(tmp_path)
+        capsys.readouterr()
+
+        def overflowing(*args, **kwargs):
+            raise NumericalError("finetune: non-finite prediction")
+
+        monkeypatch.setattr(meta, "finetune_and_predict", overflowing)
+        assert main(argv) == 4
+        assert one_error_line(capsys) == "numerical abort: finetune: non-finite prediction"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stop.cfg"]
 
     def test_retraining_is_byte_identical(self, workspace, tmp_path):
         again = tmp_path / "again.ckpt"
@@ -319,7 +368,7 @@ class TestEval:
             worst.append(float(np.max(np.abs(cached - encoded))))
             return cached
 
-        monkeypatch.setattr(cli, "finetune_and_predict", checked)
+        monkeypatch.setattr(meta, "finetune_and_predict", checked)
         root = {"data": workspace["data"], "large_data": large_tasks}[data]
         assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(root)]) == 0
         capsys.readouterr()
@@ -356,7 +405,7 @@ class TestEval:
                                                key=lambda t: t.task_id)):
             used = set()
             for rep in range(cfg.protocol.eval_repeats):
-                episode = cli.sample_episode(task, cfg.protocol, cli._eval_seed(cfg.train.seed, task_idx, rep))
+                episode = sample_episode(task, cfg.protocol, cli._eval_seed(cfg.train.seed, task_idx, rep))
                 used.update(np.r_[episode.support_idx, episode.query_idx].tolist())
             assert len(used) < len(task.examples)  # tasks outgrow the episodes
             expected += [task.examples[i].graph.source_smiles for i in used]
@@ -367,17 +416,23 @@ class TestEval:
         assert max(len(b) for b in batches) <= batch_cap
 
     def test_nan_checkpoint_is_numerical_abort(self, workspace, tmp_path, capsys):
-        # every weight 1e30 is finite as stored, but the forward pass
-        # overflows and the attention softmax turns inf into NaN
-        cfg = tiny_run_config()
-        model = init_model(cfg)
-        model = model.replace_values({k: np.full(t.shape, 1e30) for k, t in model.tensors().items()})
-        poisoned = tmp_path / "nan.ckpt"
-        _save_model(poisoned, model, cfg, epoch=0)
+        # the attention softmax turns the overflow into NaN inner losses
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["eval", "--ckpt", str(poisoned), "--data", str(workspace["data"])])
+            code = main(["eval", "--ckpt", str(overflowing_checkpoint(tmp_path)),
+                         "--data", str(workspace["data"])])
         assert code == 4
         assert "non-finite inner loss" in capsys.readouterr().err
+
+    def test_non_finite_prediction_is_numerical_abort(self, workspace, tmp_path, capsys):
+        # a one-per-class support leaves no adaptation queries, so only the
+        # prediction itself can show the overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["eval", "--ckpt", str(overflowing_checkpoint(tmp_path)),
+                         "--data", str(workspace["data"]), "--support-size", "2", "--repeats", "2"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical abort: finetune: non-finite prediction\n"
 
     def test_nonfinite_gradient_is_numerical_abort(self, workspace, tmp_path, monkeypatch, capsys):
         poison_first_gradient(monkeypatch)
@@ -489,6 +544,24 @@ class TestPredict:
                      "--query", str(query)]) == 3
         line = one_error_line(capsys)
         assert line.startswith("data error: ") and "'matcher.wq0' holds non-finite" in line
+
+    def test_non_finite_prediction_is_numerical_abort(self, workspace, tmp_path, capsys):
+        support = tmp_path / "support.jsonl"
+        lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()
+        labels = [json.loads(line)["label"] for line in lines]
+        support.write_text(lines[labels.index(0)] + "\n" + lines[labels.index(1)] + "\n",
+                           encoding="utf-8")
+        query = tmp_path / "query.txt"
+        query.write_text("CCO\nCCN\n", encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["predict", "--ckpt", str(overflowing_checkpoint(tmp_path)),
+                         "--support", str(support), "--query", str(query),
+                         "--attention-out", str(tmp_path / "attn.csv")])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical abort: finetune: non-finite prediction\n"
+        assert not (tmp_path / "attn.csv").exists()
 
     def test_single_class_support_warns(self, workspace, tmp_path, capsys):
         lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()

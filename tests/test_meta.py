@@ -16,6 +16,7 @@ from molmatch.meta import (
     init_model,
     inner_adapt,
     meta_train,
+    score_task,
     split_support,
 )
 from molmatch.tensor import backward
@@ -397,6 +398,40 @@ class TestMetaTrain:
         for name, t in plain.tensors().items():
             assert stopped.tensors()[name].values.tobytes() == t.values.tobytes(), name
 
+    def test_early_stopping_without_validation_tasks_is_off(self):
+        _, logs = meta_train(self.registry(), tiny_cfg(meta_lr=0.0, early_stop=True, patience=1))
+        assert [entry.val_metric for entry in logs] == [None, None]
+
+    def test_early_stopping_with_no_usable_validation_task_raises(self):
+        cfg = tiny_cfg(early_stop=True)
+        cfg.protocol.support_size = 20
+        registry = make_registry([chain_task("a", 30, 12)], valid=[chain_task("v", 8, 4)])
+        with pytest.raises(EpisodeError, match="no valid task can satisfy"):
+            meta_train(registry, cfg)
+
+    def test_single_class_validation_queries_are_never_finetuned(self, monkeypatch):
+        # the balanced 4-example support takes both positives of "v", so
+        # every query is negative
+        calls = []
+        real = meta.finetune_and_predict
+        monkeypatch.setattr(
+            meta, "finetune_and_predict", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 2)])
+        cfg = tiny_cfg(meta_lr=0.0, early_stop=True, patience=2, max_epochs=30)
+        _, logs = meta_train(registry, cfg)
+        assert [entry.val_metric for entry in logs] == [-np.inf] * 2
+        assert calls == []
+
+    def test_numerical_error_while_validating_propagates(self, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise NumericalError("finetune: non-finite prediction")
+
+        monkeypatch.setattr(meta, "finetune_and_predict", overflowing)
+        registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 5)])
+        with pytest.raises(NumericalError, match="non-finite prediction"):
+            meta_train(registry, tiny_cfg(early_stop=True))
+
     def test_nonfinite_outer_gradient_raises(self, monkeypatch):
         # no inner steps, so the outer step's sweep is the only one
         poison_first_gradient(monkeypatch)
@@ -501,3 +536,54 @@ class TestFinetuneAndPredict:
             finetune_and_predict(self.model, [], self.query_graphs, self.cfg, seed=0)
         with pytest.raises(ValueError, match="empty query"):
             finetune_and_predict(self.model, self.support_set, [], self.cfg, seed=0)
+
+    def test_non_finite_prediction_raises(self):
+        # weights of 1e30 are finite but overflow the forward pass; one
+        # example per class leaves no adaptation queries, so the inner
+        # loop's loss check never runs
+        model = self.model.replace_values(
+            {k: np.full(t.shape, 1e30) for k, t in self.model.tensors().items()}
+        )
+        support = [self.support_set[0], self.support_set[-1]]
+        assert sorted(y for _, y in support) == [0, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="finetune: non-finite prediction"):
+                finetune_and_predict(model, support, self.query_graphs, self.cfg, seed=0)
+
+
+class TestScoreTask:
+    def setup_method(self):
+        self.cfg = tiny_cfg()
+        self.model = init_model(self.cfg)
+        self.task = chain_task("t", 30, 12)  # more molecules than one episode uses
+        self.seeds = [[5, meta.KEY_EVAL, 0, rep] for rep in range(3)]
+
+    def test_molecules_encoded_once_and_scores_match_graph_path(self, monkeypatch):
+        batches = []
+
+        def counting(graphs, params, **kwargs):
+            batches.append(list(graphs))
+            return encode_multilevel(graphs, params, **kwargs)
+
+        monkeypatch.setattr(encoder, "encode_multilevel", counting)
+        scored = score_task(self.model, self.task, self.cfg, self.seeds)
+        monkeypatch.undo()
+        seen = sum(batches, [])
+        assert len({id(g) for g in seen}) == len(seen)
+        assert max(len(b) for b in batches) <= 4 + 8
+        assert len(scored) == len(self.seeds)
+        used = set()
+        for seed, (scores, labels) in zip(self.seeds, scored):
+            episode = sample_episode(self.task, self.cfg.protocol, seed)
+            used.update(np.r_[episode.support_idx, episode.query_idx].tolist())
+            assert labels == [y for _, y in episode.query]
+            probs = finetune_and_predict(
+                self.model, episode.support, [g for g, _ in episode.query], self.cfg, seed + [1]
+            )
+            np.testing.assert_allclose(scores, probs[:, 0], rtol=0, atol=1e-12)
+        assert sorted(id(g) for g in seen) == sorted(id(self.task.examples[i].graph) for i in used)
+
+    def test_single_class_episodes_are_dropped_before_encoding(self, monkeypatch):
+        task = chain_task("v", 10, 2)  # the balanced support takes both positives
+        monkeypatch.setattr(encoder, "encode_multilevel", None)  # any call fails
+        assert score_task(self.model, task, self.cfg, self.seeds) == []
