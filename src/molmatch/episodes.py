@@ -30,6 +30,7 @@ __all__ = [
     "load_registry",
     "write_registry",
     "can_sample",
+    "can_query_both_classes",
     "sample_episode",
     "sample_episode_balanced",
     "sample_episode_unbalanced",
@@ -211,6 +212,28 @@ def _protocol_error(task: TaskRecord, sampling: str, support_size: int) -> str |
 def can_sample(task: TaskRecord, protocol: ProtocolConfig) -> bool:
     """Whether ``sample_episode(task, protocol, seed)`` returns an episode."""
     return _protocol_error(task, protocol.sampling, protocol.support_size) is None
+
+
+def can_query_both_classes(task: TaskRecord, protocol: ProtocolConfig) -> bool:
+    """Whether some seed gives ``sample_episode(task, protocol, seed)`` a
+    query set holding both classes.
+
+    That takes a support the sampler can draw that leaves an example of
+    each class over, and room for two queries.  A balanced support takes
+    ``support_size / 2`` of each class.  An unbalanced support holds one
+    of each class present, except that a support of one always ends as a
+    positive (the sampler's swaps force the negative in, then the
+    positive over it); beyond that any class mix can be drawn.
+    """
+    if not can_sample(task, protocol) or protocol.query_size < 2:
+        return False
+    neg, pos = task.class_counts()
+    size = protocol.support_size
+    if protocol.sampling == "balanced":
+        return min(neg, pos) > size // 2
+    if size == 1:
+        return neg >= 1 and pos >= 2
+    return min(neg, pos) >= 2 and size <= neg + pos - 2
 
 
 def sample_episode(task: TaskRecord, protocol: ProtocolConfig, seed) -> Episode:

@@ -6,14 +6,17 @@ label estimate as the attention-weighted mean of the support labels.
 The per-layer estimates are fused by a learned affine map to two-class
 probabilities.  Class index 0 is the positive class throughout.
 
-All layers are matched in one pass over [L, n, d] stacks of their
-embeddings (``match_levels``), so a match records the same handful of
-autodiff nodes whatever the depth.
+The whole block -- projections, scaled scores, row softmax, label
+read-out, fusion and the final softmax -- is one autodiff op,
+``tensor.attention_match``, over [E, L, n, d] stacks of E episodes'
+embeddings.  ``match_levels`` is its single-episode call: a match
+records one op node (plus the reshapes that add the episode axis)
+whatever the depth, and the inner loop adapts many episodes of a task
+in one stacked call per step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +24,7 @@ import numpy as np
 from .encoder import EncoderParams, encode_multilevel
 from .params import Params, uniform_init
 from .smiles import MolGraph
-from .tensor import (
-    Tensor,
-    add,
-    batched_matmul,
-    dropout,
-    gather_rows,
-    matmul,
-    reshape,
-    scale,
-    softmax_rows,
-    stack,
-    transpose,
-)
+from .tensor import Tensor, attention_match, gather_rows, reshape
 
 __all__ = [
     "MatchParams",
@@ -59,7 +50,9 @@ class MatchParams(Params):
     ``wq``/``wk`` hold a single shared projection pair by default; with
     ``share_qk=False`` at init they hold one pair per encoder layer.
     ``bias`` can be frozen at zero to keep the fusion map strictly
-    linear.
+    linear.  The inner loop keeps E episodes' weights in one MatchParams
+    whose tensors carry a leading episode axis, for ``attention_match``;
+    ``n_layers`` then reads E.
     """
 
     @property
@@ -136,15 +129,18 @@ def match_levels(
     *,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Match at every layer and combine the layers, all in one stacked pass.
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Match at every layer and combine the layers: one ``attention_match``
+    call on a single episode.
 
     ``z_query`` [L, n_query, d] and ``z_support`` [L, n_support, d]
     stack the layers' embeddings.  Returns the fused [n_query, 2]
-    probabilities, the label estimates [L, n_query, 1] and the attention
-    [L, n_query, n_support]; ``layer_predictions`` splits the last two.
-    Dropout with ``dropout_rate`` applies to the attention and to the
-    fusion input when the rate is above 0.
+    probabilities, and as constants the label estimates
+    [L, n_query, 1] and the attention [L, n_query, n_support];
+    ``layer_predictions`` splits the last two.  Dropout with
+    ``dropout_rate`` applies to the attention and to the fusion input
+    when the rate is above 0; the attention's mask is drawn from ``rng``
+    before the fusion input's.
     """
     n_layers, n_query, d = z_query.shape
     n_support = z_support.shape[1]
@@ -156,48 +152,34 @@ def match_levels(
         raise ValueError(f"match: query width {d} != support width {z_support.shape[2]}")
     if y_support.shape != (n_support, 1):
         raise ValueError(f"match: y_support must be [{n_support}, 1]")
-    if params.shared_qk:
-        wq, wk = params.qk(0)
-    else:
-        wq, wk = stack(params.wq), stack(params.wk)
-    # scaled dot-product attention of the queries over the support labels
-    scores = scale(
-        batched_matmul(
-            batched_matmul(z_query, wq), batched_matmul(z_support, wk), transpose_b=True
-        ),
-        1.0 / math.sqrt(d),
-    )
-    attention = reshape(
-        softmax_rows(reshape(scores, (n_layers * n_query, n_support))),
-        (n_layers, n_query, n_support),
-    )
-    used = attention
+    keep = None
     if dropout_rate > 0.0:
-        # one [L, n_query, n_support] draw takes the generator's values in
-        # the same order as L successive per-layer draws
-        used = dropout(attention, dropout_rate, rng)
-    y_hat = batched_matmul(used, y_support)
-    if used is attention:
-        # A convex combination of the labels lies in their hull exactly,
-        # but softmax rows only sum to 1 up to rounding, so the product
-        # can spill one ulp past the boundary.  Snap it back.  Dropout
-        # rescaling leaves the simplex, so the dropout path is exempt.
-        np.clip(y_hat.values, y_support.values.min(), y_support.values.max(), out=y_hat.values)
-    # combine the [n_query, L] label estimates into [n_query, 2] probabilities
-    joint = transpose(reshape(y_hat, (n_layers, n_query)))
-    if dropout_rate > 0.0:
-        joint = dropout(joint, dropout_rate, rng)
-    probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
-    return probs, y_hat, attention
+        # inverted-scaling factors, drawn as tensor.dropout draws them
+        keep = tuple(
+            (rng.random(shape) >= dropout_rate) / (1.0 - dropout_rate)
+            for shape in ((1, n_layers, n_query, n_support), (1, n_query, n_layers))
+        )
+
+    def one(t: Tensor) -> Tensor:  # add the episode axis
+        return reshape(t, (1, *t.shape))
+
+    probs, y_hat, attention = attention_match(
+        one(z_query),
+        one(z_support),
+        y_support.values[None],
+        [one(w) for w in params.wq],
+        [one(w) for w in params.wk],
+        one(params.wo),
+        one(params.bias),
+        keep,
+    )
+    return reshape(probs, (n_query, 2)), y_hat[0], attention[0]
 
 
-def layer_predictions(y_hat: Tensor, attention: Tensor) -> list[LayerPrediction]:
-    """Per-layer views of ``match_levels``' stacked outputs, detached from
-    the graph."""
-    return [
-        LayerPrediction(y_hat=Tensor(y), attention=Tensor(a))
-        for y, a in zip(y_hat.values, attention.values)
-    ]
+def layer_predictions(y_hat: np.ndarray, attention: np.ndarray) -> list[LayerPrediction]:
+    """Per-layer views of ``match_levels``' stacked label estimates
+    [L, n_query, 1] and attention [L, n_query, n_support]."""
+    return [LayerPrediction(y_hat=Tensor(y), attention=Tensor(a)) for y, a in zip(y_hat, attention)]
 
 
 def predict_detailed(

@@ -20,11 +20,18 @@ import numpy as np
 from . import metrics
 from .config import RunConfig, TrainConfig
 from .encoder import EncoderParams, encode_frozen, encode_multilevel
-from .episodes import EpisodeError, Registry, TaskRecord, can_sample, sample_episode
-from .matcher import MatchParams, layer_predictions, match_levels, predict_detailed
+from .episodes import (
+    EpisodeError,
+    Registry,
+    TaskRecord,
+    can_query_both_classes,
+    can_sample,
+    sample_episode,
+)
+from .matcher import MatchParams, layer_predictions, predict_detailed
 from .params import Params
 from .smiles import MolGraph
-from .tensor import Tensor, backward, cross_entropy
+from .tensor import Tensor, attention_match, backward, cross_entropy, sum_all
 
 __all__ = [
     "NumericalError",
@@ -130,8 +137,9 @@ def init_model(cfg: RunConfig) -> ModelParams:
 
 
 def _onehot(labels) -> Tensor:
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    return Tensor(np.stack([y, 1.0 - y], axis=1))
+    """[..., 2] one-hot rows for 0/1 labels, class 0 (positive) first."""
+    y = np.asarray(labels, dtype=np.float64)
+    return Tensor(np.stack([y, 1.0 - y], axis=-1))
 
 
 def split_support(examples: list, fraction: float, seed) -> tuple[list, list]:
@@ -224,9 +232,10 @@ def episode_loss(
     return cross_entropy(probs, _onehot([y for _, y in query]))
 
 
-def _rows(stacked: np.ndarray, rows) -> Tensor:
-    """Rows of every layer of a frozen [L, n, d] stack, as one leaf."""
-    return Tensor(np.ascontiguousarray(stacked[:, rows]))
+def _rows(stacked: np.ndarray, rows: np.ndarray) -> Tensor:
+    """Rows of every layer of a frozen [L, n, d] stack for E episodes:
+    ``rows`` is [E, k] and the leaf [E, L, k, d]."""
+    return Tensor(np.ascontiguousarray(np.swapaxes(stacked[:, rows], 0, 1)))
 
 
 def inner_adapt(
@@ -256,64 +265,104 @@ def inner_adapt(
         embeddings = encode_frozen([g for g, _ in pairs], encoder_params)
     elif embeddings.shape[1] != len(pairs):
         raise ValueError(f"inner_adapt: embeddings must have {len(pairs)} rows")
-    return _adapt_on_rows(
+    (adapted,) = _adapt_on_rows(
         match_params,
         embeddings,
         np.asarray([y for _, y in pairs], dtype=np.float64),
-        np.arange(n_s),
-        np.arange(n_s, len(pairs)),
+        np.arange(n_s)[None],
+        np.arange(n_s, len(pairs))[None],
         cfg,
         task_id,
     )
+    if isinstance(adapted, NumericalError):
+        raise adapted
+    return adapted
 
 
 def _adapt_on_rows(
     match_params: MatchParams,
     stacked: np.ndarray,
     labels: np.ndarray,
-    support_rows,
-    query_rows,
+    support_rows: np.ndarray,
+    query_rows: np.ndarray,
     cfg: TrainConfig,
     task_id: str,
-) -> AdaptedParams:
-    """The inner loop of ``inner_adapt`` on precomputed frozen embeddings:
-    ``stacked[l, r]`` is row r's layer-l embedding and ``labels[r]`` its
-    label.  Support and query rows are sliced once; every step matches
-    all layers in one stacked pass."""
-    w_tau = match_params.clone(requires_grad=True)
-    history: list[float] = []
-    if not len(query_rows):
+) -> list[AdaptedParams | NumericalError]:
+    """The inner loop of ``inner_adapt`` for E episodes at once, on
+    precomputed frozen embeddings: ``stacked[l, r]`` is row r's layer-l
+    embedding and ``labels[r]`` its label, and episode e adapts on the
+    rows ``support_rows[e]`` with the queries ``query_rows[e]`` ([E, k]
+    index arrays).
+
+    Every tensor of w gets a leading episode axis.  A step is one
+    ``attention_match`` call and one backward sweep over the summed
+    episode losses; the episodes share no term, so each episode's
+    weights receive exactly the gradient, and take exactly the steps,
+    that adapting it alone gives.  An episode whose loss or gradient goes
+    non-finite leaves the stack, and its entry in the result is the
+    NumericalError adapting it alone raises.
+    """
+    n_eps = len(support_rows)
+    if not query_rows.shape[1]:
         log.debug("task %s: no adaptation queries; skipping inner loop", task_id)
-        return AdaptedParams(w_tau, task_id, float("nan"), history)
-
-    z_support = _rows(stacked, support_rows)
-    z_query = _rows(stacked, query_rows)
-    y_s = Tensor(labels[support_rows].reshape(-1, 1))
+        return [
+            AdaptedParams(match_params.clone(requires_grad=True), task_id, float("nan"), [])
+            for _ in range(n_eps)
+        ]
+    named = match_params.tensors()
+    trainable = {name for name, t in named.items() if t.requires_grad}
+    w = {name: np.repeat(t.values[None], n_eps, axis=0) for name, t in named.items()}
+    z_support, z_query = _rows(stacked, support_rows), _rows(stacked, query_rows)
+    y_s = labels[support_rows][..., None]
     target = _onehot(labels[query_rows])
+    live = np.arange(n_eps)  # the episodes still in the stack, in order
+    histories: list[list[float]] = [[] for _ in range(n_eps)]
+    failed: dict[int, NumericalError] = {}
 
-    def loss_of(w: MatchParams) -> Tensor:
-        probs, _, _ = match_levels(z_query, z_support, y_s, w)
-        return cross_entropy(probs, target)
-
-    for _ in range(cfg.inner_steps):
-        loss = loss_of(w_tau)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericalError(f"task {task_id}: non-finite inner loss {value}")
-        history.append(value)
-        gmap = _named_grads(loss, w_tau, task_id)
-        if cfg.alpha == 0.0:
-            w_tau = w_tau.replace_values({})
-            continue
-        w_tau = w_tau.replace_values(
-            {name: w_tau[name].values - cfg.alpha * g for name, g in gmap.items()}
+    for step in range(cfg.inner_steps + 1):
+        leaves = MatchParams(
+            {name: Tensor(v, requires_grad=name in trainable) for name, v in w.items()}
         )
+        probs, _, _ = attention_match(
+            z_query, z_support, y_s, leaves.wq, leaves.wk, leaves.wo, leaves.bias
+        )
+        losses = cross_entropy(probs, target)
+        ok = np.isfinite(losses.values)
+        for i, value in enumerate(losses.values.tolist()):
+            if ok[i]:
+                histories[live[i]].append(value)
+            else:
+                failed[live[i]] = NumericalError(f"task {task_id}: non-finite inner loss {value}")
+        if step < cfg.inner_steps:
+            grads = backward(sum_all(losses), params=leaves.tensors().values(), write_grad=False)
+            for name, t in leaves.tensors().items():
+                if name not in trainable:
+                    continue
+                finite = np.isfinite(grads[t]).reshape(len(live), -1).all(axis=1)
+                for i in np.nonzero(ok & ~finite)[0]:
+                    failed[live[i]] = NumericalError(
+                        f"task {task_id}: non-finite gradient for {name}"
+                    )
+                ok &= finite
+                if cfg.alpha != 0.0:
+                    w[name] = w[name] - cfg.alpha * grads[t]
+        if not ok.all():
+            live, y_s = live[ok], y_s[ok]
+            z_support, z_query, target = (Tensor(t.values[ok]) for t in (z_support, z_query, target))
+            w = {name: v[ok] for name, v in w.items()}
+            if not live.size:
+                break
 
-    final = loss_of(w_tau).item()
-    if not np.isfinite(final):
-        raise NumericalError(f"task {task_id}: non-finite inner loss {final}")
-    history.append(final)
-    return AdaptedParams(w_tau, task_id, final, history)
+    position = {e: i for i, e in enumerate(live.tolist())}
+    return [
+        failed[e] if e in failed else AdaptedParams(
+            match_params.replace_values({name: v[position[e]] for name, v in w.items()}),
+            task_id,
+            histories[e][-1],
+            histories[e],
+        )
+        for e in range(n_eps)
+    ]
 
 
 def _outer_task_step(
@@ -386,8 +435,11 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
         raise EpisodeError("no train task can satisfy the episode protocol")
     tasks = sorted(tasks, key=lambda t: t.task_id)
     valid = registry.split_tasks("valid") if cfg.train.early_stop else []
-    if valid and not any(can_sample(t, cfg.protocol) for t in valid):
-        raise EpisodeError("no valid task can satisfy the episode protocol")
+    if valid and not any(can_query_both_classes(t, cfg.protocol) for t in valid):
+        # validation would score no episode, so early stopping would stop blind
+        raise EpisodeError(
+            "no valid task can satisfy the episode protocol with both classes in its queries"
+        )
 
     model = init_model(cfg)
     optimizer = make_optimizer(cfg.train.optimizer, cfg.train.meta_lr, cfg.train.weight_decay)
@@ -477,9 +529,11 @@ def score_task(
     Episodes whose queries are all one class are dropped before any
     work.  Theta is frozen, so every molecule the kept episodes use is
     encoded once, in batches of at most one episode's size, and each
-    episode fine-tunes on its slice of those rows with ``seed + [1]``.
-    Returns (positive-class scores, query labels) per kept episode, in
-    seed order.
+    episode fine-tunes on its slice of those rows with ``seed + [1]``;
+    episodes of one shape (all of them, under the balanced protocol)
+    fine-tune in one stacked pass.  Returns (positive-class scores, query
+    labels) per kept episode, in seed order; the first episode in seed
+    order whose fine-tune fails raises its NumericalError.
     """
     episodes = [(seed, sample_episode(task, cfg.protocol, seed)) for seed in seeds]
     episodes = [(seed, e) for seed, e in episodes if len({y for _, y in e.query}) >= 2]
@@ -495,19 +549,92 @@ def score_task(
         ],
         axis=1,
     )
+    labels = np.asarray([task.examples[i].label for i in used], dtype=np.float64)
+    results = _finetune_rows(
+        model.matcher,
+        levels,
+        labels,
+        [np.searchsorted(used, e.support_idx) for _, e in episodes],
+        [np.searchsorted(used, e.query_idx) for _, e in episodes],
+        cfg,
+        [[*seed, 1] for seed, _ in episodes],
+    )
     scored = []
-    for seed, episode in episodes:
-        picked = np.searchsorted(used, np.r_[episode.support_idx, episode.query_idx])
-        probs = finetune_and_predict(
-            model,
-            episode.support,
-            [g for g, _ in episode.query],
-            cfg,
-            seed=[*seed, 1],
-            embeddings=levels[:, picked],
-        )
-        scored.append((probs[:, 0], [y for _, y in episode.query]))
+    for (_, episode), result in zip(episodes, results):
+        if isinstance(result, NumericalError):
+            raise result
+        scored.append((result[0][:, 0], [y for _, y in episode.query]))
     return scored
+
+
+def _finetune_rows(
+    match_params: MatchParams,
+    stacked: np.ndarray,
+    labels: np.ndarray,
+    support_rows: list[np.ndarray],
+    query_rows: list[np.ndarray],
+    cfg: RunConfig,
+    seeds,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | NumericalError]:
+    """Fine-tune and predict E episodes on the rows of one frozen
+    [L, n, d] stack.
+
+    Episode e's labelled set is the rows ``support_rows[e]``, labelled
+    ``labels[r]``, and its queries are the rows ``query_rows[e]``.  It
+    adapts w on the split ``seeds[e]`` makes of its labelled set, then
+    predicts its queries with the whole labelled set as attention
+    support.  Episodes whose labelled set, split and query set have the
+    same sizes adapt and predict in one stacked pass.  Returns per
+    episode its (probabilities [n_q, 2], label estimates [L, n_q, 1],
+    attention [L, n_q, n_s]) or the NumericalError fine-tuning it alone
+    raises.
+    """
+    splits = [
+        _split_rows(labels[rows], cfg.train.support_split_fraction, seed)
+        for rows, seed in zip(support_rows, seeds)
+    ]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for e, (s_fine, q_fine) in enumerate(splits):
+        key = (len(support_rows[e]), len(s_fine), len(q_fine), len(query_rows[e]))
+        groups.setdefault(key, []).append(e)
+    results: list = [None] * len(seeds)
+    for members in groups.values():
+        fine_support, fine_query = (
+            np.array([support_rows[e][splits[e][side]] for e in members]) for side in (0, 1)
+        )
+        adapted = _adapt_on_rows(
+            match_params, stacked, labels, fine_support, fine_query, cfg.train, "finetune"
+        )
+        done = []
+        for e, a in zip(members, adapted):
+            if isinstance(a, NumericalError):
+                results[e] = a
+            else:
+                done.append((e, a.w_tau))
+        if not done:
+            continue
+        w = MatchParams({
+            name: Tensor(np.stack([w_tau[name].values for _, w_tau in done]))
+            for name in match_params.tensors()
+        })
+        support = np.array([support_rows[e] for e, _ in done])
+        probs, y_hat, attention = attention_match(
+            _rows(stacked, np.array([query_rows[e] for e, _ in done])),
+            _rows(stacked, support),
+            labels[support][..., None],
+            w.wq,
+            w.wk,
+            w.wo,
+            w.bias,
+        )
+        for i, (e, _) in enumerate(done):
+            finite = np.isfinite(probs.values[i]).all()
+            results[e] = (
+                (probs.values[i], y_hat[i], attention[i])
+                if finite
+                else NumericalError("finetune: non-finite prediction")
+            )
+    return results
 
 
 def finetune_and_predict(
@@ -557,17 +684,16 @@ def finetune_and_predict_detailed(
         embeddings = encode_frozen([g for g, _ in support_set] + list(query_graphs), model.encoder)
     elif embeddings.shape[1] != n_rows:
         raise ValueError(f"finetune_and_predict: embeddings must have {n_rows} rows")
-    labels = np.asarray([y for _, y in support_set], dtype=np.float64)
-    s_fine, q_fine = _split_rows(labels, cfg.train.support_split_fraction, seed)
-    adapted = _adapt_on_rows(
-        model.matcher, embeddings, labels, s_fine, q_fine, cfg.train, task_id="finetune"
+    (result,) = _finetune_rows(
+        model.matcher,
+        embeddings,
+        np.asarray([y for _, y in support_set], dtype=np.float64),
+        [np.arange(n_s)],
+        [np.arange(n_s, n_rows)],
+        cfg,
+        [seed],
     )
-    probs, y_hat, attention = match_levels(
-        _rows(embeddings, slice(n_s, n_rows)),
-        _rows(embeddings, slice(0, n_s)),
-        Tensor(labels.reshape(-1, 1)),
-        adapted.w_tau.detach(),
-    )
-    if not np.isfinite(probs.values).all():
-        raise NumericalError("finetune: non-finite prediction")
-    return probs.values, layer_predictions(y_hat, attention)
+    if isinstance(result, NumericalError):
+        raise result
+    probs, y_hat, attention = result
+    return probs, layer_predictions(y_hat, attention)

@@ -3,9 +3,9 @@
 Only the operations the matching model actually needs: matrix products
 (single and stacked), reshapes and stacking, row softmax, segment means,
 gathers/scatters, elementwise arithmetic, ReLU, column concatenation,
-inverted-scaling dropout, a summed cross-entropy and one fused GIN
-layer.  Op functions build the graph implicitly; ``backward`` replays it
-once in reverse topological order.
+inverted-scaling dropout, a summed cross-entropy, one fused GIN layer
+and one fused attention-match block.  Op functions build the graph
+implicitly; ``backward`` replays it once in reverse topological order.
 
 Tensors are treated as immutable once created (the ``grad`` slot is the
 one exception), so parameter updates always construct fresh tensors and
@@ -36,6 +36,7 @@ __all__ = [
     "gather_rows",
     "scatter_add_rows",
     "gin_conv",
+    "attention_match",
     "concat_cols",
     "cross_entropy",
     "sum_all",
@@ -471,6 +472,142 @@ def gin_conv(
     return _make(out, (h, eps, bond_embed, w1, b1, w2, b2), vjp)
 
 
+def attention_match(
+    z_query: Tensor,
+    z_support: Tensor,
+    y_support: np.ndarray,
+    wq: Sequence[Tensor],
+    wk: Sequence[Tensor],
+    wo: Tensor,
+    bias: Tensor,
+    keep: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Attention matching at every layer and the fusion of the layers, for
+    E episodes at once, as a single op.
+
+    ``z_query`` [E, L, n_q, d] and ``z_support`` [E, L, n_s, d] stack each
+    episode's per-layer embeddings; ``y_support`` [E, n_s, 1] holds its
+    support labels, a constant.  The projections ``wq``/``wk`` are one
+    [E, d, d] tensor shared by the layers, or L of them, one per layer;
+    ``wo`` is [E, L, 2] and ``bias`` [E, 2].  Per episode and layer the
+    attention is ``softmax_rows((z_q wq)(z_s wk)^T / sqrt(d))`` and the
+    label estimate ``attention @ y_support``, clipped to the labels'
+    hull; the [n_q, L] estimates are fused to ``softmax_rows(. @ wo +
+    bias)``.  ``keep`` holds dropout factors (1 / (1 - rate) where kept,
+    0 where dropped), [E, L, n_q, n_s] for the attention and [E, n_q, L]
+    for the fusion input; with dropout the hull clip is off.
+
+    Returns the probabilities [E, n_q, 2] and, as constants, the label
+    estimates [E, L, n_q, 1] and the pre-dropout attention
+    [E, L, n_q, n_s].  Every product is a numpy stacked matmul whose
+    per-episode operands have the shapes and layouts of the composition
+    of batched_matmul/scale/softmax_rows/dropout/transpose/matmul/add, so
+    each episode's values and gradients are bit-identical to that
+    composition's on the episode alone.  The VJP computes only the
+    gradients of inputs that require one.
+    """
+    zq, zs = z_query.values, z_support.values
+    n_eps, n_layers, n_q, d = zq.shape if zq.ndim == 4 else (-1, -1, -1, -1)
+    n_s = zs.shape[2] if zs.ndim == 4 else -1
+    shared = len(wq) == 1
+    w_shape = (n_eps, d, d)
+    if (
+        zs.shape != (n_eps, n_layers, n_s, d)
+        or n_s < 1
+        or y_support.shape != (n_eps, n_s, 1)
+        or len(wk) != len(wq)
+        or len(wq) not in (1, n_layers)
+        or any(w.values.shape != w_shape for w in (*wq, *wk))
+        or wo.values.shape != (n_eps, n_layers, 2)
+        or bias.values.shape != (n_eps, 2)
+        or (keep is not None and (
+            keep[0].shape != (n_eps, n_layers, n_q, n_s) or keep[1].shape != (n_eps, n_q, n_layers)
+        ))
+    ):
+        raise ValueError(
+            f"attention_match: incompatible shapes z_query {z_query.shape}, "
+            f"z_support {z_support.shape}, y_support {y_support.shape}, "
+            f"{len(wq)}+{len(wk)} projections, wo {wo.shape}, bias {bias.shape}"
+        )
+    c = 1.0 / math.sqrt(d)
+    wqv = wq[0].values if shared else np.stack([w.values for w in wq], axis=1)
+    wkv = wk[0].values if shared else np.stack([w.values for w in wk], axis=1)
+    if shared:
+        # one [L * n, d] @ [d, d] product per episode
+        q = np.matmul(zq.reshape(n_eps, -1, d), wqv).reshape(zq.shape)
+        k = np.matmul(zs.reshape(n_eps, -1, d), wkv).reshape(zs.shape)
+    else:
+        q, k = np.matmul(zq, wqv), np.matmul(zs, wkv)
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    scores = np.matmul(q, kt) * c
+    scores -= scores.max(axis=-1, keepdims=True)
+    attention = np.exp(scores)
+    attention /= attention.sum(axis=-1, keepdims=True)
+    used = attention if keep is None else attention * keep[0]
+    y_hat = np.matmul(used.reshape(n_eps, -1, n_s), y_support).reshape(n_eps, n_layers, n_q, 1)
+    if keep is None:
+        # A convex combination of the labels lies in their hull exactly,
+        # but softmax rows only sum to 1 up to rounding, so the product
+        # can spill one ulp past the boundary.  Snap it back.  Dropout
+        # rescaling leaves the simplex, so the dropout path is exempt.
+        hull = y_support.reshape(n_eps, -1)
+        np.clip(y_hat, hull.min(axis=1)[:, None, None, None], hull.max(axis=1)[:, None, None, None],
+                out=y_hat)
+    joint = np.ascontiguousarray(np.swapaxes(y_hat.reshape(n_eps, n_layers, n_q), 1, 2))
+    if keep is not None:
+        joint = joint * keep[1]
+    logits = np.matmul(joint, wo.values)
+    logits += bias.values[:, None, :]
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    need_q = z_query.requires_grad or any(w.requires_grad for w in wq)
+    need_k = z_support.requires_grad or any(w.requires_grad for w in wk)
+
+    def projection_grads(g, z, w, ws, need_z):
+        """Gradients of the projection ``z @ w`` for the embeddings and
+        for each tensor in ``ws``."""
+        if shared:
+            z_rows, g_rows = z.reshape(n_eps, -1, d), g.reshape(n_eps, -1, d)
+            gz = np.matmul(g_rows, np.swapaxes(w, -1, -2)).reshape(z.shape) if need_z else None
+            gw = [np.matmul(np.swapaxes(z_rows, -1, -2), g_rows) if ws[0].requires_grad else None]
+            return gz, gw
+        gz = np.matmul(g, np.swapaxes(w, -1, -2)) if need_z else None
+        gw = [None] * n_layers
+        if any(t.requires_grad for t in ws):
+            per_layer = np.matmul(np.swapaxes(z, -1, -2), g)
+            gw = [per_layer[:, i] if t.requires_grad else None for i, t in enumerate(ws)]
+        return gz, gw
+
+    def vjp(g):
+        g_logits = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+        g_bias = g_logits.sum(axis=1) if bias.requires_grad else None
+        g_wo = np.matmul(np.swapaxes(joint, 1, 2), g_logits) if wo.requires_grad else None
+        g_zq = g_zs = None
+        g_wq, g_wk = [None] * len(wq), [None] * len(wk)
+        if need_q or need_k:
+            g_joint = np.matmul(g_logits, np.swapaxes(wo.values, 1, 2))
+            if keep is not None:
+                g_joint = g_joint * keep[1]
+            g_y = np.swapaxes(g_joint, 1, 2).reshape(n_eps, -1, 1)
+            g_att = np.matmul(g_y, np.swapaxes(y_support, 1, 2)).reshape(attention.shape)
+            if keep is not None:
+                g_att = g_att * keep[0]
+            g_scores = attention * (g_att - (g_att * attention).sum(axis=-1, keepdims=True))
+            g_scores *= c
+            if need_q:
+                g_q = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
+                g_zq, g_wq = projection_grads(g_q, zq, wqv, wq, z_query.requires_grad)
+            if need_k:
+                g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
+                g_zs, g_wk = projection_grads(g_k, zs, wkv, wk, z_support.requires_grad)
+        return (g_zq, g_zs, *g_wq, *g_wk, g_wo, g_bias)
+
+    out = _make(probs, (z_query, z_support, *wq, *wk, wo, bias), vjp)
+    return out, y_hat, attention
+
+
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate 2-d tensors along the last axis."""
     if not tensors:
@@ -492,25 +629,30 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
 def cross_entropy(pred: Tensor, onehot: Tensor) -> Tensor:
     """Summed cross-entropy between predicted rows and one-hot targets.
 
-    Targets must be exact two-class one-hot rows ([1,0] or [0,1]).  The
-    log argument is clamped below at ``LOG_CLAMP`` so zero probabilities
-    stay finite.
+    ``pred`` and ``onehot`` are [..., n, 2] and the sum runs over the last
+    two axes, so an [n, 2] pair gives a scalar and an [E, n, 2] stack of
+    episodes gives one loss per episode.  Targets must be exact two-class
+    one-hot rows ([1,0] or [0,1]).  The log argument is clamped below at
+    ``LOG_CLAMP`` so zero probabilities stay finite.
     """
     p, y = pred.values, onehot.values
-    if p.shape != y.shape or p.ndim != 2 or p.shape[1] != 2:
-        raise ValueError(f"cross_entropy: expected matching [n, 2] shapes, got {p.shape} and {y.shape}")
-    is_onehot = np.all((y == 0.0) | (y == 1.0), axis=1) & (y.sum(axis=1) == 1.0)
+    if p.shape != y.shape or p.ndim < 2 or p.shape[-1] != 2:
+        raise ValueError(
+            f"cross_entropy: expected matching [..., n, 2] shapes, got {p.shape} and {y.shape}"
+        )
+    rows = y.reshape(-1, 2)
+    is_onehot = np.all((rows == 0.0) | (rows == 1.0), axis=1) & (rows.sum(axis=1) == 1.0)
     if not np.all(is_onehot):
         bad = int(np.nonzero(~is_onehot)[0][0])
-        raise ValueError(f"cross_entropy: row {bad} of the target is not one-hot: {y[bad]}")
+        raise ValueError(f"cross_entropy: row {bad} of the target is not one-hot: {rows[bad]}")
     clamped = np.maximum(p, LOG_CLAMP)
-    out = float(-(y * np.log(clamped)).sum())
+    out = -(y * np.log(clamped)).reshape(*p.shape[:-2], -1).sum(axis=-1)
     live = p >= LOG_CLAMP  # below the clamp the log is flat
 
     def vjp(g):
-        return (g * np.where(live, -y / clamped, 0.0), None)
+        return (g[..., None, None] * np.where(live, -y / clamped, 0.0), None)
 
-    return _make(np.float64(out), (pred, onehot), vjp)
+    return _make(out, (pred, onehot), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -5,8 +5,9 @@ plain numpy or pure Python, deliberately avoiding the package's own
 code paths: central finite differences for gradients, O(n^2) pair
 counting for ranking metrics, permutation search for graph isomorphism,
 a dense eigendecomposition for PCA, per-tensor loops for the
-task-relation updates, a per-bond loop for the batched graph and the
-GIN layer as a composition of the ops criterion 1 checks one by one.
+task-relation updates, a per-bond loop for the batched graph, and the
+GIN layer and the attention block as compositions of the ops criterion 1
+checks one by one.
 """
 
 from __future__ import annotations
@@ -109,6 +110,84 @@ def match_per_layer(z_query, z_support, y_support, params, *, dropout_rate=0.0, 
         joint = dropout(joint, dropout_rate, rng)
     probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
     return probs, y_hats, attentions
+
+
+def match_levels_unfused(z_query, z_support, y_support, params, *, dropout_rate=0.0, rng=None):
+    """The attention block as a composition of stacked autodiff ops, the
+    reference for ``tensor.attention_match``: projections, scaled scores,
+    row softmax, label read-out with its hull clip, fusion and the final
+    softmax, one op each, on one episode's [L, n, d] stacks.  Dropout
+    draws the attention's mask, then the fusion input's, from ``rng``.
+    Returns (probs [n_query, 2], y_hat [L, n_query, 1], attention
+    [L, n_query, n_support]) as Tensors."""
+    from molmatch.tensor import (
+        add, batched_matmul, dropout, matmul, reshape, scale, softmax_rows, stack, transpose,
+    )
+
+    n_layers, n_query, d = z_query.shape
+    n_support = z_support.shape[1]
+    if params.shared_qk:
+        wq, wk = params.qk(0)
+    else:
+        wq, wk = stack(params.wq), stack(params.wk)
+    scores = scale(
+        batched_matmul(
+            batched_matmul(z_query, wq), batched_matmul(z_support, wk), transpose_b=True
+        ),
+        1.0 / np.sqrt(d),
+    )
+    attention = reshape(
+        softmax_rows(reshape(scores, (n_layers * n_query, n_support))),
+        (n_layers, n_query, n_support),
+    )
+    used = attention
+    if dropout_rate > 0.0:
+        used = dropout(attention, dropout_rate, rng)
+    y_hat = batched_matmul(used, y_support)
+    if used is attention:
+        np.clip(y_hat.values, y_support.values.min(), y_support.values.max(), out=y_hat.values)
+    joint = transpose(reshape(y_hat, (n_layers, n_query)))
+    if dropout_rate > 0.0:
+        joint = dropout(joint, dropout_rate, rng)
+    probs = softmax_rows(add(matmul(joint, params.wo), params.bias))
+    return probs, y_hat, attention
+
+
+def finetune_per_episode(matcher, levels, labels, fraction, seed, inner_steps, alpha):
+    """One episode's fine-tune and prediction on its own, through
+    ``match_levels_unfused``: split the labelled rows with
+    ``split_support``, take ``inner_steps`` gradient steps of size
+    ``alpha`` on the summed query cross-entropy, then match the queries
+    against every labelled row.  ``levels`` is the episode's [L, n, d]
+    stack, its first ``len(labels)`` rows labelled and the rest queries.
+    Returns the [n_query, 2] probabilities."""
+    from molmatch.meta import split_support
+    from molmatch.tensor import Tensor, backward, cross_entropy
+
+    n_s = len(labels)
+    fine_s, fine_q = split_support(list(enumerate(labels)), fraction, seed)
+
+    def rows(picked):
+        return Tensor(levels[:, [i for i, _ in picked]])
+
+    def column(picked):
+        return Tensor(np.array([[y] for _, y in picked], dtype=float))
+
+    w = matcher.clone()
+    if fine_q:
+        target = Tensor(np.array([[y, 1.0 - y] for _, y in fine_q], dtype=float))
+        for _ in range(inner_steps):
+            probs, _, _ = match_levels_unfused(rows(fine_q), rows(fine_s), column(fine_s), w)
+            named = w.tensors()
+            grads = backward(cross_entropy(probs, target), params=named.values(), write_grad=False)
+            w = w.replace_values({
+                name: t.values - alpha * grads[t] for name, t in named.items() if t.requires_grad
+            })
+    labelled = list(enumerate(labels))
+    probs, _, _ = match_levels_unfused(
+        Tensor(levels[:, n_s:]), rows(labelled), column(labelled), w.detach()
+    )
+    return probs.values
 
 
 def graph_batch_per_bond(graphs) -> dict:

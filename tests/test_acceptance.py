@@ -44,6 +44,7 @@ from molmatch.tensor import (
     SlotTable,
     Tensor,
     add,
+    attention_match,
     backward,
     batched_matmul,
     concat_cols,
@@ -212,6 +213,38 @@ def _op_cases(seed: int):
         lambda: sum_all(
             mul(gin_conv(gh, geps, gbe, gw1, gb1, gw2, gb2, bond_sums, by_dst, by_src), w15)
         ),
+    )
+
+    # two episodes, two layers, three queries against four support rows;
+    # both labels in every support, so the hull clip never binds
+    y_sup = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])[..., None]
+    zq, zs, wq, wk, wo, bias = tensors((2, 2, 3, 3), (2, 2, 4, 3), (2, 3, 3), (2, 3, 3), (2, 2, 2), (2, 2))
+    w16 = weight((2, 3, 2))
+    cases["attention_match"] = (
+        {"zq": zq, "zs": zs, "wq": wq, "wk": wk, "wo": wo, "bias": bias},
+        lambda: sum_all(mul(attention_match(zq, zs, y_sup, [wq], [wk], wo, bias)[0], w16)),
+    )
+
+    # per-layer projections, a frozen bias and dropout keep-factors
+    pq, ps, pwq0, pwq1, pwk0, pwk1, pwo = tensors(
+        (2, 2, 3, 3), (2, 2, 4, 3), (2, 3, 3), (2, 3, 3), (2, 3, 3), (2, 3, 3), (2, 2, 2)
+    )
+    frozen = Tensor(rng.normal(size=(2, 2)))
+    keep = tuple((rng.random(shape) >= 0.3) / 0.7 for shape in ((2, 2, 3, 4), (2, 3, 2)))
+    w17 = weight((2, 3, 2))
+    cases["attention_match_per_layer_dropout"] = (
+        {"zq": pq, "zs": ps, "wq0": pwq0, "wq1": pwq1, "wk0": pwk0, "wk1": pwk1, "wo": pwo},
+        lambda: sum_all(mul(
+            attention_match(pq, ps, y_sup, [pwq0, pwq1], [pwk0, pwk1], pwo, frozen, keep)[0], w17
+        )),
+    )
+
+    # one summed cross-entropy per episode of an [E, n, 2] stack
+    xs = Tensor(rng.uniform(0.1, 0.9, size=(3, 4, 2)), requires_grad=True)
+    onehots = Tensor(np.eye(2)[rng.integers(0, 2, size=(3, 4))])
+    w18 = weight((3,))
+    cases["cross_entropy_stacked"] = (
+        {"a": xs}, lambda: sum_all(mul(cross_entropy(xs, onehots), w18))
     )
 
     return cases

@@ -169,12 +169,29 @@ class TestTrain:
         argv = self.early_stop_run(tmp_path)
         capsys.readouterr()
 
+        calls = []
+
         def overflowing(*args, **kwargs):
+            calls.append(args)
             raise NumericalError("finetune: non-finite prediction")
 
-        monkeypatch.setattr(meta, "finetune_and_predict", overflowing)
+        monkeypatch.setattr(meta, "_finetune_rows", overflowing)
         assert main(argv) == 4
         assert one_error_line(capsys) == "numerical abort: finetune: non-finite prediction"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stop.cfg"]
+        assert len(calls) == 1
+
+    def test_single_class_validation_queries_are_data_error(self, tmp_path, capsys):
+        argv = self.early_stop_run(tmp_path)
+        (task,) = (tmp_path / "data" / "valid").glob("*.jsonl")
+        rows = [json.loads(line) for line in task.read_text().splitlines()[:6]]
+        # two positives: the balanced 4-example support takes both
+        task.write_text("".join(
+            json.dumps({"smiles": r["smiles"], "label": int(i < 2)}) + "\n" for i, r in enumerate(rows)
+        ))
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "both classes in its queries" in one_error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stop.cfg"]
 
     def test_retraining_is_byte_identical(self, workspace, tmp_path):
@@ -359,16 +376,19 @@ class TestEval:
     def test_cached_task_rows_match_graph_path(self, workspace, large_tasks, data, monkeypatch,
                                                capsys):
         worst = []
+        real = cli.score_task
 
-        def checked(model, support_set, query_graphs, cfg, seed, *, embeddings):
-            cached = finetune_and_predict(
-                model, support_set, query_graphs, cfg, seed, embeddings=embeddings
-            )
-            encoded = finetune_and_predict(model, support_set, query_graphs, cfg, seed)
-            worst.append(float(np.max(np.abs(cached - encoded))))
-            return cached
+        def checked(model, task, cfg, seeds):
+            scored = real(model, task, cfg, seeds)
+            for seed, (scores, _) in zip(seeds, scored):
+                episode = sample_episode(task, cfg.protocol, seed)
+                encoded = finetune_and_predict(
+                    model, episode.support, [g for g, _ in episode.query], cfg, [*seed, 1]
+                )
+                worst.append(float(np.max(np.abs(scores - encoded[:, 0]))))
+            return scored
 
-        monkeypatch.setattr(meta, "finetune_and_predict", checked)
+        monkeypatch.setattr(cli, "score_task", checked)
         root = {"data": workspace["data"], "large_data": large_tasks}[data]
         assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(root)]) == 0
         capsys.readouterr()
@@ -433,6 +453,29 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numerical abort: finetune: non-finite prediction\n"
+
+    def test_poisoned_episode_is_numerical_abort(self, workspace, large_tasks, monkeypatch, capsys):
+        # a molecule of the first task's second episode, and not of its
+        # first, encodes to NaN
+        _, cfg, _ = cli._load_model(workspace["ckpt"])
+        task = sorted(load_registry(large_tasks).split_tasks("test"), key=lambda t: t.task_id)[0]
+        first, second = (sample_episode(task, cfg.protocol, cli._eval_seed(cfg.train.seed, 0, rep))
+                         for rep in range(2))
+        candidates = sorted(set(second.support_idx.tolist()) - set(np.r_[first.support_idx,
+                                                                         first.query_idx].tolist()))
+        poisoned = task.examples[candidates[0]].smiles
+        real = meta.encode_frozen
+
+        def poisoning(graphs, params):
+            levels = real(graphs, params)
+            levels[:, [g.source_smiles == poisoned for g in graphs]] = np.nan
+            return levels
+
+        monkeypatch.setattr(meta, "encode_frozen", poisoning)
+        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(large_tasks)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical abort: task finetune: non-finite inner loss nan\n"
 
     def test_nonfinite_gradient_is_numerical_abort(self, workspace, tmp_path, monkeypatch, capsys):
         poison_first_gradient(monkeypatch)

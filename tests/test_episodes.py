@@ -7,6 +7,7 @@ from molmatch.config import ProtocolConfig
 from molmatch.episodes import (
     DataError,
     EpisodeError,
+    can_query_both_classes,
     can_sample,
     load_registry,
     sample_episode,
@@ -202,6 +203,23 @@ class TestProtocol:
                         assert len(episode.support) == len(episode.support_idx) == support_size
                         assert 1 <= len(episode.query) <= 3, case
                         assert episode.protocol == sampling
+
+    def test_two_class_queries_exactly_when_some_seed_draws_them(self):
+        # every case the rule admits draws two-class queries on about two
+        # seeds in five or more, so 50 fixed seeds find each one
+        for n_neg in range(5):
+            for n_pos in range(5):
+                task = chain_task("t", n_neg + n_pos, n_pos)
+                for sampling in ("balanced", "unbalanced"):
+                    for support_size in range(1, 8):
+                        for query_size in (1, 2, 3):
+                            protocol = ProtocolConfig(sampling, support_size, query_size)
+                            case = (n_neg, n_pos, sampling, support_size, query_size)
+                            seen = can_sample(task, protocol) and any(
+                                len({y for _, y in sample_episode(task, protocol, seed).query}) == 2
+                                for seed in range(50)
+                            )
+                            assert can_query_both_classes(task, protocol) == seen, case
 
 
 class TestSynthGenerate:

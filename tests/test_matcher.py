@@ -4,8 +4,8 @@ import pytest
 from molmatch.encoder import EncoderParams, encode_multilevel
 from molmatch.matcher import MatchParams, layer_predictions, match_levels, predict_detailed
 from molmatch.smiles import graph_from_smiles
-from molmatch.tensor import Tensor, backward, cross_entropy, stack
-from oracles import match_per_layer
+from molmatch.tensor import Tensor, attention_match, backward, cross_entropy, stack, sum_all
+from oracles import match_levels_unfused, match_per_layer
 
 SUPPORT = ["CCO", "CC(=O)O", "c1ccccc1", "CCN"]
 QUERIES = ["CCC", "c1ccncc1"]
@@ -277,6 +277,72 @@ class TestStackedMatch:
         for pred, y, att in zip(preds, ref_y, ref_att):
             np.testing.assert_allclose(pred.y_hat.values, y.values, rtol=0, atol=1e-12)
             np.testing.assert_allclose(pred.attention.values, att.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("share_qk, learn_bias, rate", MATCH_CASES)
+    def test_fused_op_is_bit_identical_to_unfused_composition(self, share_qk, learn_bias, rate):
+        # the values and gradients of the parent's op-by-op block, bit for bit
+        for seed in range(4):
+            rng = np.random.default_rng([32, seed])
+            n_layers, d, n_s, n_q = 3, 7, 5, 9
+            params = MatchParams.init(
+                n_layers, d, seed=seed, share_qk=share_qk, learn_bias=learn_bias
+            )
+            zq = Tensor(rng.normal(size=(n_layers, n_q, d)), requires_grad=True)
+            zs = Tensor(rng.normal(size=(n_layers, n_s, d)), requires_grad=True)
+            y_s = Tensor(rng.integers(0, 2, size=(n_s, 1)).astype(float))
+            target = Tensor(np.eye(2)[rng.integers(0, 2, size=n_q)])
+            runs = []
+            for match in (match_levels, match_levels_unfused):
+                probs, y_hat, attention = match(
+                    zq, zs, y_s, params, dropout_rate=rate, rng=np.random.default_rng(seed)
+                )
+                watched = [zq, zs, *params.tensors().values()]
+                grads = backward(cross_entropy(probs, target), params=watched, write_grad=False)
+                runs.append([probs.values, getattr(y_hat, "values", y_hat),
+                             getattr(attention, "values", attention), *(grads[t] for t in watched)])
+            fused, unfused = runs
+            assert len(fused) == len(unfused)
+            for got, want in zip(fused, unfused):
+                assert got.tobytes() == want.tobytes()
+
+    def test_episode_stack_is_bit_identical_to_episodes_alone(self):
+        rng = np.random.default_rng(33)
+        n_eps, n_layers, d, n_s, n_q = 4, 3, 6, 5, 7
+        for share_qk in (True, False):
+            params = MatchParams.init(n_layers, d, seed=1, share_qk=share_qk)
+            zq = rng.normal(size=(n_eps, n_layers, n_q, d))
+            zs = rng.normal(size=(n_eps, n_layers, n_s, d))
+            y_s = rng.integers(0, 2, size=(n_eps, n_s, 1)).astype(float)
+            weights = {
+                name: rng.normal(size=(n_eps, *t.shape)) for name, t in params.tensors().items()
+            }
+            target = Tensor(np.eye(2)[rng.integers(0, 2, size=(n_eps, n_q))])
+
+            def run(episodes):
+                w = MatchParams({
+                    name: Tensor(v[episodes], requires_grad=True) for name, v in weights.items()
+                })
+                probs, y_hat, attention = attention_match(
+                    Tensor(zq[episodes]), Tensor(zs[episodes]), y_s[episodes],
+                    w.wq, w.wk, w.wo, w.bias,
+                )
+                losses = cross_entropy(probs, Tensor(target.values[episodes]))
+                watched = w.tensors().values()
+                grads = backward(sum_all(losses), params=watched, write_grad=False)
+                return [probs.values, y_hat, attention, losses.values, *(grads[t] for t in watched)]
+
+            stacked = run(np.arange(n_eps))
+            for e in range(n_eps):
+                alone = run(np.array([e]))
+                for got, want in zip(stacked, alone):
+                    assert got[e].tobytes() == want[0].tobytes()
+
+    def test_match_records_one_attention_node(self):
+        params = MatchParams.init(2, 4, seed=0)
+        zq = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        probs, _, _ = match_levels(zq, Tensor(np.ones((2, 5, 4))), Tensor(np.ones((5, 1))), params)
+        (node,) = probs._parents  # the reshape back to [n_query, 2]
+        assert node._vjp is not None and len(node._parents) == 2 + 2 + 2
 
     def test_layer_count_must_match_fusion_rows(self):
         params = MatchParams.init(3, 2, seed=0)

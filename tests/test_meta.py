@@ -20,7 +20,7 @@ from molmatch.meta import (
     split_support,
 )
 from molmatch.tensor import backward
-from oracles import REL_TOL, fd_gradients, grad_rel_error
+from oracles import REL_TOL, fd_gradients, finetune_per_episode, grad_rel_error
 from helpers import chain_task, make_registry, poison_first_gradient
 
 
@@ -411,26 +411,30 @@ class TestMetaTrain:
 
     def test_single_class_validation_queries_are_never_finetuned(self, monkeypatch):
         # the balanced 4-example support takes both positives of "v", so
-        # every query is negative
+        # every query is negative: validation could never score an episode
         calls = []
-        real = meta.finetune_and_predict
+        real = meta._finetune_rows
         monkeypatch.setattr(
-            meta, "finetune_and_predict", lambda *a, **k: calls.append(a) or real(*a, **k)
+            meta, "_finetune_rows", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 2)])
         cfg = tiny_cfg(meta_lr=0.0, early_stop=True, patience=2, max_epochs=30)
-        _, logs = meta_train(registry, cfg)
-        assert [entry.val_metric for entry in logs] == [-np.inf] * 2
+        with pytest.raises(EpisodeError, match="both classes in its queries"):
+            meta_train(registry, cfg)
         assert calls == []
 
     def test_numerical_error_while_validating_propagates(self, monkeypatch):
+        calls = []
+
         def overflowing(*args, **kwargs):
+            calls.append(args)
             raise NumericalError("finetune: non-finite prediction")
 
-        monkeypatch.setattr(meta, "finetune_and_predict", overflowing)
+        monkeypatch.setattr(meta, "_finetune_rows", overflowing)
         registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 5)])
         with pytest.raises(NumericalError, match="non-finite prediction"):
             meta_train(registry, tiny_cfg(early_stop=True))
+        assert len(calls) == 1  # the first validation, after epoch 0
 
     def test_nonfinite_outer_gradient_raises(self, monkeypatch):
         # no inner steps, so the outer step's sweep is the only one
@@ -587,3 +591,89 @@ class TestScoreTask:
         task = chain_task("v", 10, 2)  # the balanced support takes both positives
         monkeypatch.setattr(encoder, "encode_multilevel", None)  # any call fails
         assert score_task(self.model, task, self.cfg, self.seeds) == []
+
+    @staticmethod
+    def captured_calls(monkeypatch):
+        """Record the arguments of every ``_finetune_rows`` call and the
+        shapes of the adaptation stacks it builds."""
+        calls, stacks = [], []
+        finetune, adapt = meta._finetune_rows, meta._adapt_on_rows
+
+        def finetune_rows(*args):
+            calls.append(args)
+            return finetune(*args)
+
+        def adapt_on_rows(*args, **kwargs):
+            stacks.append((args[3].shape, args[4].shape))
+            return adapt(*args, **kwargs)
+
+        monkeypatch.setattr(meta, "_finetune_rows", finetune_rows)
+        monkeypatch.setattr(meta, "_adapt_on_rows", adapt_on_rows)
+        return calls, stacks
+
+    @pytest.mark.parametrize(
+        "sampling, support_size",
+        [("balanced", 4), ("unbalanced", 5), ("balanced", 2)],
+        ids=["balanced", "unbalanced-split-shapes", "no-adaptation-queries"],
+    )
+    def test_stacked_episodes_equal_each_episode_alone(self, monkeypatch, sampling, support_size):
+        cfg = tiny_cfg()
+        cfg.protocol.sampling, cfg.protocol.support_size = sampling, support_size
+        seeds = [[5, meta.KEY_EVAL, 0, rep] for rep in range(6)]
+        calls, stacks = self.captured_calls(monkeypatch)
+        scored = score_task(self.model, self.task, cfg, seeds)
+        monkeypatch.undo()
+        ((_, levels, labels, support_rows, query_rows, _, fine_seeds),) = calls
+        assert len(scored) == len(fine_seeds) >= 5
+        if sampling == "unbalanced":
+            assert len(set(stacks)) >= 2  # adaptation splits of different shapes
+        else:
+            assert len(stacks) == 1  # one stacked pass for the whole task
+        if support_size == 2:
+            assert stacks[0][1][1] == 0  # one example per class: no adaptation queries
+        for (scores, _), fine_seed, s_rows, q_rows in zip(scored, fine_seeds, support_rows, query_rows):
+            episode = sample_episode(self.task, cfg.protocol, fine_seed[:-1])
+            rows = levels[:, np.r_[s_rows, q_rows]]
+            alone = finetune_and_predict(
+                self.model, episode.support, [g for g, _ in episode.query], cfg, fine_seed,
+                embeddings=rows,
+            )
+            assert scores.tobytes() == alone[:, 0].tobytes()
+            reference = finetune_per_episode(
+                self.model.matcher, rows, [y for _, y in episode.support],
+                cfg.train.support_split_fraction, fine_seed, cfg.train.inner_steps, cfg.train.alpha,
+            )
+            np.testing.assert_allclose(scores, reference[:, 0], rtol=0, atol=1e-12)
+
+    def test_repeats_share_each_backward_sweep(self, monkeypatch):
+        sweeps = []
+        real = meta.backward
+        monkeypatch.setattr(meta, "backward", lambda *a, **k: sweeps.append(a) or real(*a, **k))
+        seeds = [[5, meta.KEY_EVAL, 0, rep] for rep in range(4)]
+        assert len(score_task(self.model, self.task, self.cfg, seeds)) == 4
+        assert len(sweeps) == self.cfg.train.inner_steps  # not 4 x inner_steps
+
+    def test_poisoned_episode_raises_its_own_error_first_in_seed_order(self, monkeypatch):
+        seeds = [[5, meta.KEY_EVAL, 0, rep] for rep in range(5)]
+        episodes = [sample_episode(self.task, self.cfg.protocol, seed) for seed in seeds]
+        assert all(len({y for _, y in e.query}) == 2 for e in episodes)  # none is dropped
+        earlier = {int(i) for e in episodes[:2] for i in np.r_[e.support_idx, e.query_idx]}
+        candidates = sorted(set(episodes[2].support_idx.tolist()) - earlier)
+        assert candidates
+        poisoned = self.task.examples[candidates[0]].graph
+        real = meta.encode_frozen
+
+        def poisoning(graphs, params):
+            levels = real(graphs, params)
+            levels[:, [g is poisoned for g in graphs]] = np.nan
+            return levels
+
+        monkeypatch.setattr(meta, "encode_frozen", poisoning)
+        with pytest.raises(NumericalError) as stacked:
+            score_task(self.model, self.task, self.cfg, seeds)
+        episode = episodes[2]
+        with pytest.raises(NumericalError) as alone:
+            finetune_and_predict(
+                self.model, episode.support, [g for g, _ in episode.query], self.cfg, seeds[2] + [1]
+            )
+        assert str(stacked.value) == str(alone.value) == "task finetune: non-finite inner loss nan"
