@@ -41,6 +41,7 @@ from .meta import (
     KEY_EVAL,
     ModelParams,
     NumericalError,
+    best_epoch,
     finetune_and_predict_detailed,
     init_model,
     meta_train,
@@ -191,31 +192,29 @@ def _load_model(path) -> tuple[ModelParams, RunConfig, dict]:
     return model, cfg, meta
 
 
-def _trained_epochs(logs) -> int:
-    """Epochs behind the weights ``meta_train`` returned: with validation
-    it keeps the snapshot of the first best ``val_metric``, else the last."""
-    best, best_val = None, -np.inf
-    for entry in logs:
-        if entry.val_metric is not None and entry.val_metric > best_val:
-            best, best_val = entry.epoch, entry.val_metric
-    return len(logs) if best is None else best + 1
+def _check_output_path(path) -> None:
+    """Raise before any work when ``path`` cannot be written as a file."""
+    if not Path(path).parent.is_dir():
+        raise DataError(f"{path}: its directory does not exist")
+    if Path(path).is_dir():
+        raise DataError(f"{path}: is a directory")
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.train.seed = args.seed
-    workers = args.workers
-    if workers is None and os.environ.get(WORKERS_ENV):
+    if args.workers is not None:
+        cfg.train.workers = args.workers
+    elif os.environ.get(WORKERS_ENV):
         try:
-            workers = int(os.environ[WORKERS_ENV])
+            cfg.train.workers = int(os.environ[WORKERS_ENV])
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer") from None
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        cfg.train.workers = workers
     cfg.validate()
+    log_path = args.log or f"{args.out}.log.csv"
+    for path in (args.out, log_path):
+        _check_output_path(path)
 
     registry = load_registry(args.data)
     if not registry.split_tasks("train"):
@@ -231,10 +230,10 @@ def cmd_train(args) -> int:
             )
 
     model, logs = meta_train(registry, cfg, on_epoch=report)
-    epochs = _trained_epochs(logs)
+    best = best_epoch(logs)
+    epochs = len(logs) if best is None else best + 1
     _save_model(args.out, model, cfg, epoch=epochs)
 
-    log_path = args.log or f"{args.out}.log.csv"
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_outer_loss", "wall_seconds", "val_metric"])
@@ -247,8 +246,8 @@ def cmd_train(args) -> int:
                     "" if entry.val_metric is None else f"{entry.val_metric:.10g}",
                 ]
             )
-    best = "" if epochs == len(logs) else f" (best validation after epoch {epochs})"
-    print(f"saved checkpoint to {args.out} after {len(logs)} epochs{best}", file=sys.stderr)
+    note = "" if epochs == len(logs) else f" (best validation after epoch {epochs})"
+    print(f"saved checkpoint to {args.out} after {len(logs)} epochs{note}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -262,14 +261,12 @@ def _eval_seed(base: int, task_idx: int, repeat: int) -> list[int]:
 def cmd_eval(args) -> int:
     model, cfg, _ = _load_model(args.ckpt)
     if args.support_size is not None:
-        if args.support_size < 1:
-            raise ConfigError("--support-size must be >= 1")
         cfg.protocol.support_size = args.support_size
     if args.protocol:
         cfg.protocol.sampling = args.protocol
-    repeats = args.repeats if args.repeats is not None else cfg.protocol.eval_repeats
-    if repeats < 1:
-        raise ConfigError("--repeats must be >= 1")
+    if args.repeats is not None:
+        cfg.protocol.eval_repeats = args.repeats
+    repeats = cfg.protocol.eval_repeats
     seed = args.seed if args.seed is not None else cfg.train.seed
     cfg.validate()
 

@@ -38,6 +38,7 @@ __all__ = [
     "ModelParams",
     "AdaptedParams",
     "EpochLog",
+    "best_epoch",
     "init_model",
     "split_support",
     "episode_loss",
@@ -109,9 +110,11 @@ class ModelParams(Params):
 @dataclass
 class AdaptedParams:
     w_tau: MatchParams
-    task_id: str
-    final_inner_loss: float
     loss_history: list[float] = field(default_factory=list)
+
+    @property
+    def final_inner_loss(self) -> float:
+        return self.loss_history[-1] if self.loss_history else float("nan")
 
 
 @dataclass
@@ -120,6 +123,13 @@ class EpochLog:
     mean_outer_loss: float
     wall_seconds: float
     val_metric: float | None = None
+
+
+def best_epoch(logs: list[EpochLog]) -> int | None:
+    """The epoch whose weights early stopping keeps: the first with the
+    highest ``val_metric`` above -inf, or None when no epoch has one."""
+    scored = [e for e in logs if e.val_metric is not None and e.val_metric > -np.inf]
+    return max(scored, key=lambda e: e.val_metric).epoch if scored else None
 
 
 def init_model(cfg: RunConfig) -> ModelParams:
@@ -265,7 +275,7 @@ def inner_adapt(
         embeddings = encode_frozen([g for g, _ in pairs], encoder_params)
     elif embeddings.shape[1] != len(pairs):
         raise ValueError(f"inner_adapt: embeddings must have {len(pairs)} rows")
-    (adapted,) = _adapt_on_rows(
+    w, _, (history,), (error,) = _adapt_on_rows(
         match_params,
         embeddings,
         np.asarray([y for _, y in pairs], dtype=np.float64),
@@ -274,9 +284,10 @@ def inner_adapt(
         cfg,
         task_id,
     )
-    if isinstance(adapted, NumericalError):
-        raise adapted
-    return adapted
+    if error is not None:
+        raise error
+    w_tau = match_params.replace_values({name: v[0] for name, v in w.items()})
+    return AdaptedParams(w_tau, history)
 
 
 def _adapt_on_rows(
@@ -287,7 +298,7 @@ def _adapt_on_rows(
     query_rows: np.ndarray,
     cfg: TrainConfig,
     task_id: str,
-) -> list[AdaptedParams | NumericalError]:
+) -> tuple[dict[str, np.ndarray], np.ndarray, list[list[float]], list[NumericalError | None]]:
     """The inner loop of ``inner_adapt`` for E episodes at once, on
     precomputed frozen embeddings: ``stacked[l, r]`` is row r's layer-l
     embedding and ``labels[r]`` its label, and episode e adapts on the
@@ -299,25 +310,26 @@ def _adapt_on_rows(
     episode losses; the episodes share no term, so each episode's
     weights receive exactly the gradient, and take exactly the steps,
     that adapting it alone gives.  An episode whose loss or gradient goes
-    non-finite leaves the stack, and its entry in the result is the
+    non-finite leaves the stack.
+
+    Returns the adapted w of the surviving episodes, still stacked
+    [E_live, ...] by name; their episode indices, in order; each
+    episode's inner-loss history; and per episode None or the
     NumericalError adapting it alone raises.
     """
     n_eps = len(support_rows)
+    named = match_params.tensors()
+    w = {name: np.repeat(t.values[None], n_eps, axis=0) for name, t in named.items()}
+    live = np.arange(n_eps)  # the episodes still in the stack, in order
+    histories: list[list[float]] = [[] for _ in range(n_eps)]
+    failed: list[NumericalError | None] = [None] * n_eps
     if not query_rows.shape[1]:
         log.debug("task %s: no adaptation queries; skipping inner loop", task_id)
-        return [
-            AdaptedParams(match_params.clone(requires_grad=True), task_id, float("nan"), [])
-            for _ in range(n_eps)
-        ]
-    named = match_params.tensors()
+        return w, live, histories, failed
     trainable = {name for name, t in named.items() if t.requires_grad}
-    w = {name: np.repeat(t.values[None], n_eps, axis=0) for name, t in named.items()}
     z_support, z_query = _rows(stacked, support_rows), _rows(stacked, query_rows)
     y_s = labels[support_rows][..., None]
     target = _onehot(labels[query_rows])
-    live = np.arange(n_eps)  # the episodes still in the stack, in order
-    histories: list[list[float]] = [[] for _ in range(n_eps)]
-    failed: dict[int, NumericalError] = {}
 
     for step in range(cfg.inner_steps + 1):
         leaves = MatchParams(
@@ -352,17 +364,7 @@ def _adapt_on_rows(
             w = {name: v[ok] for name, v in w.items()}
             if not live.size:
                 break
-
-    position = {e: i for i, e in enumerate(live.tolist())}
-    return [
-        failed[e] if e in failed else AdaptedParams(
-            match_params.replace_values({name: v[position[e]] for name, v in w.items()}),
-            task_id,
-            histories[e][-1],
-            histories[e],
-        )
-        for e in range(n_eps)
-    ]
+    return w, live, histories, failed
 
 
 def _outer_task_step(
@@ -423,9 +425,11 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     """Episodic training over the train split.
 
     Returns the trained ModelParams and a list of EpochLog entries.
-    Tasks inside a batch may be dispatched to worker threads; gradient
-    maps are merged in slot order so results do not depend on the
-    worker count.
+    Tasks inside a batch may be dispatched to worker threads; each
+    task's loss and gradients are added to the running sums as it is
+    taken, in slot order, so results do not depend on the worker count
+    and no more than a few gradient maps are held at once.  With
+    validation tasks, the weights of ``best_epoch(logs)`` are returned.
     """
     from .optim import make_optimizer
 
@@ -444,9 +448,7 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     model = init_model(cfg)
     optimizer = make_optimizer(cfg.train.optimizer, cfg.train.meta_lr, cfg.train.weight_decay)
     logs: list[EpochLog] = []
-    best_val = -np.inf
     best_model = None
-    stale = 0
 
     for epoch in range(cfg.train.max_epochs):
         start = time.perf_counter()
@@ -455,23 +457,16 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
             len(tasks), size=cfg.train.batch_tasks, replace=len(tasks) < cfg.train.batch_tasks
         )
         jobs = [(slot, tasks[int(i)]) for slot, i in enumerate(batch)]
-        if cfg.train.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.train.workers) as pool:
-                results = list(
-                    pool.map(lambda job: _outer_task_step(model, job[1], cfg, epoch, job[0]), jobs)
-                )
-        else:
-            results = [_outer_task_step(model, task, cfg, epoch, slot) for slot, task in jobs]
-
         total_loss = 0.0
         summed: dict[str, np.ndarray] = {}
-        for value, gmap in results:  # slot order: deterministic merge
-            total_loss += value
-            for name, g in gmap.items():
-                if name in summed:
-                    summed[name] = summed[name] + g
-                else:
-                    summed[name] = g
+        with ThreadPoolExecutor(max_workers=cfg.train.workers) as pool:
+            steps = (pool.map if cfg.train.workers > 1 else map)(
+                lambda job: _outer_task_step(model, job[1], cfg, epoch, job[0]), jobs
+            )
+            for value, gmap in steps:  # slot order: deterministic sums
+                total_loss += value
+                for name, g in gmap.items():
+                    summed[name] = summed[name] + g if name in summed else g
         if not np.isfinite(total_loss):
             raise NumericalError(f"epoch {epoch}: non-finite batch loss")
 
@@ -492,19 +487,17 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
         )
         if valid:
             entry.val_metric = _validation_metric(model, valid, cfg, epoch)
-            if entry.val_metric > best_val:
-                best_val = entry.val_metric
-                best_model = model
-                stale = 0
-            else:
-                stale += 1
         logs.append(entry)
         if on_epoch is not None:
             on_epoch(entry)
-        if cfg.train.early_stop and stale >= cfg.train.patience:
+        best = best_epoch(logs)
+        if best == epoch:
+            # the optimizer returns fresh arrays, so the snapshot is never overwritten
+            best_model = model
+        stale = epoch - (-1 if best is None else best)
+        if valid and stale >= cfg.train.patience:
             log.info("early stop at epoch %d (no improvement for %d epochs)", epoch, stale)
             break
-    # The optimizer returns fresh arrays, so the snapshot is never overwritten.
     return (model if best_model is None else best_model), logs
 
 
@@ -559,12 +552,10 @@ def score_task(
         cfg,
         [[*seed, 1] for seed, _ in episodes],
     )
-    scored = []
-    for (_, episode), result in zip(episodes, results):
-        if isinstance(result, NumericalError):
-            raise result
-        scored.append((result[0][:, 0], [y for _, y in episode.query]))
-    return scored
+    return [
+        (probs[:, 0], [y for _, y in episode.query])
+        for (_, episode), (probs, _, _) in zip(episodes, results)
+    ]
 
 
 def _finetune_rows(
@@ -575,7 +566,7 @@ def _finetune_rows(
     query_rows: list[np.ndarray],
     cfg: RunConfig,
     seeds,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | NumericalError]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Fine-tune and predict E episodes on the rows of one frozen
     [L, n, d] stack.
 
@@ -586,8 +577,8 @@ def _finetune_rows(
     support.  Episodes whose labelled set, split and query set have the
     same sizes adapt and predict in one stacked pass.  Returns per
     episode its (probabilities [n_q, 2], label estimates [L, n_q, 1],
-    attention [L, n_q, n_s]) or the NumericalError fine-tuning it alone
-    raises.
+    attention [L, n_q, n_s]).  When some episode fails, raises the
+    NumericalError fine-tuning the first failing one alone raises.
     """
     splits = [
         _split_rows(labels[rows], cfg.train.support_split_fraction, seed)
@@ -598,28 +589,22 @@ def _finetune_rows(
         key = (len(support_rows[e]), len(s_fine), len(q_fine), len(query_rows[e]))
         groups.setdefault(key, []).append(e)
     results: list = [None] * len(seeds)
+    errors: dict[int, NumericalError] = {}
     for members in groups.values():
         fine_support, fine_query = (
             np.array([support_rows[e][splits[e][side]] for e in members]) for side in (0, 1)
         )
-        adapted = _adapt_on_rows(
+        w_stack, live, _, failed = _adapt_on_rows(
             match_params, stacked, labels, fine_support, fine_query, cfg.train, "finetune"
         )
-        done = []
-        for e, a in zip(members, adapted):
-            if isinstance(a, NumericalError):
-                results[e] = a
-            else:
-                done.append((e, a.w_tau))
-        if not done:
+        errors.update((e, error) for e, error in zip(members, failed) if error is not None)
+        if not live.size:
             continue
-        w = MatchParams({
-            name: Tensor(np.stack([w_tau[name].values for _, w_tau in done]))
-            for name in match_params.tensors()
-        })
-        support = np.array([support_rows[e] for e, _ in done])
+        done = [members[i] for i in live]
+        w = MatchParams({name: Tensor(v) for name, v in w_stack.items()})
+        support = np.array([support_rows[e] for e in done])
         probs, y_hat, attention = attention_match(
-            _rows(stacked, np.array([query_rows[e] for e, _ in done])),
+            _rows(stacked, np.array([query_rows[e] for e in done])),
             _rows(stacked, support),
             labels[support][..., None],
             w.wq,
@@ -627,13 +612,13 @@ def _finetune_rows(
             w.wo,
             w.bias,
         )
-        for i, (e, _) in enumerate(done):
-            finite = np.isfinite(probs.values[i]).all()
-            results[e] = (
-                (probs.values[i], y_hat[i], attention[i])
-                if finite
-                else NumericalError("finetune: non-finite prediction")
-            )
+        for i, e in enumerate(done):
+            if np.isfinite(probs.values[i]).all():
+                results[e] = (probs.values[i], y_hat[i], attention[i])
+            else:
+                errors[e] = NumericalError("finetune: non-finite prediction")
+    if errors:
+        raise errors[min(errors)]
     return results
 
 
@@ -684,7 +669,7 @@ def finetune_and_predict_detailed(
         embeddings = encode_frozen([g for g, _ in support_set] + list(query_graphs), model.encoder)
     elif embeddings.shape[1] != n_rows:
         raise ValueError(f"finetune_and_predict: embeddings must have {n_rows} rows")
-    (result,) = _finetune_rows(
+    ((probs, y_hat, attention),) = _finetune_rows(
         model.matcher,
         embeddings,
         np.asarray([y for _, y in support_set], dtype=np.float64),
@@ -693,7 +678,4 @@ def finetune_and_predict_detailed(
         cfg,
         [seed],
     )
-    if isinstance(result, NumericalError):
-        raise result
-    probs, y_hat, attention = result
     return probs, layer_predictions(y_hat, attention)

@@ -44,17 +44,12 @@ def _check_inputs(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties sharing their average rank: a run of
+    ``count`` equal scores ending at rank ``end`` shares
+    ``end - (count - 1) / 2``, an exact half-integer."""
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[inverse]
 
 
 def auroc(scores, labels) -> float:

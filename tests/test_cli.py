@@ -221,6 +221,35 @@ class TestTrain:
         assert main(["train", "--config", str(workspace["config"]),
                      "--data", str(workspace["data"]), "--out", str(tmp_path / "x.ckpt")]) == 2
 
+    def test_zero_workers_env_names_the_config_key(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MOLMATCH_WORKERS", "0")
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace["config"]),
+                     "--data", str(workspace["data"]), "--out", str(tmp_path / "x.ckpt")]) == 2
+        assert one_error_line(capsys) == "config error: train.workers must be >= 1"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["out", "log"])
+    @pytest.mark.parametrize("problem", ["its directory does not exist", "is a directory"])
+    def test_unwritable_output_path_is_data_error_before_training(
+        self, workspace, tmp_path, monkeypatch, capsys, bad, problem
+    ):
+        calls = []
+        real = cli.meta_train
+        monkeypatch.setattr(cli, "meta_train", lambda *a, **k: calls.append(a) or real(*a, **k))
+        paths = {"out": tmp_path / "m.ckpt", "log": tmp_path / "m.log.csv"}
+        if problem == "is a directory":
+            paths[bad].mkdir()
+        else:
+            paths[bad] = tmp_path / "absent" / paths[bad].name
+        made = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--out", str(paths["out"]), "--log", str(paths["log"])]) == 3
+        assert one_error_line(capsys) == f"data error: {paths[bad]}: {problem}"
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == made
+
     def test_unknown_config_key_is_config_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[train]\nlearning_rate = 1\n", encoding="utf-8")

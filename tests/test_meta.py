@@ -1,9 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from molmatch import encoder, meta
 from molmatch import matcher as matcher_module
-from molmatch.cli import _trained_epochs
 from molmatch.config import RunConfig
 from molmatch.encoder import encode_frozen, encode_multilevel
 from molmatch.episodes import EpisodeError, sample_episode, sample_episode_balanced
@@ -299,6 +300,26 @@ class TestMetaTrain:
         for name, t in a.tensors().items():
             assert t.values.tobytes() == b.tensors()[name].values.tobytes(), name
 
+    @pytest.mark.parametrize("batch_tasks", [4, 8])
+    def test_gradient_maps_are_summed_as_they_arrive(self, monkeypatch, batch_tasks):
+        class GradientMap(dict):  # a plain dict cannot be weakly referenced
+            pass
+
+        returned, alive_at_start = [], []
+        real = meta._outer_task_step
+
+        def tracked(*args):
+            alive_at_start.append(sum(ref() is not None for ref in returned))
+            value, gmap = real(*args)
+            gmap = GradientMap(gmap)
+            returned.append(weakref.ref(gmap))
+            return value, gmap
+
+        monkeypatch.setattr(meta, "_outer_task_step", tracked)
+        meta_train(self.registry(), tiny_cfg(batch_tasks=batch_tasks, max_epochs=1))
+        assert len(alive_at_start) == batch_tasks
+        assert max(alive_at_start) <= 2
+
     def test_one_epoch_matches_hand_stepped_oracle(self):
         # replay epoch 0 outside the trainer: sample the same batch and
         # episodes, adapt, take gradients at the adapted point and apply
@@ -393,7 +414,7 @@ class TestMetaTrain:
         scores = [entry.val_metric for entry in logs]
         best_epoch = scores.index(max(scores))
         assert best_epoch + 1 < len(logs) < 30  # stopped, and after the best epoch
-        assert _trained_epochs(logs) == best_epoch + 1
+        assert meta.best_epoch(logs) == best_epoch
         plain, _ = meta_train(registry, tiny_cfg(meta_lr=0.05, max_epochs=best_epoch + 1))
         for name, t in plain.tensors().items():
             assert stopped.tensors()[name].values.tobytes() == t.values.tobytes(), name
@@ -447,6 +468,23 @@ class TestMetaTrain:
         seen = []
         _, logs = meta_train(self.registry(), cfg, on_epoch=seen.append)
         assert seen == logs
+
+
+class TestBestEpoch:
+    @staticmethod
+    def logs(*metrics):
+        return [meta.EpochLog(i, 0.0, 0.0, m) for i, m in enumerate(metrics)]
+
+    def test_first_of_tied_best_epochs_wins(self):
+        assert meta.best_epoch(self.logs(0.1, 0.3, 0.2, 0.3)) == 1
+
+    def test_minus_infinity_and_none_never_win(self):
+        assert meta.best_epoch(self.logs(-np.inf, None, -0.5, -np.inf)) == 2
+        assert meta.best_epoch(self.logs(-np.inf, None)) is None
+
+    def test_logs_without_validation_give_none(self):
+        assert meta.best_epoch(self.logs(None, None)) is None
+        assert meta.best_epoch([]) is None
 
 
 class TestFinetuneAndPredict:
