@@ -340,6 +340,8 @@ def _read_support_file(path) -> list[tuple]:
 
 
 def cmd_predict(args) -> int:
+    if args.attention_out:
+        _check_output_path(args.attention_out)
     model, cfg, _ = _load_model(args.ckpt)
     seed = args.seed if args.seed is not None else cfg.train.seed
     support = _read_support_file(args.support)
@@ -388,6 +390,9 @@ def _write_attention(path, layer_preds: list[LayerPrediction]) -> None:
 
 
 def cmd_taskrel(args) -> int:
+    meta_path = f"{args.out}.meta.jsonl"
+    for path in (args.out, meta_path):
+        _check_output_path(path)
     model, cfg, _ = _load_model(args.ckpt)
     metric = args.metric or cfg.taskrel.metric
     mode = args.mode or cfg.taskrel.mode
@@ -413,7 +418,6 @@ def cmd_taskrel(args) -> int:
         writer.writerow(["task_id"] + rel.task_ids)
         for task_id, row in zip(rel.task_ids, matrix):
             writer.writerow([task_id] + [f"{v:.10g}" for v in row])
-    meta_path = f"{args.out}.meta.jsonl"
     with open(meta_path, "w", encoding="utf-8") as fh:
         fh.write(
             json.dumps(
@@ -434,6 +438,7 @@ def cmd_taskrel(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    _check_output_path(args.out)
     model, cfg, _ = _load_model(args.ckpt)
     entries = []
     for line_no, line in enumerate(read_lines(args.smiles), start=1):
@@ -448,10 +453,14 @@ def cmd_export_embeddings(args) -> int:
         raise DataError(f"{args.smiles}: no parseable molecules")
     hidden = model.encoder.hidden
     k = args.pca
+    base = str(Path(args.out).with_suffix(""))
     if k is not None:  # checked before any file is written
         limit = min(len(entries), hidden)
         if not 1 <= k <= limit:
             raise ConfigError(f"--pca must be in [1, {limit}] for {len(entries)} molecules")
+        layers = range(1, model.encoder.n_layers + 1)
+        for path in [*(f"{base}.pca_layer{i}.csv" for i in layers), f"{base}.pca_variance.csv"]:
+            _check_output_path(path)
 
     levels = encode_frozen([g for _, g in entries], model.encoder)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -462,7 +471,6 @@ def cmd_export_embeddings(args) -> int:
                 writer.writerow([mi, smiles, layer] + [f"{v:.8f}" for v in z[mi]])
 
     if k is not None:
-        base = str(Path(args.out).with_suffix(""))
         variance_rows = []
         for layer, z in enumerate(levels, start=1):
             proj, ratios = metrics.pca_project(z, k)

@@ -8,11 +8,12 @@ probabilities.  Class index 0 is the positive class throughout.
 
 The whole block -- projections, scaled scores, row softmax, label
 read-out, fusion and the final softmax -- is one autodiff op,
-``tensor.attention_match``, over [E, L, n, d] stacks of E episodes'
-embeddings.  ``match_levels`` is its single-episode call: a match
-records one op node (plus the reshapes that add the episode axis)
-whatever the depth, and the inner loop adapts many episodes of a task
-in one stacked call per step.
+``tensor.attention_match``, over [E, L, k, d] stacks of E episodes'
+embeddings.  This module owns that episode layout: ``episode_rows``
+slices an encoder's [L, n, d] level stack into episode rows and
+``match_levels`` is the one caller of the op, so a match records one op
+node whatever the depth, and the inner loop adapts many episodes of a
+task in one stacked call per step.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .tensor import Tensor, attention_match, gather_rows, reshape
 __all__ = [
     "MatchParams",
     "LayerPrediction",
+    "episode_rows",
     "match_levels",
     "layer_predictions",
     "predict_detailed",
@@ -50,9 +52,8 @@ class MatchParams(Params):
     ``wq``/``wk`` hold a single shared projection pair by default; with
     ``share_qk=False`` at init they hold one pair per encoder layer.
     ``bias`` can be frozen at zero to keep the fusion map strictly
-    linear.  The inner loop keeps E episodes' weights in one MatchParams
-    whose tensors carry a leading episode axis, for ``attention_match``;
-    ``n_layers`` then reads E.
+    linear.  ``match_levels`` reads E episodes' weights from one
+    MatchParams whose tensors carry a leading episode axis.
     """
 
     @property
@@ -73,7 +74,7 @@ class MatchParams(Params):
 
     @property
     def n_layers(self) -> int:
-        return self.wo.shape[0]
+        return self.wo.shape[-2]
 
     @property
     def shared_qk(self) -> bool:
@@ -121,64 +122,62 @@ class LayerPrediction:
     attention: Tensor  # [n_query, n_support], rows sum to 1
 
 
+def episode_rows(levels: Tensor, rows: np.ndarray) -> Tensor:
+    """The rows of every layer of an [L, n, d] level stack for E episodes:
+    ``rows`` is [E, k] and the result [E, L, k, d], ``levels[l, rows[e, j]]``
+    at [e, l, j].
+
+    One ``gather_rows`` on the flattened stack, so autodiff nodes are
+    recorded only when ``levels`` is graph-tracked, and its gradient
+    scatters the upstream rows back onto the stack.
+    """
+    n_layers, n, d = levels.shape
+    flat = reshape(levels, (n_layers * n, d))
+    index = n * np.arange(n_layers)[:, None] + rows[:, None, :]  # [E, L, k] rows of flat
+    return reshape(gather_rows(flat, index.reshape(-1)), (*index.shape, d))
+
+
 def match_levels(
     z_query: Tensor,
     z_support: Tensor,
-    y_support: Tensor,
+    y_support: np.ndarray,
     params: MatchParams,
     *,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Match at every layer and combine the layers: one ``attention_match``
-    call on a single episode.
+    """Match at every layer and combine the layers, for E episodes in one
+    ``attention_match`` call.
 
-    ``z_query`` [L, n_query, d] and ``z_support`` [L, n_support, d]
-    stack the layers' embeddings.  Returns the fused [n_query, 2]
-    probabilities, and as constants the label estimates
-    [L, n_query, 1] and the attention [L, n_query, n_support];
-    ``layer_predictions`` splits the last two.  Dropout with
-    ``dropout_rate`` applies to the attention and to the fusion input
-    when the rate is above 0; the attention's mask is drawn from ``rng``
-    before the fusion input's.
+    ``z_query`` [E, L, n_query, d] and ``z_support`` [E, L, n_support, d]
+    stack each episode's layer embeddings, as ``episode_rows`` slices
+    them; ``y_support`` [E, n_support, 1] holds the support labels and
+    every tensor of ``params`` carries a leading episode axis.  Returns
+    the fused [E, n_query, 2] probabilities, and as constants the label
+    estimates [E, L, n_query, 1] and the attention
+    [E, L, n_query, n_support]; ``layer_predictions`` splits one
+    episode's.  Dropout with ``dropout_rate`` applies to the attention
+    and to the fusion input when the rate is above 0; the attention's
+    mask for the whole stack is drawn from ``rng`` before the fusion
+    input's.
     """
-    n_layers, n_query, d = z_query.shape
-    n_support = z_support.shape[1]
-    if n_layers != params.n_layers:
-        raise ValueError(f"match: got {n_layers} layers for {params.n_layers} fusion rows")
-    if n_support == 0:
-        raise ValueError("match: empty support set")
-    if d != z_support.shape[2]:
-        raise ValueError(f"match: query width {d} != support width {z_support.shape[2]}")
-    if y_support.shape != (n_support, 1):
-        raise ValueError(f"match: y_support must be [{n_support}, 1]")
     keep = None
     if dropout_rate > 0.0:
+        n_eps, n_layers, n_query, _ = z_query.shape
+        n_support = z_support.shape[2]
         # inverted-scaling factors, drawn as tensor.dropout draws them
         keep = tuple(
             (rng.random(shape) >= dropout_rate) / (1.0 - dropout_rate)
-            for shape in ((1, n_layers, n_query, n_support), (1, n_query, n_layers))
+            for shape in ((n_eps, n_layers, n_query, n_support), (n_eps, n_query, n_layers))
         )
-
-    def one(t: Tensor) -> Tensor:  # add the episode axis
-        return reshape(t, (1, *t.shape))
-
-    probs, y_hat, attention = attention_match(
-        one(z_query),
-        one(z_support),
-        y_support.values[None],
-        [one(w) for w in params.wq],
-        [one(w) for w in params.wk],
-        one(params.wo),
-        one(params.bias),
-        keep,
+    return attention_match(
+        z_query, z_support, y_support, params.wq, params.wk, params.wo, params.bias, keep
     )
-    return reshape(probs, (n_query, 2)), y_hat[0], attention[0]
 
 
 def layer_predictions(y_hat: np.ndarray, attention: np.ndarray) -> list[LayerPrediction]:
-    """Per-layer views of ``match_levels``' stacked label estimates
-    [L, n_query, 1] and attention [L, n_query, n_support]."""
+    """Per-layer views of one episode's label estimates [L, n_query, 1]
+    and attention [L, n_query, n_support] from ``match_levels``."""
     return [LayerPrediction(y_hat=Tensor(y), attention=Tensor(a)) for y, a in zip(y_hat, attention)]
 
 
@@ -214,18 +213,18 @@ def predict_detailed(
         levels = encode_multilevel(list(support_graphs) + list(query_graphs), encoder_params)
     elif levels.shape[1] != n_rows:
         raise ValueError(f"predict: levels must have {n_rows} rows")
-    y_s = Tensor(np.asarray(support_labels, dtype=np.float64).reshape(-1, 1))
-    if y_s.shape[0] != n_s:
-        raise ValueError(f"predict: {y_s.shape[0]} labels for {n_s} support graphs")
-    n_layers, _, d = levels.shape
-    flat = reshape(levels, (n_layers * n_rows, d))
-    first = n_rows * np.arange(n_layers)[:, None]  # each layer's first row in flat
-
-    def rows(start: int, stop: int) -> Tensor:
-        picked = gather_rows(flat, (first + np.arange(start, stop)).reshape(-1))
-        return reshape(picked, (n_layers, stop - start, d))
-
+    y_s = np.asarray(support_labels, dtype=np.float64).reshape(1, -1, 1)
+    if y_s.shape[1] != n_s:
+        raise ValueError(f"predict: {y_s.shape[1]} labels for {n_s} support graphs")
+    one = MatchParams({  # add the episode axis
+        name: reshape(t, (1, *t.shape)) for name, t in match_params.tensors().items()
+    })
     probs, y_hat, attention = match_levels(
-        rows(n_s, n_rows), rows(0, n_s), y_s, match_params, dropout_rate=matcher_dropout, rng=rng
+        episode_rows(levels, np.arange(n_s, n_rows)[None]),
+        episode_rows(levels, np.arange(n_s)[None]),
+        y_s,
+        one,
+        dropout_rate=matcher_dropout,
+        rng=rng,
     )
-    return probs, layer_predictions(y_hat, attention)
+    return reshape(probs, (n_rows - n_s, 2)), layer_predictions(y_hat[0], attention[0])

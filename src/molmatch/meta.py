@@ -28,10 +28,10 @@ from .episodes import (
     can_sample,
     sample_episode,
 )
-from .matcher import MatchParams, layer_predictions, predict_detailed
+from .matcher import MatchParams, episode_rows, layer_predictions, match_levels, predict_detailed
 from .params import Params
 from .smiles import MolGraph
-from .tensor import Tensor, attention_match, backward, cross_entropy, sum_all
+from .tensor import Tensor, backward, cross_entropy, sum_all
 
 __all__ = [
     "NumericalError",
@@ -242,12 +242,6 @@ def episode_loss(
     return cross_entropy(probs, _onehot([y for _, y in query]))
 
 
-def _rows(stacked: np.ndarray, rows: np.ndarray) -> Tensor:
-    """Rows of every layer of a frozen [L, n, d] stack for E episodes:
-    ``rows`` is [E, k] and the leaf [E, L, k, d]."""
-    return Tensor(np.ascontiguousarray(np.swapaxes(stacked[:, rows], 0, 1)))
-
-
 def inner_adapt(
     encoder_params: EncoderParams,
     match_params: MatchParams,
@@ -306,7 +300,7 @@ def _adapt_on_rows(
     index arrays).
 
     Every tensor of w gets a leading episode axis.  A step is one
-    ``attention_match`` call and one backward sweep over the summed
+    ``match_levels`` call and one backward sweep over the summed
     episode losses; the episodes share no term, so each episode's
     weights receive exactly the gradient, and take exactly the steps,
     that adapting it alone gives.  An episode whose loss or gradient goes
@@ -327,7 +321,8 @@ def _adapt_on_rows(
         log.debug("task %s: no adaptation queries; skipping inner loop", task_id)
         return w, live, histories, failed
     trainable = {name for name, t in named.items() if t.requires_grad}
-    z_support, z_query = _rows(stacked, support_rows), _rows(stacked, query_rows)
+    levels = Tensor(stacked)
+    z_support, z_query = episode_rows(levels, support_rows), episode_rows(levels, query_rows)
     y_s = labels[support_rows][..., None]
     target = _onehot(labels[query_rows])
 
@@ -335,9 +330,7 @@ def _adapt_on_rows(
         leaves = MatchParams(
             {name: Tensor(v, requires_grad=name in trainable) for name, v in w.items()}
         )
-        probs, _, _ = attention_match(
-            z_query, z_support, y_s, leaves.wq, leaves.wk, leaves.wo, leaves.bias
-        )
+        probs, _, _ = match_levels(z_query, z_support, y_s, leaves)
         losses = cross_entropy(probs, target)
         ok = np.isfinite(losses.values)
         for i, value in enumerate(losses.values.tolist()):
@@ -588,6 +581,7 @@ def _finetune_rows(
     for e, (s_fine, q_fine) in enumerate(splits):
         key = (len(support_rows[e]), len(s_fine), len(q_fine), len(query_rows[e]))
         groups.setdefault(key, []).append(e)
+    levels = Tensor(stacked)
     results: list = [None] * len(seeds)
     errors: dict[int, NumericalError] = {}
     for members in groups.values():
@@ -601,16 +595,12 @@ def _finetune_rows(
         if not live.size:
             continue
         done = [members[i] for i in live]
-        w = MatchParams({name: Tensor(v) for name, v in w_stack.items()})
         support = np.array([support_rows[e] for e in done])
-        probs, y_hat, attention = attention_match(
-            _rows(stacked, np.array([query_rows[e] for e in done])),
-            _rows(stacked, support),
+        probs, y_hat, attention = match_levels(
+            episode_rows(levels, np.array([query_rows[e] for e in done])),
+            episode_rows(levels, support),
             labels[support][..., None],
-            w.wq,
-            w.wk,
-            w.wo,
-            w.bias,
+            MatchParams({name: Tensor(v) for name, v in w_stack.items()}),
         )
         for i, e in enumerate(done):
             if np.isfinite(probs.values[i]).all():
@@ -628,12 +618,8 @@ def finetune_and_predict(
     query_graphs: list[MolGraph],
     cfg: RunConfig,
     seed,
-    *,
-    embeddings: np.ndarray | None = None,
 ) -> np.ndarray:
-    probs, _ = finetune_and_predict_detailed(
-        model, support_set, query_graphs, cfg, seed, embeddings=embeddings
-    )
+    probs, _ = finetune_and_predict_detailed(model, support_set, query_graphs, cfg, seed)
     return probs
 
 
@@ -643,18 +629,13 @@ def finetune_and_predict_detailed(
     query_graphs: list[MolGraph],
     cfg: RunConfig,
     seed,
-    *,
-    embeddings: np.ndarray | None = None,
 ):
     """Inference: adapt w on a split of the labelled set, then predict
     the queries with the full labelled set as attention support.
 
     Theta is frozen here, so the support and queries are encoded once,
     without an autodiff graph, and both the inner loop and the final
-    match slice those rows.  ``embeddings`` supplies the rows instead:
-    the [L, n, d] ``encode_frozen`` stack of the support graphs followed
-    by the query graphs, so a caller scoring many episodes of one task
-    encodes each molecule once.
+    match slice those rows.
 
     Returns ([n_query, 2] probabilities, per-layer predictions).  Theta
     is never modified.
@@ -665,13 +646,9 @@ def finetune_and_predict_detailed(
         raise ValueError("finetune_and_predict: empty query list")
     n_s = len(support_set)
     n_rows = n_s + len(query_graphs)
-    if embeddings is None:
-        embeddings = encode_frozen([g for g, _ in support_set] + list(query_graphs), model.encoder)
-    elif embeddings.shape[1] != n_rows:
-        raise ValueError(f"finetune_and_predict: embeddings must have {n_rows} rows")
     ((probs, y_hat, attention),) = _finetune_rows(
         model.matcher,
-        embeddings,
+        encode_frozen([g for g, _ in support_set] + list(query_graphs), model.encoder),
         np.asarray([y for _, y in support_set], dtype=np.float64),
         [np.arange(n_s)],
         [np.arange(n_s, n_rows)],

@@ -83,6 +83,23 @@ def one_error_line(capsys):
     return err[0]
 
 
+def unwritable(path, problem):
+    """``path``, or one like it, that cannot be written as a file for the
+    reason ``problem`` gives: it is a directory, or its directory does
+    not exist."""
+    if problem == "is a directory":
+        path.mkdir()
+        return path
+    return path.parent / "absent" / path.name
+
+
+def assert_refused_before_work(capsys, bad, problem):
+    """Nothing on stdout and one ``data error`` line naming ``bad``."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"data error: {bad}: {problem}"]
+
+
 def task_file_smiles(workspace, split, index):
     task_files = sorted((workspace["data"] / split).glob("*.jsonl"))
     rows = [json.loads(line) for line in task_files[index].read_text().splitlines()]
@@ -238,10 +255,7 @@ class TestTrain:
         real = cli.meta_train
         monkeypatch.setattr(cli, "meta_train", lambda *a, **k: calls.append(a) or real(*a, **k))
         paths = {"out": tmp_path / "m.ckpt", "log": tmp_path / "m.log.csv"}
-        if problem == "is a directory":
-            paths[bad].mkdir()
-        else:
-            paths[bad] = tmp_path / "absent" / paths[bad].name
+        paths[bad] = unwritable(paths[bad], problem)
         made = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
@@ -556,6 +570,19 @@ class TestPredict:
         for row in rows[1:]:
             np.testing.assert_allclose(sum(float(v) for v in row[2:]), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("problem", ["its directory does not exist", "is a directory"])
+    def test_unwritable_attention_path_is_data_error_before_scoring(
+        self, workspace, tmp_path, capsys, problem
+    ):
+        support, query, _ = self.write_inputs(workspace, tmp_path)
+        attn = unwritable(tmp_path / "attn.csv", problem)
+        made = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", str(workspace["ckpt"]), "--support", str(support),
+                     "--query", str(query), "--attention-out", str(attn)]) == 3
+        assert_refused_before_work(capsys, attn, problem)
+        assert sorted(tmp_path.rglob("*")) == made
+
     def test_config_shape_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         support, query, _ = self.write_inputs(workspace, tmp_path)
         tensors, meta = load_checkpoint(workspace["ckpt"])
@@ -693,6 +720,26 @@ class TestTaskRel:
         assert line.startswith("data error: ") and "task 'synth-0000' has a zero vector" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, problem", [
+        ("matrix", "its directory does not exist"),
+        ("matrix", "is a directory"),
+        ("sidecar", "is a directory"),
+    ])
+    def test_unwritable_output_path_is_data_error_before_any_work(
+        self, workspace, tmp_path, capsys, bad, problem
+    ):
+        out = tmp_path / "rel.csv"
+        if bad == "matrix":
+            out = path = unwritable(out, problem)
+        else:
+            path = unwritable(tmp_path / "rel.csv.meta.jsonl", problem)
+        made = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["taskrel", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 3
+        assert_refused_before_work(capsys, path, problem)
+        assert sorted(tmp_path.rglob("*")) == made
+
     def test_too_few_tasks_is_data_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "rel.csv"
         assert main(["taskrel", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"]),
@@ -738,6 +785,34 @@ class TestExportEmbeddings:
                      "--smiles", str(src), "--out", str(out / "e.csv"), "--pca", k]) == 2
         assert "--pca must be in [1, 2]" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("problem", ["its directory does not exist", "is a directory"])
+    def test_unwritable_output_path_is_data_error_before_encoding(
+        self, workspace, tmp_path, capsys, problem
+    ):
+        src = tmp_path / "mols.txt"
+        src.write_text("CCO\nCCC\n", encoding="utf-8")
+        out = unwritable(tmp_path / "e.csv", problem)
+        made = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["export-embeddings", "--ckpt", str(workspace["ckpt"]),
+                     "--smiles", str(src), "--out", str(out)]) == 3
+        assert_refused_before_work(capsys, out, problem)
+        assert sorted(tmp_path.rglob("*")) == made
+
+    @pytest.mark.parametrize("name", ["e.pca_layer2.csv", "e.pca_variance.csv"])
+    def test_unwritable_pca_path_is_data_error_before_encoding(
+        self, workspace, tmp_path, capsys, name
+    ):
+        src = tmp_path / "mols.txt"
+        src.write_text("CCO\nCCC\n", encoding="utf-8")
+        bad = unwritable(tmp_path / name, "is a directory")
+        made = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["export-embeddings", "--ckpt", str(workspace["ckpt"]), "--smiles", str(src),
+                     "--out", str(tmp_path / "e.csv"), "--pca", "2"]) == 3
+        assert_refused_before_work(capsys, bad, "is a directory")
+        assert sorted(tmp_path.rglob("*")) == made
 
     def test_unparseable_input_is_data_error(self, workspace, tmp_path, capsys):
         src = tmp_path / "mols.txt"

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from molmatch.encoder import EncoderParams, encode_multilevel
-from molmatch.matcher import MatchParams, layer_predictions, match_levels, predict_detailed
+from molmatch.matcher import (
+    MatchParams,
+    episode_rows,
+    layer_predictions,
+    match_levels,
+    predict_detailed,
+)
 from molmatch.smiles import graph_from_smiles
-from molmatch.tensor import Tensor, attention_match, backward, cross_entropy, stack, sum_all
+from molmatch.tensor import Tensor, backward, cross_entropy, mul, reshape, stack, sum_all
 from oracles import match_levels_unfused, match_per_layer
 
 SUPPORT = ["CCO", "CC(=O)O", "c1ccccc1", "CCN"]
@@ -41,10 +47,29 @@ class TestInit:
         np.testing.assert_array_equal(new.wq[0].values, params.wq[0].values)
 
 
-def match_one(z_query, z_support, y_support, params, **kwargs):
-    """``match_levels`` on one layer (L = 1): the fused probabilities and
-    the layer's prediction."""
+def match_episode(z_query, z_support, y_support, params, **kwargs):
+    """``match_levels`` on one episode (E = 1) of [L, n, d] stacks, [n, 1]
+    labels and unstacked weights, the episode axis added by reshape nodes
+    as ``predict_detailed`` adds it, so gradients reach the inputs:
+    (probs [n_query, 2], y_hat, attention)."""
+
+    def one(t: Tensor) -> Tensor:
+        return reshape(t, (1, *t.shape))
+
     probs, y_hat, attention = match_levels(
+        one(z_query),
+        one(z_support),
+        y_support.values[None],
+        MatchParams({name: one(t) for name, t in params.tensors().items()}),
+        **kwargs,
+    )
+    return reshape(probs, probs.shape[1:]), y_hat[0], attention[0]
+
+
+def match_one(z_query, z_support, y_support, params, **kwargs):
+    """``match_levels`` on one episode of one layer (E = L = 1): the fused
+    probabilities and the layer's prediction."""
+    probs, y_hat, attention = match_episode(
         Tensor(np.asarray(z_query, dtype=float)[None]),
         Tensor(np.asarray(z_support, dtype=float)[None]),
         Tensor(y_support),
@@ -103,11 +128,11 @@ class TestMatchLayer:
     def test_errors(self):
         params = MatchParams.init(1, 3, seed=0)
         z = np.ones((2, 3))
-        with pytest.raises(ValueError, match="empty support"):
+        with pytest.raises(ValueError, match=r"z_support \(1, 1, 0, 3\)"):
             match_one(z, np.ones((0, 3)), np.ones((0, 1)), params)
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(ValueError, match=r"z_support \(1, 1, 2, 4\)"):
             match_one(z, np.ones((2, 4)), np.ones((2, 1)), params)
-        with pytest.raises(ValueError, match="y_support"):
+        with pytest.raises(ValueError, match=r"y_support \(1, 2\)"):
             match_one(z, np.ones((2, 3)), np.ones((2,)), params)
 
 
@@ -139,7 +164,7 @@ class TestFuse:
 
     def test_layer_count_mismatch(self):
         params = MatchParams.init(3, 2, seed=0)
-        with pytest.raises(ValueError, match="3 fusion rows"):
+        with pytest.raises(ValueError, match=r"wo \(1, 3, 2\)"):
             match_one(np.ones((1, 2)), np.ones((1, 2)), [[0.5]], params)
 
 
@@ -230,7 +255,7 @@ class TestStackedMatch:
             zs = [Tensor(rng.normal(size=(n_s, d)), requires_grad=True) for _ in range(n_layers)]
             y_s = Tensor(rng.integers(0, 2, size=(n_s, 1)).astype(float))
             target = Tensor(np.eye(2)[rng.integers(0, 2, size=n_q)])
-            probs, y_hat, attention = match_levels(
+            probs, y_hat, attention = match_episode(
                 stack(zq), stack(zs), y_s, params, dropout_rate=rate, rng=np.random.default_rng(seed)
             )
             ref_probs, ref_y, ref_att = match_per_layer(
@@ -292,7 +317,7 @@ class TestStackedMatch:
             y_s = Tensor(rng.integers(0, 2, size=(n_s, 1)).astype(float))
             target = Tensor(np.eye(2)[rng.integers(0, 2, size=n_q)])
             runs = []
-            for match in (match_levels, match_levels_unfused):
+            for match in (match_episode, match_levels_unfused):
                 probs, y_hat, attention = match(
                     zq, zs, y_s, params, dropout_rate=rate, rng=np.random.default_rng(seed)
                 )
@@ -322,9 +347,8 @@ class TestStackedMatch:
                 w = MatchParams({
                     name: Tensor(v[episodes], requires_grad=True) for name, v in weights.items()
                 })
-                probs, y_hat, attention = attention_match(
-                    Tensor(zq[episodes]), Tensor(zs[episodes]), y_s[episodes],
-                    w.wq, w.wk, w.wo, w.bias,
+                probs, y_hat, attention = match_levels(
+                    Tensor(zq[episodes]), Tensor(zs[episodes]), y_s[episodes], w
                 )
                 losses = cross_entropy(probs, Tensor(target.values[episodes]))
                 watched = w.tensors().values()
@@ -337,15 +361,81 @@ class TestStackedMatch:
                 for got, want in zip(stacked, alone):
                     assert got[e].tobytes() == want[0].tobytes()
 
+    def test_two_episodes_equal_each_episode_matched_alone(self):
+        # E = 2 stacked weights against each episode's own unstacked
+        # weights, given the episode axis as predict_detailed gives it
+        rng = np.random.default_rng(34)
+        n_layers, d, n_s, n_q = 3, 5, 4, 6
+        for share_qk in (True, False):
+            episodes = [
+                MatchParams.init(n_layers, d, seed=seed, share_qk=share_qk) for seed in (7, 8)
+            ]
+            zq = rng.normal(size=(2, n_layers, n_q, d))
+            zs = rng.normal(size=(2, n_layers, n_s, d))
+            y_s = rng.integers(0, 2, size=(2, n_s, 1)).astype(float)
+            target = np.eye(2)[rng.integers(0, 2, size=(2, n_q))]
+            w = MatchParams({
+                name: Tensor(np.stack([p[name].values for p in episodes]), requires_grad=True)
+                for name in episodes[0].tensors()
+            })
+            assert w.n_layers == n_layers  # read past the episode axis
+            probs, y_hat, attention = match_levels(Tensor(zq), Tensor(zs), y_s, w)
+            grads = backward(
+                sum_all(cross_entropy(probs, Tensor(target))), params=w.tensors().values(),
+                write_grad=False,
+            )
+            for e, params in enumerate(episodes):
+                alone = match_episode(Tensor(zq[e]), Tensor(zs[e]), Tensor(y_s[e]), params)
+                assert probs.values[e].tobytes() == alone[0].values.tobytes()
+                assert y_hat[e].tobytes() == alone[1].tobytes()
+                assert attention[e].tobytes() == alone[2].tobytes()
+                ref = backward(
+                    cross_entropy(alone[0], Tensor(target[e])),
+                    params=params.tensors().values(), write_grad=False,
+                )
+                for name, t in params.tensors().items():
+                    assert grads[w[name]][e].tobytes() == ref[t].tobytes(), name
+
     def test_match_records_one_attention_node(self):
         params = MatchParams.init(2, 4, seed=0)
-        zq = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        probs, _, _ = match_levels(zq, Tensor(np.ones((2, 5, 4))), Tensor(np.ones((5, 1))), params)
-        (node,) = probs._parents  # the reshape back to [n_query, 2]
-        assert node._vjp is not None and len(node._parents) == 2 + 2 + 2
+        w = MatchParams({n: Tensor(t.values[None], requires_grad=True)
+                         for n, t in params.tensors().items()})
+        zq = Tensor(np.ones((1, 2, 3, 4)), requires_grad=True)
+        probs, _, _ = match_levels(zq, Tensor(np.ones((1, 2, 5, 4))), np.ones((1, 5, 1)), w)
+        assert probs._vjp is not None and len(probs._parents) == 2 + 2 + 2
 
     def test_layer_count_must_match_fusion_rows(self):
         params = MatchParams.init(3, 2, seed=0)
         z = Tensor(np.ones((2, 4, 2)))
-        with pytest.raises(ValueError, match="3 fusion rows"):
-            match_levels(z, z, Tensor(np.ones((4, 1))), params)
+        with pytest.raises(ValueError, match=r"wo \(1, 3, 2\)"):
+            match_episode(z, z, Tensor(np.ones((4, 1))), params)
+
+
+class TestEpisodeRows:
+    """``episode_rows`` slices an [L, n, d] level stack into episode rows."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(35)
+        self.stacked = rng.normal(size=(3, 9, 4))
+        self.rows = np.array([[0, 4, 7], [4, 2, 8]])  # episodes may share rows
+
+    def test_values_equal_numpy_fancy_index(self):
+        got = episode_rows(Tensor(self.stacked), self.rows)
+        want = np.swapaxes(self.stacked[:, self.rows], 0, 1)
+        assert got.shape == (2, 3, 3, 4)
+        assert got.values.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_constant_stack_records_no_node(self):
+        got = episode_rows(Tensor(self.stacked), self.rows)
+        assert not got.requires_grad and got._parents == () and got._vjp is None
+
+    def test_tracked_stack_gradient_scatters_rows_back(self):
+        levels = Tensor(self.stacked, requires_grad=True)
+        upstream = np.random.default_rng(36).normal(size=(2, 3, 3, 4))
+        got = episode_rows(levels, self.rows)
+        grads = backward(sum_all(mul(got, Tensor(upstream))), params=[levels], write_grad=False)
+        want = np.zeros_like(self.stacked)
+        for e, episode in enumerate(self.rows):
+            for j, r in enumerate(episode):
+                want[:, r] += upstream[e, :, j]
+        np.testing.assert_allclose(grads[levels], want, rtol=0, atol=1e-12)

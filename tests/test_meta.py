@@ -547,22 +547,6 @@ class TestFinetuneAndPredict:
         for _, levels in outputs:
             assert not levels.requires_grad
 
-    def test_embeddings_must_cover_support_and_queries(self):
-        graphs = [g for g, _ in self.support_set] + self.query_graphs
-        levels = encode_frozen(graphs, self.model.encoder)
-        supplied = finetune_and_predict(
-            self.model, self.support_set, self.query_graphs, self.cfg, seed=0, embeddings=levels
-        )
-        encoded = finetune_and_predict(
-            self.model, self.support_set, self.query_graphs, self.cfg, seed=0
-        )
-        np.testing.assert_array_equal(supplied, encoded)
-        with pytest.raises(ValueError, match="embeddings must have 14 rows"):
-            finetune_and_predict(
-                self.model, self.support_set, self.query_graphs, self.cfg, seed=0,
-                embeddings=levels[:, :-1],
-            )
-
     def test_detailed_exposes_per_layer_predictions(self):
         probs, layer_preds = finetune_and_predict_detailed(
             self.model, self.support_set, self.query_graphs, self.cfg, seed=0
@@ -672,9 +656,10 @@ class TestScoreTask:
         for (scores, _), fine_seed, s_rows, q_rows in zip(scored, fine_seeds, support_rows, query_rows):
             episode = sample_episode(self.task, cfg.protocol, fine_seed[:-1])
             rows = levels[:, np.r_[s_rows, q_rows]]
-            alone = finetune_and_predict(
-                self.model, episode.support, [g for g, _ in episode.query], cfg, fine_seed,
-                embeddings=rows,
+            n_s = len(s_rows)
+            ((alone, _, _),) = meta._finetune_rows(
+                self.model.matcher, rows, labels[s_rows], [np.arange(n_s)],
+                [np.arange(n_s, rows.shape[1])], cfg, [fine_seed],
             )
             assert scores.tobytes() == alone[:, 0].tobytes()
             reference = finetune_per_episode(

@@ -44,3 +44,14 @@ def test_every_tensor_op_has_a_gradient_case():
     ops = [name for name in tensor.__all__ if name not in ("Tensor", "SlotTable", "backward")]
     missing = sorted(set(ops) - set(_op_cases(0)))
     assert not missing, f"criterion 1 has no gradient case for {missing}"
+
+
+def test_only_the_matcher_calls_the_attention_op():
+    # the episode layout of the fused match has one owner: every other
+    # module matches through matcher.match_levels on episode_rows slices
+    package = Path(molmatch.__file__).parent
+    naming = sorted(
+        path.name for path in package.glob("*.py")
+        if "attention_match" in path.read_text(encoding="utf-8")
+    )
+    assert naming == ["matcher.py", "tensor.py"]
