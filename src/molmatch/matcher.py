@@ -73,10 +73,6 @@ class MatchParams(Params):
         return self["bias"]
 
     @property
-    def n_layers(self) -> int:
-        return self.wo.shape[-2]
-
-    @property
     def shared_qk(self) -> bool:
         return "wq1" not in self._tensors
 

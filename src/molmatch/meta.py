@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .config import RunConfig, TrainConfig
-from .encoder import EncoderParams, encode_frozen, encode_multilevel
+from .encoder import EncoderParams, encode_frozen, encode_multilevel, frozen_batches
 from .episodes import (
     EpisodeError,
     Registry,
@@ -330,8 +330,9 @@ def _adapt_on_rows(
         leaves = MatchParams(
             {name: Tensor(v, requires_grad=name in trainable) for name, v in w.items()}
         )
-        probs, _, _ = match_levels(z_query, z_support, y_s, leaves)
-        losses = cross_entropy(probs, target)
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
+            probs, _, _ = match_levels(z_query, z_support, y_s, leaves)
+            losses = cross_entropy(probs, target)
         ok = np.isfinite(losses.values)
         for i, value in enumerate(losses.values.tolist()):
             if ok[i]:
@@ -514,7 +515,7 @@ def score_task(
 
     Episodes whose queries are all one class are dropped before any
     work.  Theta is frozen, so every molecule the kept episodes use is
-    encoded once, in batches of at most one episode's size, and each
+    encoded once, by ``encode_frozen`` under its atom budget, and each
     episode fine-tunes on its slice of those rows with ``seed + [1]``;
     episodes of one shape (all of them, under the balanced protocol)
     fine-tune in one stacked pass.  Returns (positive-class scores, query
@@ -526,19 +527,10 @@ def score_task(
     if not episodes:
         return []
     used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for _, e in episodes]))
-    graphs = [task.examples[i].graph for i in used]
-    batch = cfg.protocol.support_size + cfg.protocol.query_size
-    levels = np.concatenate(
-        [
-            encode_frozen(graphs[start : start + batch], model.encoder)
-            for start in range(0, len(graphs), batch)
-        ],
-        axis=1,
-    )
     labels = np.asarray([task.examples[i].label for i in used], dtype=np.float64)
     results = _finetune_rows(
         model.matcher,
-        levels,
+        encode_frozen([task.examples[i].graph for i in used], model.encoder),
         labels,
         [np.searchsorted(used, e.support_idx) for _, e in episodes],
         [np.searchsorted(used, e.query_idx) for _, e in episodes],
@@ -596,20 +588,39 @@ def _finetune_rows(
             continue
         done = [members[i] for i in live]
         support = np.array([support_rows[e] for e in done])
-        probs, y_hat, attention = match_levels(
+        probs, y_hat, attention, ok = _match_rows(
             episode_rows(levels, np.array([query_rows[e] for e in done])),
             episode_rows(levels, support),
             labels[support][..., None],
-            MatchParams({name: Tensor(v) for name, v in w_stack.items()}),
+            w_stack,
         )
         for i, e in enumerate(done):
-            if np.isfinite(probs.values[i]).all():
-                results[e] = (probs.values[i], y_hat[i], attention[i])
+            if ok[i]:
+                results[e] = (probs[i], y_hat[i], attention[i])
             else:
                 errors[e] = NumericalError("finetune: non-finite prediction")
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def _match_rows(
+    z_query: Tensor, z_support: Tensor, y_support: np.ndarray, w: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The prediction step of fine-tuning: ``match_levels`` for E
+    episodes' query rows against their support rows with their adapted
+    w, stacked [E, ...] by name, recording no autodiff graph.
+
+    Returns the probabilities [E, n_q, 2], label estimates [E, L, n_q, 1]
+    and attention [E, L, n_q, n_s], and per episode whether all its
+    probabilities are finite, which is where an overflow shows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # ``ok`` reports it
+        probs, y_hat, attention = match_levels(
+            z_query, z_support, y_support, MatchParams({name: Tensor(v) for name, v in w.items()})
+        )
+    ok = np.isfinite(probs.values).reshape(len(probs.values), -1).all(axis=1)
+    return probs.values, y_hat, attention, ok
 
 
 def finetune_and_predict(
@@ -633,9 +644,12 @@ def finetune_and_predict_detailed(
     """Inference: adapt w on a split of the labelled set, then predict
     the queries with the full labelled set as attention support.
 
-    Theta is frozen here, so the support and queries are encoded once,
-    without an autodiff graph, and both the inner loop and the final
-    match slice those rows.
+    Theta is frozen here, so nothing is encoded with an autodiff graph.
+    The labelled set is encoded alone and w adapts on its rows once.  The
+    queries then stream through ``frozen_batches``: each batch is encoded
+    and matched against the labelled rows before the next is encoded, so
+    memory grows with the per-query outputs only, never with a whole
+    request's embeddings or projections.
 
     Returns ([n_query, 2] probabilities, per-layer predictions).  Theta
     is never modified.
@@ -644,15 +658,28 @@ def finetune_and_predict_detailed(
         raise ValueError("finetune_and_predict: empty support set")
     if not query_graphs:
         raise ValueError("finetune_and_predict: empty query list")
-    n_s = len(support_set)
-    n_rows = n_s + len(query_graphs)
-    ((probs, y_hat, attention),) = _finetune_rows(
+    support = encode_frozen([g for g, _ in support_set], model.encoder)
+    labels = np.asarray([y for _, y in support_set], dtype=np.float64)
+    s_fine, q_fine = _split_rows(labels, cfg.train.support_split_fraction, seed)
+    w, _, _, (error,) = _adapt_on_rows(
         model.matcher,
-        encode_frozen([g for g, _ in support_set] + list(query_graphs), model.encoder),
-        np.asarray([y for _, y in support_set], dtype=np.float64),
-        [np.arange(n_s)],
-        [np.arange(n_s, n_rows)],
-        cfg,
-        [seed],
+        support,
+        labels,
+        np.array([s_fine], dtype=np.int64),
+        np.array([q_fine], dtype=np.int64),
+        cfg.train,
+        "finetune",
+    )
+    if error is not None:
+        raise error
+    z_support, y_support = Tensor(support[None]), labels[None, :, None]
+    chunks = []
+    for rows in frozen_batches(query_graphs, model.encoder):
+        probs, y_hat, attention, (ok,) = _match_rows(Tensor(rows[None]), z_support, y_support, w)
+        if not ok:
+            raise NumericalError("finetune: non-finite prediction")
+        chunks.append((probs[0], y_hat[0], attention[0]))
+    probs, y_hat, attention = (
+        np.concatenate(parts, axis=axis) for parts, axis in zip(zip(*chunks), (0, 1, 1))
     )
     return probs, layer_predictions(y_hat, attention)

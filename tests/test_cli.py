@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import shutil
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +321,26 @@ class TestTrain:
         assert line.endswith(" after the optimizer step")
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_overflowing_inner_step_is_one_line_numerical_abort(self, workspace, tmp_path,
+                                                                 capsys):
+        # an inner rate of 1e300 overflows the adapted w, so the next inner
+        # step's match overflows to a NaN loss
+        config = tmp_path / "huge.cfg"
+        config.write_text(
+            TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1\nalpha = 1e300"),
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                         "--out", str(tmp_path / "m.ckpt")])
+        assert code == 4
+        assert [str(w.message) for w in caught] == []
+        line = one_error_line(capsys)
+        assert line.startswith("numerical abort: task ")
+        assert line.endswith(": non-finite inner loss nan")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_missing_data_is_data_error(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace["config"]),
                      "--data", str(tmp_path / "absent"),
@@ -475,8 +497,9 @@ class TestEval:
         seen = sum(batches, [])
         assert len({id(g) for g in seen}) == len(seen)
         assert sorted(g.source_smiles for g in seen) == sorted(expected)
-        batch_cap = cfg.protocol.support_size + cfg.protocol.query_size
-        assert max(len(b) for b in batches) <= batch_cap
+        assert all(
+            len(b) == 1 or sum(g.n_atoms for g in b) <= encoder.FROZEN_BATCH_ATOMS for b in batches
+        )
 
     def test_nan_checkpoint_is_numerical_abort(self, workspace, tmp_path, capsys):
         # the attention softmax turns the overflow into NaN inner losses
@@ -661,6 +684,35 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err == "numerical abort: finetune: non-finite prediction\n"
         assert not (tmp_path / "attn.csv").exists()
+
+    def test_memory_grows_with_the_outputs_only(self, workspace, tmp_path, capsys):
+        # At full width a request encoded as one batch holds about 110 KB
+        # per query; streamed through the match, what stays per query is
+        # its parsed graph and output row, about 5 KB.
+        cfg = RunConfig()
+        assert cfg.encoder.hidden == 300
+        ckpt = tmp_path / "full.ckpt"
+        _save_model(ckpt, init_model(cfg), cfg, epoch=0)
+        support, _, _ = self.write_inputs(workspace, tmp_path)
+        corpus = Path(cli.__file__).with_name("data") / "smiles_corpus.txt"
+        smiles = [line.split("\t")[0] for line in corpus.read_text(encoding="utf-8").splitlines()
+                  if line and line[0] != "#"]
+        peaks = {}
+        for n in (256, 1024):
+            query = tmp_path / f"query-{n}.txt"
+            query.write_text("\n".join(smiles[i % len(smiles)] for i in range(n)) + "\n",
+                             encoding="utf-8")
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                assert main(["predict", "--ckpt", str(ckpt), "--support", str(support),
+                             "--query", str(query)]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(read_csv(capsys.readouterr().out)) == 1025
+        per_query = (peaks[1024] - peaks[256]) / (1024 - 256)
+        assert per_query < 16 * 1024, f"peak grows {per_query / 1024:.1f} KB per query"
 
     def test_single_class_support_warns(self, workspace, tmp_path, capsys):
         lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()

@@ -4,13 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from molmatch import encoder as encoder_module
 from molmatch import tensor as tensor_module
 from molmatch.encoder import (
+    FROZEN_BATCH_ATOMS,
     EncoderParams,
     GinLayerParams,
     GraphBatch,
     encode_frozen,
     encode_multilevel,
+    frozen_batches,
     gin_layer,
 )
 from molmatch.smiles import D_ATOM, D_BOND, MolGraph, graph_from_smiles
@@ -304,6 +307,7 @@ class TestEncodeMultilevel:
     def test_frozen_stack_is_the_multilevel_stack(self):
         params = small_params(layers=3, hidden=6, seed=4)
         graphs = corpus_graphs()
+        assert sum(g.n_atoms for g in graphs) <= FROZEN_BATCH_ATOMS  # one batch
         frozen = encode_frozen(graphs, params)
         assert isinstance(frozen, np.ndarray)
         assert frozen.tobytes() == encode_multilevel(graphs, params).values.tobytes()
@@ -336,6 +340,52 @@ class TestEncodeMultilevel:
         dropped = encode_multilevel(graphs, params, dropout_rate=0.5, rng=np.random.default_rng(0))
         assert clean.values.tobytes() == rate_zero.values.tobytes()
         assert not np.array_equal(clean.values[0], dropped.values[0])
+
+
+class TestFrozenBatches:
+    @staticmethod
+    def recorded_batches(monkeypatch, graphs, params):
+        """``encode_frozen(graphs, params)`` and the graph list of every
+        batch it encoded."""
+        batches = []
+
+        def recording(batch, params, **kwargs):
+            batches.append(list(batch))
+            return encode_multilevel(batch, params, **kwargs)
+
+        monkeypatch.setattr(encoder_module, "encode_multilevel", recording)
+        frozen = encode_frozen(graphs, params)
+        monkeypatch.undo()
+        return frozen, batches
+
+    def test_batches_keep_input_order_under_the_budget(self, monkeypatch):
+        graphs = corpus_graphs() * 4  # 1516 atoms
+        params = small_params(layers=2, hidden=8, seed=5)
+        frozen, batches = self.recorded_batches(monkeypatch, graphs, params)
+        assert len(batches) == 2
+        assert [id(g) for b in batches for g in b] == [id(g) for g in graphs]
+        for batch, following in zip(batches, batches[1:]):
+            atoms = sum(g.n_atoms for g in batch)
+            assert atoms <= FROZEN_BATCH_ATOMS < atoms + following[0].n_atoms
+        alone = [encode_multilevel([g], params).values[:, 0] for g in graphs[::37]]
+        np.testing.assert_allclose(frozen[:, ::37], np.stack(alone, axis=1), rtol=0, atol=1e-12)
+
+    def test_molecule_over_the_budget_is_a_batch_of_its_own(self, monkeypatch):
+        small, big = graph_from_smiles("CCO"), star_graph(FROZEN_BATCH_ATOMS + 4)
+        graphs = [small, big, small, small]
+        params = small_params(layers=2, hidden=4, seed=6)
+        frozen, batches = self.recorded_batches(monkeypatch, graphs, params)
+        assert [[id(g) for g in b] for b in batches] == [[id(small)], [id(big)], [id(small)] * 2]
+        assert frozen.shape == (2, 4, 4)
+
+    def test_several_batches_match_one_batch_encoding(self):
+        graphs = corpus_graphs() * 6
+        params = small_params(layers=3, hidden=16, seed=8)
+        assert len(list(frozen_batches(graphs, params))) == 3
+        np.testing.assert_allclose(
+            encode_frozen(graphs, params), encode_multilevel(graphs, params).values,
+            rtol=0, atol=1e-12,
+        )
 
 
 class TestEncoderGradients:

@@ -378,7 +378,6 @@ class TestStackedMatch:
                 name: Tensor(np.stack([p[name].values for p in episodes]), requires_grad=True)
                 for name in episodes[0].tensors()
             })
-            assert w.n_layers == n_layers  # read past the episode axis
             probs, y_hat, attention = match_levels(Tensor(zq), Tensor(zs), y_s, w)
             grads = backward(
                 sum_all(cross_entropy(probs, Tensor(target))), params=w.tensors().values(),

@@ -543,7 +543,8 @@ class TestFinetuneAndPredict:
 
         monkeypatch.setattr(encoder, "encode_multilevel", recording)
         finetune_and_predict(self.model, self.support_set, self.query_graphs, self.cfg, seed=0)
-        assert [n for n, _ in outputs] == [len(self.support_set) + len(self.query_graphs)]
+        # the support alone, then the queries, which fit in one batch
+        assert [n for n, _ in outputs] == [len(self.support_set), len(self.query_graphs)]
         for _, levels in outputs:
             assert not levels.requires_grad
 
@@ -596,7 +597,9 @@ class TestScoreTask:
         monkeypatch.undo()
         seen = sum(batches, [])
         assert len({id(g) for g in seen}) == len(seen)
-        assert max(len(b) for b in batches) <= 4 + 8
+        assert all(
+            len(b) == 1 or sum(g.n_atoms for g in b) <= encoder.FROZEN_BATCH_ATOMS for b in batches
+        )
         assert len(scored) == len(self.seeds)
         used = set()
         for seed, (scores, labels) in zip(self.seeds, scored):

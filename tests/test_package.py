@@ -55,3 +55,24 @@ def test_only_the_matcher_calls_the_attention_op():
         if "attention_match" in path.read_text(encoding="utf-8")
     )
     assert naming == ["matcher.py", "tensor.py"]
+
+
+def test_only_the_encoder_batches_graphs():
+    # frozen-encoder batching has one owner: encoder.encode_frozen packs
+    # graphs under its atom budget, and meta no longer cuts graph lists
+    # into episode-sized batches of its own
+    package = Path(molmatch.__file__).parent
+    building = sorted(
+        path.name for path in package.glob("*.py")
+        if "GraphBatch(" in path.read_text(encoding="utf-8")
+    )
+    assert building == ["encoder.py"]
+    tree = ast.parse((package / "meta.py").read_text(encoding="utf-8"))
+    episode_sized = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and {getattr(side, "attr", None) for side in (node.left, node.right)}
+        == {"support_size", "query_size"}
+    ]
+    assert not episode_sized, f"meta.py sums support_size and query_size at lines {episode_sized}"
