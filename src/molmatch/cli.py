@@ -216,7 +216,8 @@ def cmd_train(args) -> int:
     for path in (args.out, log_path):
         _check_output_path(path)
 
-    registry = load_registry(args.data)
+    # meta_train reads the valid split only to stop early
+    registry = load_registry(args.data, ("train", "valid") if cfg.train.early_stop else ("train",))
     if not registry.split_tasks("train"):
         raise DataError(f"{args.data}: no train tasks")
 
@@ -270,7 +271,7 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else cfg.train.seed
     cfg.validate()
 
-    registry = load_registry(args.data)
+    registry = load_registry(args.data, (args.split,))
     tasks = registry.split_tasks(args.split)
     if not tasks:
         raise DataError(f"{args.data}: no tasks in split {args.split!r}")
@@ -397,7 +398,7 @@ def cmd_taskrel(args) -> int:
     metric = args.metric or cfg.taskrel.metric
     mode = args.mode or cfg.taskrel.mode
     seed = args.seed if args.seed is not None else cfg.train.seed
-    registry = load_registry(args.data)
+    registry = load_registry(args.data, (args.split,))
     tasks = [t for t in registry.split_tasks(args.split) if can_sample(t, cfg.protocol)]
     if len(tasks) < 2:
         raise DataError(

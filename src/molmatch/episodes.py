@@ -2,8 +2,8 @@
 
 A dataset lives on disk as ``root/{train,valid,test}/<task_id>.jsonl``
 with one ``{"smiles": ..., "label": 0|1}`` record per line.  Loading
-parses and featurizes every molecule once; episodes then sample from
-the cached graphs.
+parses and featurizes every molecule of the splits asked for once;
+episodes then sample from the cached graphs.
 """
 
 from __future__ import annotations
@@ -127,42 +127,45 @@ def load_task_file(path: Path, split: str) -> tuple[TaskRecord, int]:
     return TaskRecord(task_id=path.stem, split=split, examples=examples), malformed
 
 
-def load_registry(root) -> Registry:
-    """Scan the split directories and build the featurized registry.
+def load_registry(root, splits=SPLITS) -> Registry:
+    """Scan the split directories and build the featurized registry of
+    the named ``splits``; the other splits' files are never opened.
 
     Malformed lines are counted and skipped; tasks with fewer than two
     usable examples are dropped (and reported).  A task id appearing in
-    more than one split is an error.
+    more than one split is an error, in every split.
     """
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} is not a directory")
-    registry = Registry()
+    split_paths: dict[str, list[Path]] = {}
     seen: dict[str, str] = {}
-    found_any = False
     for split in SPLITS:
-        split_dir = root / split
-        if not split_dir.is_dir():
+        if not (root / split).is_dir():
+            continue
+        split_paths[split] = sorted((root / split).glob("*.jsonl"))
+        for path in split_paths[split]:
+            if path.stem in seen:
+                raise DataError(
+                    f"task id {path.stem!r} appears in both {seen[path.stem]!r} and {split!r}"
+                )
+            seen[path.stem] = split
+    if not seen:
+        raise DataError(f"no task files found under {root} (expected train/valid/test subdirs)")
+    registry = Registry()
+    for split, paths in split_paths.items():
+        if split not in splits:
             continue
         records = []
-        for path in sorted(split_dir.glob("*.jsonl")):
-            found_any = True
+        for path in paths:
             record, malformed = load_task_file(path, split)
             registry.malformed_lines += malformed
-            if record.task_id in seen:
-                raise DataError(
-                    f"task id {record.task_id!r} appears in both "
-                    f"{seen[record.task_id]!r} and {split!r}"
-                )
-            seen[record.task_id] = split
             if len(record.examples) < 2:
                 registry.skipped_tasks.append(record.task_id)
                 log.warning("task %s skipped: fewer than 2 usable examples", record.task_id)
                 continue
             records.append(record)
         registry.tasks[split] = records
-    if not found_any:
-        raise DataError(f"no task files found under {root} (expected train/valid/test subdirs)")
     return registry
 
 
@@ -384,13 +387,14 @@ def _synth_task(task_id: str, split: str, n_molecules: int, rng: np.random.Gener
     while (len(pos_pool) < target_pos or len(neg_pool) < n_molecules - target_pos) and attempts < 20000:
         attempts += 1
         smiles = _random_molecule(rng)
+        if smiles in pos_pool or smiles in neg_pool:
+            continue  # already classed; parse draws nothing from rng
         try:
             mol = parse(smiles)
         except SmilesError:  # template bug guard; templates should always parse
             continue
         pool = pos_pool if rule.applies(mol) else neg_pool
-        if smiles not in pool:
-            pool[smiles] = mol
+        pool[smiles] = mol
     if len(pos_pool) < target_pos or len(neg_pool) < n_molecules - target_pos:
         raise DataError(f"synthetic task {task_id}: could not reach class balance for {rule.name}")
     examples = [

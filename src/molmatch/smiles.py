@@ -12,6 +12,7 @@ are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # atom | bond | ring | open | close | dot
     position: int
     element: str = ""
@@ -63,52 +63,58 @@ class Token:
     label: int = -1
 
 
+# Token fields after ``position`` when they all hold their defaults.
+_NO_FIELDS = ("", False, 0, 0, "", -1)
+# The kind and the fields after ``position`` of every one-character
+# token; "C" and "B" may instead start "Cl" or "Br", and "[" and "%"
+# start longer tokens.
+_CHAR_FIELDS = {
+    **{c: ("atom", (c, False, 0, 0, "", -1)) for c in ORGANIC_ONE},
+    **{c: ("atom", (c.upper(), True, 0, 0, "", -1)) for c in AROMATIC_ORGANIC},
+    **{c: ("bond", ("", False, 0, 0, order, -1)) for c, order in BOND_SYMBOLS.items()},
+    **{c: ("ring", ("", False, 0, 0, "", int(c))) for c in DIGITS},
+    "(": ("open", _NO_FIELDS),
+    ")": ("close", _NO_FIELDS),
+    ".": ("dot", _NO_FIELDS),
+}
+
+
 def tokenize(smiles: str) -> list[Token]:
     """Split a SMILES string into tokens, rejecting unknown characters."""
+    return [Token._make(fields) for fields in _scan(smiles)]
+
+
+def _scan(smiles: str) -> list[tuple]:
+    """``tokenize``'s tokens as plain tuples of the ``Token`` fields,
+    which ``parse`` unpacks without building ``Token`` objects."""
     if not smiles:
         raise SmilesError("empty SMILES string", 0)
-    tokens: list[Token] = []
+    tokens: list[tuple] = []
     i, n = 0, len(smiles)
     while i < n:
         c = smiles[i]
-        if c == "[":
+        spec = _CHAR_FIELDS.get(c)
+        if spec is not None:
+            if (c == "C" or c == "B") and smiles[i : i + 2] in ORGANIC_TWO:
+                tokens.append(("atom", i, smiles[i : i + 2], False, 0, 0, "", -1))
+                i += 2
+            else:
+                tokens.append((spec[0], i) + spec[1])
+                i += 1
+        elif c == "[":
             token, i = _scan_bracket(smiles, i)
             tokens.append(token)
-        elif smiles[i : i + 2] in ORGANIC_TWO:
-            tokens.append(Token("atom", i, element=smiles[i : i + 2]))
-            i += 2
-        elif c in ORGANIC_ONE:
-            tokens.append(Token("atom", i, element=c))
-            i += 1
-        elif c in AROMATIC_ORGANIC:
-            tokens.append(Token("atom", i, element=c.upper(), aromatic=True))
-            i += 1
-        elif c in BOND_SYMBOLS:
-            tokens.append(Token("bond", i, order=BOND_SYMBOLS[c]))
-            i += 1
-        elif c in DIGITS:
-            tokens.append(Token("ring", i, label=int(c)))
-            i += 1
         elif c == "%":
             if i + 2 >= n or smiles[i + 1] not in DIGITS or smiles[i + 2] not in DIGITS:
                 raise SmilesError("'%' must be followed by two digits", i)
-            tokens.append(Token("ring", i, label=int(smiles[i + 1 : i + 3])))
+            tokens.append(("ring", i, "", False, 0, 0, "", int(smiles[i + 1 : i + 3])))
             i += 3
-        elif c == "(":
-            tokens.append(Token("open", i))
-            i += 1
-        elif c == ")":
-            tokens.append(Token("close", i))
-            i += 1
-        elif c == ".":
-            tokens.append(Token("dot", i))
-            i += 1
         else:
             raise SmilesError(f"unexpected character {c!r}", i)
     return tokens
 
 
-def _scan_bracket(s: str, start: int) -> tuple[Token, int]:
+def _scan_bracket(s: str, start: int) -> tuple[tuple, int]:
     """Scan a bracket atom beginning at ``start`` (which holds '[')."""
     i = start + 1
     n = len(s)
@@ -170,10 +176,7 @@ def _scan_bracket(s: str, start: int) -> tuple[Token, int]:
             fail(f"unexpected character {c!r} in bracket atom", i)
     if i >= n:
         fail("unterminated bracket atom", start)
-    return (
-        Token("atom", start, element=element, aromatic=aromatic, charge=charge, h_count=h_count),
-        i + 1,
-    )
+    return ("atom", start, element, aromatic, charge, h_count, "", -1), i + 1
 
 
 @dataclass
@@ -201,16 +204,17 @@ class ParsedMolecule:
 
 def parse(smiles: str) -> ParsedMolecule:
     """Parse a single-fragment SMILES string into atoms and typed bonds."""
-    tokens = tokenize(smiles)
+    tokens = _scan(smiles)
     atoms: list[ParsedAtom] = []
     bonds: list[tuple[int, int, str]] = []
     bond_keys: set[tuple[int, int]] = set()
     prev: int | None = None
-    pending: tuple[str, int] | None = None  # (order, position)
+    pending: str | None = None  # order of a bond symbol not yet used
+    pending_position = 0
     stack: list[int] = []
     ring_open: dict[int, tuple[int, str | None, int]] = {}
 
-    def add_bond(u: int, v: int, order: str | None, position: int):
+    def close_ring(u: int, v: int, order: str | None, position: int):
         if u == v:
             raise SmilesError("ring closure bonds an atom to itself", position)
         key = (min(u, v), max(u, v))
@@ -221,53 +225,52 @@ def parse(smiles: str) -> ParsedMolecule:
         bond_keys.add(key)
         bonds.append((key[0], key[1], order))
 
-    for tok in tokens:
-        if tok.kind == "atom":
+    for kind, position, element, aromatic, charge, h_count, order, label in tokens:
+        if kind == "atom":
             idx = len(atoms)
-            atoms.append(ParsedAtom(tok.element, tok.aromatic, tok.charge, tok.h_count))
+            atoms.append(ParsedAtom(element, aromatic, charge, h_count))
             if prev is not None:
-                add_bond(prev, idx, pending[0] if pending else None, tok.position)
-            elif pending is not None:
-                raise SmilesError("bond symbol with no preceding atom", pending[1])
-            pending = None
+                # the chain bond to a new atom is never a self bond or a
+                # duplicate; its key still guards later ring closures
+                chain_order = pending or ("aromatic" if aromatic and atoms[prev].aromatic else "single")
+                bond_keys.add((prev, idx))
+                bonds.append((prev, idx, chain_order))
+                pending = None
             prev = idx
-        elif tok.kind == "bond":
+        elif kind == "ring":
             if prev is None:
-                raise SmilesError("bond symbol with no preceding atom", tok.position)
-            if pending is not None:
-                raise SmilesError("two bond symbols in a row", tok.position)
-            pending = (tok.order, tok.position)
-        elif tok.kind == "ring":
-            if prev is None:
-                raise SmilesError("ring closure with no preceding atom", tok.position)
-            if tok.label in ring_open:
-                other, other_order, other_pos = ring_open.pop(tok.label)
-                order = pending[0] if pending else None
-                if order is not None and other_order is not None and order != other_order:
-                    raise SmilesError(
-                        f"conflicting bond orders on ring closure {tok.label}", tok.position
-                    )
-                add_bond(other, prev, order if order is not None else other_order, tok.position)
+                raise SmilesError("ring closure with no preceding atom", position)
+            if label in ring_open:
+                other, other_order, _ = ring_open.pop(label)
+                if pending is not None and other_order is not None and pending != other_order:
+                    raise SmilesError(f"conflicting bond orders on ring closure {label}", position)
+                close_ring(other, prev, pending if pending is not None else other_order, position)
             else:
-                ring_open[tok.label] = (prev, pending[0] if pending else None, tok.position)
+                ring_open[label] = (prev, pending, position)
             pending = None
-        elif tok.kind == "open":
+        elif kind == "open":
             if prev is None:
-                raise SmilesError("branch opened before any atom", tok.position)
+                raise SmilesError("branch opened before any atom", position)
             if pending is not None:
-                raise SmilesError("bond symbol immediately before '('", tok.position)
+                raise SmilesError("bond symbol immediately before '('", position)
             stack.append(prev)
-        elif tok.kind == "close":
+        elif kind == "close":
             if not stack:
-                raise SmilesError("unbalanced ')'", tok.position)
+                raise SmilesError("unbalanced ')'", position)
             if pending is not None:
-                raise SmilesError("dangling bond symbol before ')'", tok.position)
+                raise SmilesError("dangling bond symbol before ')'", position)
             prev = stack.pop()
-        elif tok.kind == "dot":
-            raise SmilesError("multi-fragment SMILES are not supported", tok.position)
+        elif kind == "bond":
+            if prev is None:
+                raise SmilesError("bond symbol with no preceding atom", position)
+            if pending is not None:
+                raise SmilesError("two bond symbols in a row", position)
+            pending, pending_position = order, position
+        else:  # dot
+            raise SmilesError("multi-fragment SMILES are not supported", position)
 
     if pending is not None:
-        raise SmilesError("dangling bond symbol at end of input", pending[1])
+        raise SmilesError("dangling bond symbol at end of input", pending_position)
     if stack:
         raise SmilesError("unclosed '('", len(smiles) - 1)
     if ring_open:
@@ -289,29 +292,15 @@ D_ATOM = (len(ELEMENTS) + 1) + (MAX_DEGREE + 1) + _N_CHARGE + 1 + (MAX_H + 1)
 D_BOND = len(BOND_ORDERS)
 
 
-def _atom_row(atom: ParsedAtom, degree: int) -> np.ndarray:
-    row = np.zeros(D_ATOM, dtype=np.float64)
-    offset = 0
-    try:
-        row[offset + ELEMENTS.index(atom.element)] = 1.0
-    except ValueError:
-        row[offset + len(ELEMENTS)] = 1.0  # "other" bucket
-    offset += len(ELEMENTS) + 1
-    row[offset + min(degree, MAX_DEGREE)] = 1.0
-    offset += MAX_DEGREE + 1
-    charge = min(max(atom.charge, CHARGE_RANGE[0]), CHARGE_RANGE[1])
-    row[offset + (charge - CHARGE_RANGE[0])] = 1.0
-    offset += _N_CHARGE
-    row[offset] = 1.0 if atom.aromatic else 0.0
-    offset += 1
-    row[offset + min(atom.h_count, MAX_H)] = 1.0
-    return row
-
-
-def _bond_row(order: str) -> np.ndarray:
-    row = np.zeros(D_BOND, dtype=np.float64)
-    row[BOND_ORDERS.index(order)] = 1.0
-    return row
+# First column of each block of an atom row, and the column of each
+# element and bond order within its block.
+_DEGREE_COL = len(ELEMENTS) + 1
+_CHARGE_COL = _DEGREE_COL + MAX_DEGREE + 1
+_AROMATIC_COL = _CHARGE_COL + _N_CHARGE
+_H_COL = _AROMATIC_COL + 1
+_ELEMENT_COL = {element: col for col, element in enumerate(ELEMENTS)}
+_OTHER_COL = len(ELEMENTS)
+_BOND_COL = {order: col for col, order in enumerate(BOND_ORDERS)}
 
 
 @dataclass
@@ -346,11 +335,26 @@ def featurize(mol: ParsedMolecule) -> MolGraph:
     for u, v, _ in mol.bonds:
         degrees[u] += 1
         degrees[v] += 1
-    atom_rows = np.stack([_atom_row(a, d) for a, d in zip(mol.atoms, degrees)])
+    low, high = CHARGE_RANGE
+    hot: list[int] = []  # flat index of every one in the atom rows
+    base = 0
+    for atom, degree in zip(mol.atoms, degrees):
+        charge, h_count = atom.charge, atom.h_count
+        hot += (
+            base + _ELEMENT_COL.get(atom.element, _OTHER_COL),
+            base + _DEGREE_COL + (degree if degree < MAX_DEGREE else MAX_DEGREE),
+            base + _CHARGE_COL - low + (low if charge < low else high if charge > high else charge),
+            base + _H_COL + (h_count if h_count < MAX_H else MAX_H),
+        )
+        if atom.aromatic:
+            hot.append(base + _AROMATIC_COL)
+        base += D_ATOM
+    atom_rows = np.zeros((mol.n_atoms, D_ATOM), dtype=np.float64)
+    atom_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = 1.0
+    bond_rows = np.zeros((mol.n_bonds, D_BOND), dtype=np.float64)
     if mol.bonds:
-        bond_rows = np.stack([_bond_row(order) for _, _, order in mol.bonds])
-    else:
-        bond_rows = np.zeros((0, D_BOND), dtype=np.float64)
+        hot = [row * D_BOND + _BOND_COL[order] for row, (_, _, order) in enumerate(mol.bonds)]
+        bond_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = 1.0
     return MolGraph(
         atom_feats=Tensor(atom_rows),
         bonds=[(u, v) for u, v, _ in mol.bonds],

@@ -5,9 +5,9 @@ plain numpy or pure Python, deliberately avoiding the package's own
 code paths: central finite differences for gradients, O(n^2) pair
 counting for ranking metrics, permutation search for graph isomorphism,
 a dense eigendecomposition for PCA, per-tensor loops for the
-task-relation updates, a per-bond loop for the batched graph, and the
-GIN layer and the attention block as compositions of the ops criterion 1
-checks one by one.
+task-relation updates, a per-bond loop for the batched graph, a
+row-by-row one-hot featurizer, and the GIN layer and the attention
+block as compositions of the ops criterion 1 checks one by one.
 """
 
 from __future__ import annotations
@@ -188,6 +188,52 @@ def finetune_per_episode(matcher, levels, labels, fraction, seed, inner_steps, a
         Tensor(levels[:, n_s:]), rows(labelled), column(labelled), w.detach()
     )
     return probs.values
+
+
+def featurize_by_rows(mol) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row reference for ``smiles.featurize``: the atom and bond
+    one-hot rows of a parsed molecule, each row its own array, then
+    stacked.  The "other" element bucket and the clamped degree, charge
+    and H-count buckets sit at the end of their blocks."""
+    from molmatch.smiles import (
+        BOND_ORDERS, CHARGE_RANGE, D_ATOM, D_BOND, ELEMENTS, MAX_DEGREE, MAX_H,
+    )
+
+    n_charge = CHARGE_RANGE[1] - CHARGE_RANGE[0] + 1
+
+    def atom_row(atom, degree):
+        row = np.zeros(D_ATOM, dtype=np.float64)
+        offset = 0
+        try:
+            row[offset + ELEMENTS.index(atom.element)] = 1.0
+        except ValueError:
+            row[offset + len(ELEMENTS)] = 1.0  # "other" bucket
+        offset += len(ELEMENTS) + 1
+        row[offset + min(degree, MAX_DEGREE)] = 1.0
+        offset += MAX_DEGREE + 1
+        charge = min(max(atom.charge, CHARGE_RANGE[0]), CHARGE_RANGE[1])
+        row[offset + (charge - CHARGE_RANGE[0])] = 1.0
+        offset += n_charge
+        row[offset] = 1.0 if atom.aromatic else 0.0
+        offset += 1
+        row[offset + min(atom.h_count, MAX_H)] = 1.0
+        return row
+
+    def bond_row(order):
+        row = np.zeros(D_BOND, dtype=np.float64)
+        row[BOND_ORDERS.index(order)] = 1.0
+        return row
+
+    degrees = [0] * len(mol.atoms)
+    for u, v, _ in mol.bonds:
+        degrees[u] += 1
+        degrees[v] += 1
+    atom_rows = np.stack([atom_row(a, d) for a, d in zip(mol.atoms, degrees)])
+    if mol.bonds:
+        bond_rows = np.stack([bond_row(order) for _, _, order in mol.bonds])
+    else:
+        bond_rows = np.zeros((0, D_BOND), dtype=np.float64)
+    return atom_rows, bond_rows
 
 
 def graph_batch_per_bond(graphs) -> dict:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import shutil
 import tracemalloc
 import warnings
@@ -415,6 +416,34 @@ class TestEval:
         (data / "test" / "latin1.jsonl").write_bytes(b'{"smiles": "C\xe9", "label": 1}\n')
         assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(data)]) == 3
         assert one_error_line(capsys).startswith("data error:")
+
+    def test_unread_splits_are_not_parsed(self, workspace, tmp_path, capsys, caplog):
+        # eval parses only its --split: a malformed line in a train file
+        # draws no warning and leaves the CSV as the clean registry gives it
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        argv = ["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(data)]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        with open(data / "train" / "synth-0000.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == clean
+            assert "synth-0000.jsonl" not in caplog.text
+            assert main(argv + ["--split", "train"]) == 0
+            capsys.readouterr()
+            assert "synth-0000.jsonl line 13 skipped" in caplog.text
+
+    def test_duplicate_id_in_an_unread_split_is_data_error(self, workspace, tmp_path, capsys):
+        # the cross-split id check reads file names, so it covers every split
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        shutil.copy(data / "test" / "synth-0003.jsonl", data / "train" / "synth-0003.jsonl")
+        assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(data)]) == 3
+        assert one_error_line(capsys) == (
+            "data error: task id 'synth-0003' appears in both 'train' and 'test'"
+        )
 
     def test_corrupt_tensor_name_is_data_error(self, workspace, tmp_path, capsys):
         raw = bytearray(workspace["ckpt"].read_bytes())

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from molmatch.cli import main
 from molmatch.config import ProtocolConfig
 from molmatch.episodes import (
     DataError,
@@ -79,6 +81,16 @@ class TestLoadRegistry:
             write_task(tmp_path / split / "same.jsonl", rows)
         with pytest.raises(DataError, match="same"):
             load_registry(tmp_path)
+
+    def test_only_named_splits_are_parsed(self, tmp_path):
+        rows = [{"smiles": "C", "label": 0}, {"smiles": "CC", "label": 1}, "not json"]
+        for split in ("train", "valid", "test"):
+            (tmp_path / split).mkdir()
+            write_task(tmp_path / split / f"{split}-task.jsonl", rows)
+        registry = load_registry(tmp_path, splits=("valid",))
+        assert list(registry.tasks) == ["valid"]
+        assert [t.task_id for t in registry.split_tasks("valid")] == ["valid-task"]
+        assert registry.malformed_lines == 1
 
     def test_empty_root_rejected(self, tmp_path):
         (tmp_path / "train").mkdir()
@@ -268,6 +280,38 @@ class TestSynthGenerate:
     def test_minimum_size(self):
         with pytest.raises(DataError, match="at least 4"):
             synth_generate(1, 0, 3, seed=0)
+
+    # SHA-256 digests of the generator's output, taken before synth
+    # skipped re-parsing candidates it had already classed and before the
+    # column-code featurizer: both must leave every task, molecule, label
+    # and feature byte as it was, since the benchmark and criterion 5
+    # train on these tasks.
+    def test_registry_is_pinned(self):
+        registry = synth_generate(6, 2, 20, seed=0)
+        digest = hashlib.sha256()
+        for split, records in registry.tasks.items():
+            for record in records:
+                digest.update(f"{split}/{record.task_id}\n".encode())
+                for ex in record.examples:
+                    digest.update(f"{ex.smiles}\t{ex.label}\t{ex.graph.bonds}\n".encode())
+                    digest.update(ex.graph.atom_feats.values.tobytes())
+                    digest.update(ex.graph.bond_feats.values.tobytes())
+        assert digest.hexdigest() == (
+            "5438d4fbd06c54831abcec8084b5a1deff4c47e8e79c0d545713f441da3002ac"
+        )
+
+    def test_synth_command_files_are_pinned(self, tmp_path):
+        out = tmp_path / "reg"
+        argv = ["synth", "--out", str(out), "--train", "3", "--valid", "1", "--test", "2",
+                "--molecules", "12", "--seed", "11"]
+        assert main(argv) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.rglob("*.jsonl")):
+            digest.update(path.relative_to(out).as_posix().encode() + b"\n")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "cf61c8a73497d8a007a7bda68f497adfd8bcb9b470c93600472b3f0c2f038694"
+        )
 
 
 class TestHelpers:

@@ -76,3 +76,35 @@ def test_only_the_encoder_batches_graphs():
         == {"support_size", "query_size"}
     ]
     assert not episode_sized, f"meta.py sums support_size and query_size at lines {episode_sized}"
+
+
+def test_only_smiles_featurizes():
+    # featurization has one owner: smiles.featurize lays out the one-hot
+    # atom and bond rows and builds every MolGraph, and episodes and cli
+    # turn SMILES into graphs only through parse, featurize and
+    # graph_from_smiles
+    package = Path(molmatch.__file__).parent
+    layout = {"ELEMENTS", "MAX_DEGREE", "CHARGE_RANGE", "MAX_H", "BOND_ORDERS"}
+
+    def featurizes(tree) -> bool:
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in layout:
+                return True
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MolGraph":
+                return True
+        return False
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    assert sorted(name for name, tree in trees.items() if featurizes(tree)) == ["smiles.py"]
+    for name in ("episodes.py", "cli.py"):
+        from_smiles = {
+            alias.name
+            for node in ast.walk(trees[name])
+            if isinstance(node, ast.ImportFrom) and node.module == "smiles"
+            for alias in node.names
+        }
+        extra = from_smiles - {"MolGraph", "SmilesError", "parse", "featurize", "graph_from_smiles"}
+        assert not extra, f"{name} imports {sorted(extra)} from smiles"

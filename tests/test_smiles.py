@@ -2,19 +2,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from molmatch.episodes import _random_molecule
 from molmatch.smiles import (
     D_ATOM,
     D_BOND,
+    ELEMENTS,
     SmilesError,
+    Token,
     featurize,
     graph_from_smiles,
     parse,
     tokenize,
 )
-from oracles import find_isomorphism
+from oracles import featurize_by_rows, find_isomorphism
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "molmatch" / "data" / "smiles_corpus.txt"
 
@@ -70,6 +73,29 @@ class TestTokenize:
     def test_empty_input(self):
         with pytest.raises(SmilesError, match="empty"):
             tokenize("")
+
+    def test_every_field_of_every_token_kind(self):
+        assert tokenize("[13CH3+]C(=O)c1%10Cl.Br") == [
+            Token("atom", 0, element="C", charge=1, h_count=3),
+            Token("atom", 8, element="C"),
+            Token("open", 9),
+            Token("bond", 10, order="double"),
+            Token("atom", 11, element="O"),
+            Token("close", 12),
+            Token("atom", 13, element="C", aromatic=True),
+            Token("ring", 14, label=1),
+            Token("ring", 15, label=10),
+            Token("atom", 18, element="Cl"),
+            Token("dot", 20),
+            Token("atom", 21, element="Br"),
+        ]
+
+    def test_token_fields_cannot_be_reassigned(self):
+        token = tokenize("C")[0]
+        for name, value in (("kind", "bond"), ("position", 3), ("element", "N")):
+            with pytest.raises(AttributeError):
+                setattr(token, name, value)
+        assert token == Token("atom", 0, element="C")
 
 
 class TestBracketAtoms:
@@ -172,6 +198,7 @@ class TestParse:
             ("C=#C", "two bond symbols"),
             ("C11", "itself"),
             ("C12CC12", "duplicate bond"),
+            ("C1C1", "duplicate bond"),  # a closure repeating the chain bond
             ("C-1CC=1", "conflicting bond orders"),
             ("(C)", "branch opened before any atom"),
             ("1CC", "ring closure with no preceding atom"),
@@ -186,6 +213,32 @@ class TestParse:
         # label 1 may be reused once its first pairing closed
         mol = parse("C1CC1C1CC1")
         assert mol.n_atoms == 6 and mol.n_bonds == 7
+
+
+# Featurizer inputs: the synthetic generator's templates, and a hub atom
+# with up to eight branches of plain and bracket atoms, the latter with
+# charges -3..+3, H counts 0..5, unknown elements and aromatic symbols.
+SYNTH_MOLECULES = st.integers(0, 2**32 - 1).map(
+    lambda seed: _random_molecule(np.random.default_rng(seed))
+)
+BRACKET_ATOMS = st.builds(
+    lambda element, h_count, charge: f"[{element}H{h_count}{'' if charge == 0 else f'{charge:+d}'}]",
+    st.sampled_from(ELEMENTS + ("Se", "Xe", "c", "n", "o", "s", "se")),
+    st.integers(0, 5),
+    st.integers(-3, 3),
+)
+ATOMS = st.one_of(st.sampled_from(["C", "N", "O", "c", "n", "Cl", "Br"]), BRACKET_ATOMS)
+BRANCHES = st.lists(
+    st.lists(st.tuples(st.sampled_from(["", "-", "=", "#", ":"]), ATOMS), min_size=1, max_size=3),
+    max_size=8,
+)
+HUB_MOLECULES = st.builds(
+    lambda hub, branches: hub + "".join(
+        "(" + "".join(bond + atom for bond, atom in branch) + ")" for branch in branches
+    ),
+    ATOMS,
+    BRANCHES,
+)
 
 
 class TestFeaturize:
@@ -252,6 +305,22 @@ class TestFeaturize:
 
     def test_source_smiles_retained(self):
         assert graph_from_smiles("CCO").source_smiles == "CCO"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(SYNTH_MOLECULES, HUB_MOLECULES))
+    @example("C")  # one atom, no bonds
+    @example("[Se]")
+    @example("[Xe+3]")
+    @example("[nH+]")
+    @example("C(F)(F)(F)(F)(F)(F)F")  # degree 7
+    def test_matches_the_row_by_row_reference(self, smiles):
+        mol = parse(smiles)
+        graph = featurize(mol)
+        atom_rows, bond_rows = featurize_by_rows(mol)
+        for got, want in ((graph.atom_feats.values, atom_rows), (graph.bond_feats.values, bond_rows)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), smiles
+        assert graph.bonds == [(u, v) for u, v, _ in mol.bonds]
 
 
 class TestIsomorphism:
