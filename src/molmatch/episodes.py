@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,8 +83,6 @@ class Episode:
 @dataclass
 class Registry:
     tasks: dict[str, list[TaskRecord]] = field(default_factory=dict)
-    malformed_lines: int = 0
-    skipped_tasks: list[str] = field(default_factory=list)
 
     def split_tasks(self, split: str) -> list[TaskRecord]:
         return self.tasks.get(split, [])
@@ -116,8 +115,10 @@ def load_task_file(path: Path, split: str) -> tuple[TaskRecord, int]:
             rec = json.loads(line)
             smiles = rec["smiles"]
             label = rec["label"]
-            if label not in (0, 1):
-                raise ValueError(f"label must be 0 or 1, got {label!r}")
+            if not isinstance(smiles, str):
+                raise ValueError(f"smiles must be a string, got {json.dumps(smiles)}")
+            if isinstance(label, bool) or label not in (0, 1):  # JSON true == 1 in Python
+                raise ValueError(f"label must be 0 or 1, got {json.dumps(label)}")
             graph = graph_from_smiles(smiles)
         except (KeyError, ValueError, TypeError, SmilesError) as exc:
             malformed += 1
@@ -131,8 +132,8 @@ def load_registry(root, splits=SPLITS) -> Registry:
     """Scan the split directories and build the featurized registry of
     the named ``splits``; the other splits' files are never opened.
 
-    Malformed lines are counted and skipped; tasks with fewer than two
-    usable examples are dropped (and reported).  A task id appearing in
+    Malformed lines are skipped and tasks with fewer than two usable
+    examples are dropped, each with a warning.  A task id appearing in
     more than one split is an error, in every split.
     """
     root = Path(root)
@@ -158,10 +159,8 @@ def load_registry(root, splits=SPLITS) -> Registry:
             continue
         records = []
         for path in paths:
-            record, malformed = load_task_file(path, split)
-            registry.malformed_lines += malformed
+            record, _ = load_task_file(path, split)
             if len(record.examples) < 2:
-                registry.skipped_tasks.append(record.task_id)
                 log.warning("task %s skipped: fewer than 2 usable examples", record.task_id)
                 continue
             records.append(record)
@@ -348,37 +347,22 @@ def _random_molecule(rng: np.random.Generator) -> str:
     return s[:cut] + deco + s[cut:]
 
 
-@dataclass(frozen=True)
-class _Rule:
-    name: str
-
-    def applies(self, mol) -> bool:
-        if self.name.startswith("element:"):
-            wanted = self.name.split(":", 1)[1]
-            return any(a.element == wanted for a in mol.atoms)
-        if self.name == "ring":
-            return len(mol.bonds) >= len(mol.atoms)  # cyclomatic number >= 1
-        if self.name == "double_bond":
-            return any(order == "double" for _, _, order in mol.bonds)
-        if self.name.startswith("atoms>="):
-            return len(mol.atoms) >= int(self.name.split(">=", 1)[1])
-        raise ValueError(f"unknown rule {self.name!r}")
-
-
-def _rule_pool(rng: np.random.Generator) -> _Rule:
+def _rule_pool(rng: np.random.Generator) -> tuple[str, Callable]:
+    """Draw a labelling rule: its name and its test of a parsed molecule."""
     roll = rng.random()
     if roll < 0.5:
         element = ("O", "N", "S", "F", "Cl")[int(rng.integers(5))]
-        return _Rule(f"element:{element}")
+        return f"element:{element}", lambda mol: any(a.element == element for a in mol.atoms)
     if roll < 0.7:
-        return _Rule("ring")
+        return "ring", lambda mol: len(mol.bonds) >= len(mol.atoms)  # cyclomatic number >= 1
     if roll < 0.9:
-        return _Rule("double_bond")
-    return _Rule(f"atoms>={int(rng.integers(6, 10))}")
+        return "double_bond", lambda mol: any(order == "double" for _, _, order in mol.bonds)
+    min_atoms = int(rng.integers(6, 10))
+    return f"atoms>={min_atoms}", lambda mol: len(mol.atoms) >= min_atoms
 
 
 def _synth_task(task_id: str, split: str, n_molecules: int, rng: np.random.Generator) -> TaskRecord:
-    rule = _rule_pool(rng)
+    rule, applies = _rule_pool(rng)
     target_pos = int(round(n_molecules * rng.uniform(0.4, 0.6)))
     target_pos = min(max(target_pos, int(0.35 * n_molecules) + 1), int(0.65 * n_molecules))
     pos_pool: dict[str, object] = {}
@@ -393,10 +377,10 @@ def _synth_task(task_id: str, split: str, n_molecules: int, rng: np.random.Gener
             mol = parse(smiles)
         except SmilesError:  # template bug guard; templates should always parse
             continue
-        pool = pos_pool if rule.applies(mol) else neg_pool
+        pool = pos_pool if applies(mol) else neg_pool
         pool[smiles] = mol
     if len(pos_pool) < target_pos or len(neg_pool) < n_molecules - target_pos:
-        raise DataError(f"synthetic task {task_id}: could not reach class balance for {rule.name}")
+        raise DataError(f"synthetic task {task_id}: could not reach class balance for {rule}")
     examples = [
         TaskExample(s, 1, featurize(m)) for s, m in list(pos_pool.items())[:target_pos]
     ] + [

@@ -112,10 +112,6 @@ class AdaptedParams:
     w_tau: MatchParams
     loss_history: list[float] = field(default_factory=list)
 
-    @property
-    def final_inner_loss(self) -> float:
-        return self.loss_history[-1] if self.loss_history else float("nan")
-
 
 @dataclass
 class EpochLog:
@@ -515,12 +511,13 @@ def score_task(
 
     Episodes whose queries are all one class are dropped before any
     work.  Theta is frozen, so every molecule the kept episodes use is
-    encoded once, by ``encode_frozen`` under its atom budget, and each
-    episode fine-tunes on its slice of those rows with ``seed + [1]``;
-    episodes of one shape (all of them, under the balanced protocol)
-    fine-tune in one stacked pass.  Returns (positive-class scores, query
-    labels) per kept episode, in seed order; the first episode in seed
-    order whose fine-tune fails raises its NumericalError.
+    encoded once, by ``encode_frozen`` under its atom budget.  Each
+    episode adapts w on its support with ``seed + [1]``, then all
+    episodes' queries are matched against their whole supports in one
+    stacked pass.  Returns (positive-class scores, query labels) per kept
+    episode, in seed order; when some episode fails, in adaptation or in
+    prediction, the first failing one in seed order raises its
+    NumericalError.
     """
     episodes = [(seed, sample_episode(task, cfg.protocol, seed)) for seed in seeds]
     episodes = [(seed, e) for seed, e in episodes if len({y for _, y in e.query}) >= 2]
@@ -528,80 +525,65 @@ def score_task(
         return []
     used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for _, e in episodes]))
     labels = np.asarray([task.examples[i].label for i in used], dtype=np.float64)
-    results = _finetune_rows(
-        model.matcher,
-        encode_frozen([task.examples[i].graph for i in used], model.encoder),
-        labels,
-        [np.searchsorted(used, e.support_idx) for _, e in episodes],
-        [np.searchsorted(used, e.query_idx) for _, e in episodes],
-        cfg,
-        [[*seed, 1] for seed, _ in episodes],
+    stacked = encode_frozen([task.examples[i].graph for i in used], model.encoder)
+    # the samplers give every episode of a task the same support and query sizes
+    support = np.array([np.searchsorted(used, e.support_idx) for _, e in episodes])
+    query = np.array([np.searchsorted(used, e.query_idx) for _, e in episodes])
+    w, errors = _adapt_labelled(
+        model.matcher, stacked, labels, support, cfg, [[*seed, 1] for seed, _ in episodes]
     )
-    return [
-        (probs[:, 0], [y for _, y in episode.query])
-        for (_, episode), (probs, _, _) in zip(episodes, results)
-    ]
+    levels = Tensor(stacked)
+    probs, _, _, ok = _match_rows(
+        episode_rows(levels, query), episode_rows(levels, support), labels[support][..., None], w
+    )
+    for e in np.nonzero(~ok)[0]:  # an episode that failed to adapt keeps that error
+        errors.setdefault(int(e), NumericalError("finetune: non-finite prediction"))
+    if errors:
+        raise errors[min(errors)]
+    return [(p[:, 0], [y for _, y in episode.query]) for p, (_, episode) in zip(probs, episodes)]
 
 
-def _finetune_rows(
+def _adapt_labelled(
     match_params: MatchParams,
     stacked: np.ndarray,
     labels: np.ndarray,
-    support_rows: list[np.ndarray],
-    query_rows: list[np.ndarray],
+    labelled_rows: np.ndarray,
     cfg: RunConfig,
     seeds,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Fine-tune and predict E episodes on the rows of one frozen
+) -> tuple[dict[str, np.ndarray], dict[int, NumericalError]]:
+    """Test-time adaptation of w for E episodes on the rows of one frozen
     [L, n, d] stack.
 
-    Episode e's labelled set is the rows ``support_rows[e]``, labelled
-    ``labels[r]``, and its queries are the rows ``query_rows[e]``.  It
-    adapts w on the split ``seeds[e]`` makes of its labelled set, then
-    predicts its queries with the whole labelled set as attention
-    support.  Episodes whose labelled set, split and query set have the
-    same sizes adapt and predict in one stacked pass.  Returns per
-    episode its (probabilities [n_q, 2], label estimates [L, n_q, 1],
-    attention [L, n_q, n_s]).  When some episode fails, raises the
-    NumericalError fine-tuning the first failing one alone raises.
+    Episode e's labelled set is the rows ``labelled_rows[e]`` ([E, k]),
+    labelled ``labels[r]``; it adapts w on the split ``seeds[e]`` makes of
+    that set.  Episodes whose splits have the same sizes adapt in one
+    stacked pass.  Returns the adapted w, stacked [E, ...] by name, and
+    the NumericalError of each episode whose adaptation fails, by
+    episode; a failed episode's rows hold w unadapted.
     """
     splits = [
         _split_rows(labels[rows], cfg.train.support_split_fraction, seed)
-        for rows, seed in zip(support_rows, seeds)
+        for rows, seed in zip(labelled_rows, seeds)
     ]
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for e, (s_fine, q_fine) in enumerate(splits):
-        key = (len(support_rows[e]), len(s_fine), len(q_fine), len(query_rows[e]))
-        groups.setdefault(key, []).append(e)
-    levels = Tensor(stacked)
-    results: list = [None] * len(seeds)
+        groups.setdefault((len(s_fine), len(q_fine)), []).append(e)
+    w = {
+        name: np.repeat(t.values[None], len(seeds), axis=0)
+        for name, t in match_params.tensors().items()
+    }
     errors: dict[int, NumericalError] = {}
     for members in groups.values():
         fine_support, fine_query = (
-            np.array([support_rows[e][splits[e][side]] for e in members]) for side in (0, 1)
+            np.array([labelled_rows[e][splits[e][side]] for e in members]) for side in (0, 1)
         )
         w_stack, live, _, failed = _adapt_on_rows(
             match_params, stacked, labels, fine_support, fine_query, cfg.train, "finetune"
         )
         errors.update((e, error) for e, error in zip(members, failed) if error is not None)
-        if not live.size:
-            continue
-        done = [members[i] for i in live]
-        support = np.array([support_rows[e] for e in done])
-        probs, y_hat, attention, ok = _match_rows(
-            episode_rows(levels, np.array([query_rows[e] for e in done])),
-            episode_rows(levels, support),
-            labels[support][..., None],
-            w_stack,
-        )
-        for i, e in enumerate(done):
-            if ok[i]:
-                results[e] = (probs[i], y_hat[i], attention[i])
-            else:
-                errors[e] = NumericalError("finetune: non-finite prediction")
-    if errors:
-        raise errors[min(errors)]
-    return results
+        for name, v in w_stack.items():
+            w[name][np.array(members)[live]] = v
+    return w, errors
 
 
 def _match_rows(
@@ -660,18 +642,11 @@ def finetune_and_predict_detailed(
         raise ValueError("finetune_and_predict: empty query list")
     support = encode_frozen([g for g, _ in support_set], model.encoder)
     labels = np.asarray([y for _, y in support_set], dtype=np.float64)
-    s_fine, q_fine = _split_rows(labels, cfg.train.support_split_fraction, seed)
-    w, _, _, (error,) = _adapt_on_rows(
-        model.matcher,
-        support,
-        labels,
-        np.array([s_fine], dtype=np.int64),
-        np.array([q_fine], dtype=np.int64),
-        cfg.train,
-        "finetune",
+    w, errors = _adapt_labelled(
+        model.matcher, support, labels, np.arange(len(labels))[None], cfg, [seed]
     )
-    if error is not None:
-        raise error
+    if errors:
+        raise errors[0]
     z_support, y_support = Tensor(support[None]), labels[None, :, None]
     chunks = []
     for rows in frozen_batches(query_graphs, model.encoder):

@@ -15,7 +15,7 @@ from molmatch.checkpoint import load_checkpoint, save_checkpoint
 from molmatch.cli import _save_model, main
 from molmatch.encoder import encode_multilevel
 from molmatch.episodes import load_registry, sample_episode
-from molmatch.meta import NumericalError, finetune_and_predict
+from molmatch.meta import finetune_and_predict
 from helpers import first_name_offset, poison_first_gradient
 from molmatch.config import RunConfig
 from molmatch.meta import init_model
@@ -190,12 +190,14 @@ class TestTrain:
         capsys.readouterr()
 
         calls = []
+        real = meta._match_rows
 
-        def overflowing(*args, **kwargs):
+        def overflowing(*args):
             calls.append(args)
-            raise NumericalError("finetune: non-finite prediction")
+            probs, y_hat, attention, ok = real(*args)
+            return probs, y_hat, attention, np.zeros_like(ok)
 
-        monkeypatch.setattr(meta, "_finetune_rows", overflowing)
+        monkeypatch.setattr(meta, "_match_rows", overflowing)
         assert main(argv) == 4
         assert one_error_line(capsys) == "numerical abort: finetune: non-finite prediction"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stop.cfg"]
@@ -645,6 +647,24 @@ class TestPredict:
                      "--query", str(query)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "tensor 'encoder.input_w'" in err
+
+    def test_malformed_support_records_are_skipped(self, workspace, tmp_path, capsys, caplog):
+        # a non-string smiles and a JSON true label are malformed lines,
+        # so the predictions are those of the eight good records alone
+        support, query, _ = self.write_inputs(workspace, tmp_path)
+        argv = ["predict", "--ckpt", str(workspace["ckpt"]),
+                "--support", str(support), "--query", str(query)]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        with open(support, "a", encoding="utf-8") as fh:
+            fh.write('{"smiles": ["C", "C", "O"], "label": 1}\n{"smiles": "CCF", "label": true}\n')
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == clean
+        assert "support file: 2 malformed lines skipped" in err
+        assert "line 9 skipped: smiles must be a string" in caplog.text
+        assert "line 10 skipped: label must be 0 or 1, got true" in caplog.text
 
     def test_all_malformed_support_is_data_error(self, workspace, tmp_path, capsys):
         support = tmp_path / "support.jsonl"

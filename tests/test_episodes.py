@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from molmatch.episodes import (
     can_query_both_classes,
     can_sample,
     load_registry,
+    load_task_file,
     sample_episode,
     sample_episode_balanced,
     sample_episode_unbalanced,
@@ -28,8 +30,12 @@ def write_task(path, rows):
             fh.write((row if isinstance(row, str) else json.dumps(row)) + "\n")
 
 
+def skipped_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if " skipped: " in r.getMessage()]
+
+
 class TestLoadRegistry:
-    def test_loads_and_counts_malformed(self, tmp_path):
+    def test_loads_and_counts_malformed(self, tmp_path, caplog):
         train = tmp_path / "train"
         train.mkdir()
         write_task(
@@ -42,10 +48,17 @@ class TestLoadRegistry:
                 {"smiles": "CCN", "label": 2},  # bad label
                 "",
                 {"smiles": "CCS", "label": 0},
+                {"smiles": ["C", "C", "O"], "label": 1},  # not a string
+                {"smiles": "CCF", "label": True},  # JSON true equals 1 in Python
             ],
         )
-        registry = load_registry(tmp_path)
-        assert registry.malformed_lines == 3
+        assert load_task_file(train / "t1.jsonl", "train")[1] == 5
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            registry = load_registry(tmp_path)
+        assert len(skipped_lines(caplog)) == 5
+        assert 'line 8 skipped: smiles must be a string, got ["C", "C", "O"]' in caplog.text
+        assert "line 9 skipped: label must be 0 or 1, got true" in caplog.text
         (task,) = registry.split_tasks("train")
         assert task.task_id == "t1"
         assert [(e.smiles, e.label) for e in task.examples] == [
@@ -55,23 +68,25 @@ class TestLoadRegistry:
         ]
         assert task.class_counts() == (2, 1)
 
-    def test_byte_order_mark_is_skipped(self, tmp_path):
+    def test_byte_order_mark_is_skipped(self, tmp_path, caplog):
         (tmp_path / "train").mkdir()
         rows = [{"smiles": s, "label": i % 2} for i, s in enumerate(("CCO", "CC", "CCN"))]
         text = "".join(json.dumps(r) + "\n" for r in rows)
         (tmp_path / "train" / "t.jsonl").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        registry = load_registry(tmp_path)
-        assert registry.malformed_lines == 0
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            registry = load_registry(tmp_path)
+        assert skipped_lines(caplog) == []
         (task,) = registry.split_tasks("train")
         assert [e.smiles for e in task.examples] == ["CCO", "CC", "CCN"]
 
-    def test_tasks_with_too_few_examples_are_skipped(self, tmp_path):
+    def test_tasks_with_too_few_examples_are_skipped(self, tmp_path, caplog):
         train = tmp_path / "train"
         train.mkdir()
         write_task(train / "tiny.jsonl", [{"smiles": "CCO", "label": 1}])
         write_task(train / "ok.jsonl", [{"smiles": "C", "label": 0}, {"smiles": "CC", "label": 1}])
-        registry = load_registry(tmp_path)
-        assert registry.skipped_tasks == ["tiny"]
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            registry = load_registry(tmp_path)
+        assert skipped_lines(caplog) == ["task tiny skipped: fewer than 2 usable examples"]
         assert [t.task_id for t in registry.split_tasks("train")] == ["ok"]
 
     def test_duplicate_task_id_across_splits(self, tmp_path):
@@ -82,15 +97,17 @@ class TestLoadRegistry:
         with pytest.raises(DataError, match="same"):
             load_registry(tmp_path)
 
-    def test_only_named_splits_are_parsed(self, tmp_path):
+    def test_only_named_splits_are_parsed(self, tmp_path, caplog):
         rows = [{"smiles": "C", "label": 0}, {"smiles": "CC", "label": 1}, "not json"]
         for split in ("train", "valid", "test"):
             (tmp_path / split).mkdir()
             write_task(tmp_path / split / f"{split}-task.jsonl", rows)
-        registry = load_registry(tmp_path, splits=("valid",))
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            registry = load_registry(tmp_path, splits=("valid",))
         assert list(registry.tasks) == ["valid"]
         assert [t.task_id for t in registry.split_tasks("valid")] == ["valid-task"]
-        assert registry.malformed_lines == 1
+        (line,) = skipped_lines(caplog)
+        assert line.startswith("valid-task.jsonl line 3 skipped: ")
 
     def test_empty_root_rejected(self, tmp_path):
         (tmp_path / "train").mkdir()
@@ -101,11 +118,12 @@ class TestLoadRegistry:
         with pytest.raises(DataError, match="not a directory"):
             load_registry(tmp_path / "absent")
 
-    def test_write_and_reload_round_trip(self, tmp_path):
+    def test_write_and_reload_round_trip(self, tmp_path, caplog):
         registry = synth_generate(2, 1, 12, seed=3)
         write_registry(registry, tmp_path)
-        reloaded = load_registry(tmp_path)
-        assert reloaded.malformed_lines == 0
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            reloaded = load_registry(tmp_path)
+        assert skipped_lines(caplog) == []
         for split in ("train", "test"):
             original = {t.task_id: t for t in registry.split_tasks(split)}
             loaded = {t.task_id: t for t in reloaded.split_tasks(split)}

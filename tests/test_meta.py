@@ -20,7 +20,7 @@ from molmatch.meta import (
     score_task,
     split_support,
 )
-from molmatch.tensor import backward
+from molmatch.tensor import Tensor, backward
 from oracles import REL_TOL, fd_gradients, finetune_per_episode, grad_rel_error
 from helpers import chain_task, make_registry, poison_first_gradient
 
@@ -147,7 +147,6 @@ class TestInnerAdapt:
         )
         assert len(adapted.loss_history) == 6
         assert adapted.loss_history[-1] < adapted.loss_history[0]
-        assert adapted.final_inner_loss == adapted.loss_history[-1]
 
     def test_zero_steps_returns_untouched_clone(self):
         self.cfg.train.inner_steps = 0
@@ -163,7 +162,6 @@ class TestInnerAdapt:
         adapted = inner_adapt(
             self.model.encoder, self.model.matcher, self.support, [], self.cfg.train
         )
-        assert np.isnan(adapted.final_inner_loss)
         assert adapted.loss_history == []
         for name, t in adapted.w_tau.tensors().items():
             np.testing.assert_array_equal(t.values, self.model.matcher.tensors()[name].values)
@@ -434,9 +432,9 @@ class TestMetaTrain:
         # the balanced 4-example support takes both positives of "v", so
         # every query is negative: validation could never score an episode
         calls = []
-        real = meta._finetune_rows
+        real = meta._adapt_labelled
         monkeypatch.setattr(
-            meta, "_finetune_rows", lambda *a, **k: calls.append(a) or real(*a, **k)
+            meta, "_adapt_labelled", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 2)])
         cfg = tiny_cfg(meta_lr=0.0, early_stop=True, patience=2, max_epochs=30)
@@ -446,12 +444,14 @@ class TestMetaTrain:
 
     def test_numerical_error_while_validating_propagates(self, monkeypatch):
         calls = []
+        real = meta._match_rows
 
-        def overflowing(*args, **kwargs):
+        def overflowing(*args):
             calls.append(args)
-            raise NumericalError("finetune: non-finite prediction")
+            probs, y_hat, attention, ok = real(*args)
+            return probs, y_hat, attention, np.zeros_like(ok)
 
-        monkeypatch.setattr(meta, "_finetune_rows", overflowing)
+        monkeypatch.setattr(meta, "_match_rows", overflowing)
         registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 5)])
         with pytest.raises(NumericalError, match="non-finite prediction"):
             meta_train(registry, tiny_cfg(early_stop=True))
@@ -619,20 +619,20 @@ class TestScoreTask:
 
     @staticmethod
     def captured_calls(monkeypatch):
-        """Record the arguments of every ``_finetune_rows`` call and the
+        """Record the arguments of every ``_adapt_labelled`` call and the
         shapes of the adaptation stacks it builds."""
         calls, stacks = [], []
-        finetune, adapt = meta._finetune_rows, meta._adapt_on_rows
+        adapt_labelled, adapt = meta._adapt_labelled, meta._adapt_on_rows
 
-        def finetune_rows(*args):
+        def recording(*args):
             calls.append(args)
-            return finetune(*args)
+            return adapt_labelled(*args)
 
         def adapt_on_rows(*args, **kwargs):
             stacks.append((args[3].shape, args[4].shape))
             return adapt(*args, **kwargs)
 
-        monkeypatch.setattr(meta, "_finetune_rows", finetune_rows)
+        monkeypatch.setattr(meta, "_adapt_labelled", recording)
         monkeypatch.setattr(meta, "_adapt_on_rows", adapt_on_rows)
         return calls, stacks
 
@@ -648,7 +648,7 @@ class TestScoreTask:
         calls, stacks = self.captured_calls(monkeypatch)
         scored = score_task(self.model, self.task, cfg, seeds)
         monkeypatch.undo()
-        ((_, levels, labels, support_rows, query_rows, _, fine_seeds),) = calls
+        ((_, levels, labels, support_rows, _, fine_seeds),) = calls
         assert len(scored) == len(fine_seeds) >= 5
         if sampling == "unbalanced":
             assert len(set(stacks)) >= 2  # adaptation splits of different shapes
@@ -656,14 +656,20 @@ class TestScoreTask:
             assert len(stacks) == 1  # one stacked pass for the whole task
         if support_size == 2:
             assert stacks[0][1][1] == 0  # one example per class: no adaptation queries
-        for (scores, _), fine_seed, s_rows, q_rows in zip(scored, fine_seeds, support_rows, query_rows):
-            episode = sample_episode(self.task, cfg.protocol, fine_seed[:-1])
-            rows = levels[:, np.r_[s_rows, q_rows]]
+        episodes = [sample_episode(self.task, cfg.protocol, seed[:-1]) for seed in fine_seeds]
+        used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for e in episodes]))
+        for (scores, _), fine_seed, s_rows, episode in zip(scored, fine_seeds, support_rows, episodes):
+            assert s_rows.tolist() == np.searchsorted(used, episode.support_idx).tolist()
+            rows = levels[:, np.r_[s_rows, np.searchsorted(used, episode.query_idx)]]
             n_s = len(s_rows)
-            ((alone, _, _),) = meta._finetune_rows(
-                self.model.matcher, rows, labels[s_rows], [np.arange(n_s)],
-                [np.arange(n_s, rows.shape[1])], cfg, [fine_seed],
+            w, errors = meta._adapt_labelled(
+                self.model.matcher, rows, labels[s_rows], np.arange(n_s)[None], cfg, [fine_seed]
             )
+            assert errors == {}
+            alone = meta._match_rows(
+                Tensor(rows[None, :, n_s:]), Tensor(rows[None, :, :n_s]),
+                labels[s_rows][None, :, None], w,
+            )[0][0]
             assert scores.tobytes() == alone[:, 0].tobytes()
             reference = finetune_per_episode(
                 self.model.matcher, rows, [y for _, y in episode.support],
@@ -679,6 +685,18 @@ class TestScoreTask:
         assert len(score_task(self.model, self.task, self.cfg, seeds)) == 4
         assert len(sweeps) == self.cfg.train.inner_steps  # not 4 x inner_steps
 
+    def poison(self, monkeypatch, rows):
+        """Make ``encode_frozen`` give NaN embeddings to the task's ``rows``."""
+        poisoned = {id(self.task.examples[i].graph) for i in rows}
+        real = meta.encode_frozen
+
+        def poisoning(graphs, params):
+            levels = real(graphs, params)
+            levels[:, [id(g) in poisoned for g in graphs]] = np.nan
+            return levels
+
+        monkeypatch.setattr(meta, "encode_frozen", poisoning)
+
     def test_poisoned_episode_raises_its_own_error_first_in_seed_order(self, monkeypatch):
         seeds = [[5, meta.KEY_EVAL, 0, rep] for rep in range(5)]
         episodes = [sample_episode(self.task, self.cfg.protocol, seed) for seed in seeds]
@@ -686,15 +704,7 @@ class TestScoreTask:
         earlier = {int(i) for e in episodes[:2] for i in np.r_[e.support_idx, e.query_idx]}
         candidates = sorted(set(episodes[2].support_idx.tolist()) - earlier)
         assert candidates
-        poisoned = self.task.examples[candidates[0]].graph
-        real = meta.encode_frozen
-
-        def poisoning(graphs, params):
-            levels = real(graphs, params)
-            levels[:, [g is poisoned for g in graphs]] = np.nan
-            return levels
-
-        monkeypatch.setattr(meta, "encode_frozen", poisoning)
+        self.poison(monkeypatch, [candidates[0]])
         with pytest.raises(NumericalError) as stacked:
             score_task(self.model, self.task, self.cfg, seeds)
         episode = episodes[2]
@@ -703,3 +713,21 @@ class TestScoreTask:
                 self.model, episode.support, [g for g, _ in episode.query], self.cfg, seeds[2] + [1]
             )
         assert str(stacked.value) == str(alone.value) == "task finetune: non-finite inner loss nan"
+
+    def test_prediction_failure_outranks_a_later_adaptation_failure(self, monkeypatch):
+        # episode 1 fails only in the match, on a molecule that only its
+        # queries use; episode 3 fails in adaptation, on a support molecule.
+        # Adaptation runs first, yet the first failure in seed order wins.
+        seeds = [[5, meta.KEY_EVAL, 0, rep] for rep in range(5)]
+        episodes = [sample_episode(self.task, self.cfg.protocol, seed) for seed in seeds]
+        assert all(len({y for _, y in e.query}) == 2 for e in episodes)  # none is dropped
+        rows = [set(np.r_[e.support_idx, e.query_idx].tolist()) for e in episodes]
+        supports = set().union(*(e.support_idx.tolist() for e in episodes))
+        query_only = sorted(set(episodes[1].query_idx.tolist()) - supports - rows[0])
+        late_support = sorted(set(episodes[3].support_idx.tolist()) - rows[0] - rows[1])
+        assert query_only and late_support
+        self.poison(monkeypatch, [query_only[0], late_support[0]])
+        with pytest.raises(NumericalError, match="^task finetune: non-finite inner loss nan$"):
+            score_task(self.model, self.task, self.cfg, [seeds[3]])
+        with pytest.raises(NumericalError, match="^finetune: non-finite prediction$"):
+            score_task(self.model, self.task, self.cfg, seeds)

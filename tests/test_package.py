@@ -57,6 +57,24 @@ def test_only_the_matcher_calls_the_attention_op():
     assert naming == ["matcher.py", "tensor.py"]
 
 
+def test_test_time_adaptation_has_one_owner():
+    # eval, validation and predict split the labelled rows and adapt w
+    # only through meta._adapt_labelled; training keeps its own split
+    # and inner_adapt
+    package = Path(molmatch.__file__).parent
+    tree = ast.parse((package / "meta.py").read_text(encoding="utf-8"))
+    callers: dict[str, set[str]] = {"_adapt_on_rows": set(), "_split_rows": set()}
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(function.name)
+    assert callers == {
+        "_adapt_on_rows": {"inner_adapt", "_adapt_labelled"},
+        "_split_rows": {"split_support", "_outer_task_step", "_adapt_labelled"},
+    }
+
+
 def test_only_the_encoder_batches_graphs():
     # frozen-encoder batching has one owner: encoder.encode_frozen packs
     # graphs under its atom budget, and meta no longer cuts graph lists
