@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 configuration problem (bad file, unknown key,
 bad flag), 3 data or file problem (missing/empty/corrupt datasets or
 checkpoints, input that is not UTF-8 text, a file that cannot be read
 or written, task vectors the relation metric cannot compare), 4
-numerical abort (non-finite loss or prediction, or trained weights not
-finite).
+numerical abort (non-finite loss, prediction, embedding or relation
+matrix, or trained weights not finite).
 """
 
 from __future__ import annotations
@@ -409,10 +409,13 @@ def cmd_taskrel(args) -> int:
         task_vector(task, model, cfg, mode, seed=[seed, i]) for i, task in enumerate(tasks)
     ]
     try:
-        rel = relation_matrix(vectors, metric)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            rel = relation_matrix(vectors, metric)
+            matrix = row_normalize(rel.matrix) if args.normalize else rel.matrix
     except ValueError as exc:  # e.g. a zero task vector
         raise DataError(str(exc)) from None
-    matrix = row_normalize(rel.matrix) if args.normalize else rel.matrix
+    if not np.isfinite(matrix).all():
+        raise NumericalError(f"{metric} relation matrix is not finite")
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -464,6 +467,9 @@ def cmd_export_embeddings(args) -> int:
             _check_output_path(path)
 
     levels = encode_frozen([g for _, g in entries], model.encoder)
+    if not np.isfinite(levels).all():
+        raise NumericalError("embeddings are not finite")
+    pcas = [] if k is None else [_pca(z, k, layer) for layer, z in enumerate(levels, start=1)]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["molecule_index", "smiles", "layer"] + [f"dim_{i}" for i in range(hidden)])
@@ -473,8 +479,7 @@ def cmd_export_embeddings(args) -> int:
 
     if k is not None:
         variance_rows = []
-        for layer, z in enumerate(levels, start=1):
-            proj, ratios = metrics.pca_project(z, k)
+        for layer, (proj, ratios) in enumerate(pcas, start=1):
             with open(f"{base}.pca_layer{layer}.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["molecule_index"] + [f"pc_{i + 1}" for i in range(k)])
@@ -488,6 +493,19 @@ def cmd_export_embeddings(args) -> int:
             writer.writerows(variance_rows)
     print(f"wrote embeddings for {len(entries)} molecules x {len(levels)} layers", file=sys.stderr)
     return EXIT_OK
+
+
+def _pca(z: np.ndarray, k: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
+    """``metrics.pca_project(z, k)``, or NumericalError when finite but
+    huge embeddings overflow the covariance."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            proj, ratios = metrics.pca_project(z, k)
+        if np.isfinite(proj).all() and np.isfinite(ratios).all():
+            return proj, ratios
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericalError(f"PCA of layer {layer} is not finite")
 
 
 def cmd_synth(args) -> int:

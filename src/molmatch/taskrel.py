@@ -19,7 +19,7 @@ from .config import RunConfig
 from .encoder import encode_frozen
 from .episodes import TaskRecord, sample_episode
 from .matcher import MatchParams
-from .meta import KEY_EPISODE, KEY_SPLIT, ModelParams, inner_adapt, split_support
+from .meta import KEY_EPISODE, KEY_SPLIT, ModelParams, NumericalError, inner_adapt, split_support
 
 __all__ = [
     "TaskVector",
@@ -79,7 +79,11 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
         vec = _flatten(adapted.w_tau) - _flatten(model.matcher)
         return TaskVector(task.task_id, vec, mode)
     graphs = [g for g, _ in episode.support]
-    vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
+    # a non-finite embedding, or a mean of huge ones, leaves the vector non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
+    if not np.isfinite(vec).all():
+        raise NumericalError(f"task {task.task_id}: non-finite mean support embedding")
     return TaskVector(task.task_id, vec, mode)
 
 

@@ -13,7 +13,6 @@ import pytest
 from molmatch import cli, encoder, meta
 from molmatch.checkpoint import load_checkpoint, save_checkpoint
 from molmatch.cli import _save_model, main
-from molmatch.encoder import encode_multilevel
 from molmatch.episodes import load_registry, sample_episode
 from molmatch.meta import finetune_and_predict
 from helpers import first_name_offset, poison_first_gradient
@@ -120,6 +119,23 @@ def overflowing_checkpoint(tmp_path):
     return path
 
 
+def scaled_encoder_checkpoint(tmp_path, layers=5):
+    """A hidden-16 checkpoint whose encoder ``input_w``, ``w1`` and ``w2``
+    are scaled by 1e30: finite as stored (float32), but each layer
+    multiplies the embeddings by about 1e60, so at 5 layers the frozen
+    encoding overflows and at 3 its last level is finite but near 1e210."""
+    cfg = tiny_run_config()
+    cfg.encoder.layers, cfg.encoder.hidden = layers, 16
+    model = init_model(cfg)
+    model = model.replace_values({
+        name: t.values * 1e30 for name, t in model.tensors().items()
+        if name.startswith("encoder.") and name.endswith(("input_w", ".w1", ".w2"))
+    })
+    path = tmp_path / "scaled.ckpt"
+    _save_model(path, model, cfg, epoch=0)
+    return path
+
+
 class TestSynth:
     def test_layout_and_counts(self, workspace):
         data = workspace["data"]
@@ -215,6 +231,20 @@ class TestTrain:
         assert main(argv) == 3
         assert "both classes in its queries" in one_error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stop.cfg"]
+
+    def test_repeated_runs_give_equal_logs_apart_from_wall_seconds(self, tmp_path, capsys):
+        # README's determinism promise: wall_seconds is the log's one timing column
+        argv = self.early_stop_run(tmp_path)
+        logs = []
+        for run in ("a", "b"):
+            assert main(argv[:-1] + [str(tmp_path / f"{run}.ckpt")]) == 0
+            rows = read_csv((tmp_path / f"{run}.ckpt.log.csv").read_text())
+            timing = rows[0].index("wall_seconds")
+            logs.append([row[:timing] + row[timing + 1 :] for row in rows])
+        capsys.readouterr()
+        assert logs[0] == logs[1]
+        assert logs[0][0] == ["epoch", "mean_outer_loss", "val_metric"]
+        assert all(row[2] for row in logs[0][1:])  # validation scored every epoch
 
     def test_retraining_is_byte_identical(self, workspace, tmp_path):
         again = tmp_path / "again.ckpt"
@@ -494,12 +524,13 @@ class TestEval:
     @staticmethod
     def encoded_batches(monkeypatch, ckpt, data):
         batches = []
+        frozen_batch = encoder._frozen_batch
 
-        def counting(graphs, params, **kwargs):
+        def counting(graphs, folded):
             batches.append(list(graphs))
-            return encode_multilevel(graphs, params, **kwargs)
+            return frozen_batch(graphs, folded)
 
-        monkeypatch.setattr(encoder, "encode_multilevel", counting)
+        monkeypatch.setattr(encoder, "_frozen_batch", counting)
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
         return batches
 
@@ -734,6 +765,19 @@ class TestPredict:
         assert captured.err == "numerical abort: finetune: non-finite prediction\n"
         assert not (tmp_path / "attn.csv").exists()
 
+    def test_overflowing_encoding_is_one_line_numerical_abort(self, workspace, tmp_path, capsys):
+        support, query, _ = self.write_inputs(workspace, tmp_path)
+        ckpt = scaled_encoder_checkpoint(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # numpy warns once per location otherwise
+            code = main(["predict", "--ckpt", str(ckpt), "--support", str(support),
+                         "--query", str(query)])
+        assert code == 4
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical abort: task finetune: non-finite inner loss nan\n"
+
     def test_memory_grows_with_the_outputs_only(self, workspace, tmp_path, capsys):
         # At full width a request encoded as one batch holds about 110 KB
         # per query; streamed through the match, what stays per query is
@@ -821,6 +865,23 @@ class TestTaskRel:
         assert line.startswith("data error: ") and "task 'synth-0000' has a zero vector" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("layers, metric, error", [
+        (5, "cosine", "task synth-0000: non-finite mean support embedding"),
+        (3, "dot", "dot relation matrix is not finite"),  # vectors near 1e210
+    ])
+    def test_non_finite_support_embedding_is_numerical_abort(
+        self, workspace, tmp_path, capsys, layers, metric, error
+    ):
+        ckpt = scaled_encoder_checkpoint(tmp_path, layers)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["taskrel", "--ckpt", str(ckpt), "--data", str(workspace["data"]),
+                     "--out", str(out / "rel.csv"), "--mode", "mean-support-embedding",
+                     "--metric", metric])
+        assert code == 4
+        assert one_error_line(capsys) == f"numerical abort: {error}"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("bad, problem", [
         ("matrix", "its directory does not exist"),
         ("matrix", "is a directory"),
@@ -868,6 +929,25 @@ class TestExportEmbeddings:
         var_rows = read_csv((tmp_path / "emb.pca_variance.csv").read_text())
         assert var_rows[0] == ["layer", "component", "explained_variance_ratio"]
         assert len(var_rows) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("layers, pca, error", [
+        (5, None, "embeddings are not finite"),
+        (5, "2", "embeddings are not finite"),
+        (3, "2", "PCA of layer 3 is not finite"),
+    ])
+    def test_non_finite_output_is_numerical_abort_writing_nothing(
+        self, workspace, tmp_path, capsys, layers, pca, error
+    ):
+        src = tmp_path / "mols.txt"
+        src.write_text("CCO\nCCN\nc1ccccc1\nCC(=O)O\n", encoding="utf-8")
+        ckpt = scaled_encoder_checkpoint(tmp_path, layers)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["export-embeddings", "--ckpt", str(ckpt), "--smiles", str(src),
+                "--out", str(out / "e.csv")]
+        assert main(argv + (["--pca", pca] if pca else [])) == 4
+        assert one_error_line(capsys) == f"numerical abort: {error}"
+        assert list(out.iterdir()) == []
 
     def test_oversized_pca_is_config_error(self, workspace, tmp_path, capsys):
         src = tmp_path / "mols.txt"

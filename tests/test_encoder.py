@@ -293,8 +293,9 @@ def corpus_oracle(request):
 
 
 def test_frozen_corpus_equals_unfused_reference(corpus_oracle):
+    # the folded frozen layers round differently from the reference
     params, want = corpus_oracle
-    assert encode_frozen(corpus_graphs(), params).tobytes() == want.tobytes()
+    np.testing.assert_allclose(encode_frozen(corpus_graphs(), params), want, rtol=0, atol=1e-12)
 
 
 class TestEncodeMultilevel:
@@ -310,7 +311,9 @@ class TestEncodeMultilevel:
         assert sum(g.n_atoms for g in graphs) <= FROZEN_BATCH_ATOMS  # one batch
         frozen = encode_frozen(graphs, params)
         assert isinstance(frozen, np.ndarray)
-        assert frozen.tobytes() == encode_multilevel(graphs, params).values.tobytes()
+        np.testing.assert_allclose(
+            frozen, encode_multilevel(graphs, params).values, rtol=0, atol=1e-12
+        )
 
     def test_batch_invariance(self):
         # joint encoding must match each molecule encoded alone
@@ -349,11 +352,13 @@ class TestFrozenBatches:
         batch it encoded."""
         batches = []
 
-        def recording(batch, params, **kwargs):
-            batches.append(list(batch))
-            return encode_multilevel(batch, params, **kwargs)
+        frozen_batch = encoder_module._frozen_batch
 
-        monkeypatch.setattr(encoder_module, "encode_multilevel", recording)
+        def recording(batch, folded):
+            batches.append(list(batch))
+            return frozen_batch(batch, folded)
+
+        monkeypatch.setattr(encoder_module, "_frozen_batch", recording)
         frozen = encode_frozen(graphs, params)
         monkeypatch.undo()
         return frozen, batches
@@ -386,6 +391,63 @@ class TestFrozenBatches:
             encode_frozen(graphs, params), encode_multilevel(graphs, params).values,
             rtol=0, atol=1e-12,
         )
+
+
+def fold_params(layers, hidden):
+    """Encoder params whose every layer has a non-zero eps and every bias
+    is non-zero, so each folded term carries weight."""
+    params = EncoderParams.init(layers, hidden, seed=9)
+    rng = np.random.default_rng(4)
+    values = {"input_b": rng.normal(size=hidden)}
+    for i in range(layers):
+        values[f"layer{i}.eps"] = np.array(rng.uniform(-0.4, 0.6))
+        values[f"layer{i}.b1"] = rng.normal(size=hidden)
+        values[f"layer{i}.b2"] = rng.normal(size=hidden)
+    return params.replace_values(values)
+
+
+def fold_graphs():
+    """The corpus (one batch), a chain over the atom budget (its own
+    batch) and two bond-free molecules (a batch without edges)."""
+    chain = graph_from_smiles("C" * (FROZEN_BATCH_ATOMS + 16))
+    return corpus_graphs() + [chain] + [graph_from_smiles(s) for s in ("C", "[Na+]")]
+
+
+class TestFoldedFrozenEncoder:
+    """``frozen_batches`` folds w2 into the next layer's w1 and pools before
+    projecting; the graph-tracked ``encode_multilevel`` is its reference."""
+
+    @pytest.mark.parametrize("layers, hidden", [(5, 300), (2, 7)], ids=["full-width", "narrow"])
+    def test_matches_the_graph_tracked_stack(self, layers, hidden):
+        params = fold_params(layers, hidden)
+        assert all(params[f"layer{i}.eps"].values != 0 for i in range(layers))
+        graphs = fold_graphs()
+        assert [len(b) for b in frozen_batches(graphs, params)] == [layers] * 3
+        assert [b.shape[1] for b in frozen_batches(graphs, params)] == [len(graphs) - 3, 1, 2]
+        frozen = encode_frozen(graphs, params)
+        want = encode_multilevel(graphs, params).values
+        np.testing.assert_allclose(frozen, want, rtol=0, atol=1e-12)
+        assert encode_frozen(graphs, params).tobytes() == frozen.tobytes()
+        bond_free = graphs[-2:]
+        np.testing.assert_allclose(
+            encode_frozen(bond_free, params), encode_multilevel(bond_free, params).values,
+            rtol=0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("name", list(fold_params(2, 7).tensors()))
+    def test_nan_weight_is_non_finite_in_the_same_rows(self, name):
+        params = fold_params(2, 7)
+        poisoned = params[name].values.copy()
+        poisoned.reshape(-1)[poisoned.size // 2] = np.nan
+        params = params.replace_values({name: poisoned})
+        graphs = fold_graphs()
+        with np.errstate(invalid="ignore"):
+            want = np.isfinite(encode_multilevel(graphs, params).values).all(axis=-1)
+            alone = encode_multilevel(graphs[-2:], params).values
+        got = np.isfinite(encode_frozen(graphs, params)).all(axis=-1)
+        np.testing.assert_array_equal(got, want)
+        # a batch without edges drops the bond term on both paths
+        np.testing.assert_allclose(encode_frozen(graphs[-2:], params), alone, rtol=0, atol=1e-12)
 
 
 class TestEncoderGradients:

@@ -524,7 +524,8 @@ class TestFinetuneAndPredict:
             self.model.encoder,
             self.model.matcher,
         )[0]
-        np.testing.assert_array_equal(probs, direct.values)
+        # the frozen encoder's folded layers round differently from the graph path
+        np.testing.assert_allclose(probs, direct.values, rtol=0, atol=1e-12)
 
     def test_seed_controls_finetune_split(self):
         a = finetune_and_predict(self.model, self.support_set, self.query_graphs, self.cfg, seed=3)
@@ -535,18 +536,20 @@ class TestFinetuneAndPredict:
 
     def test_encodes_once_without_autodiff_graph(self, monkeypatch):
         outputs = []
+        frozen_batch = encoder._frozen_batch
 
-        def recording(graphs, params, **kwargs):
-            levels = encode_multilevel(graphs, params, **kwargs)
+        def recording(graphs, folded):
+            levels = frozen_batch(graphs, folded)
             outputs.append((len(graphs), levels))
             return levels
 
-        monkeypatch.setattr(encoder, "encode_multilevel", recording)
+        monkeypatch.setattr(encoder, "_frozen_batch", recording)
+        monkeypatch.setattr(encoder, "encode_multilevel", None)  # any call fails
         finetune_and_predict(self.model, self.support_set, self.query_graphs, self.cfg, seed=0)
         # the support alone, then the queries, which fit in one batch
         assert [n for n, _ in outputs] == [len(self.support_set), len(self.query_graphs)]
         for _, levels in outputs:
-            assert not levels.requires_grad
+            assert isinstance(levels, np.ndarray)
 
     def test_detailed_exposes_per_layer_predictions(self):
         probs, layer_preds = finetune_and_predict_detailed(
@@ -587,12 +590,13 @@ class TestScoreTask:
 
     def test_molecules_encoded_once_and_scores_match_graph_path(self, monkeypatch):
         batches = []
+        frozen_batch = encoder._frozen_batch
 
-        def counting(graphs, params, **kwargs):
+        def counting(graphs, folded):
             batches.append(list(graphs))
-            return encode_multilevel(graphs, params, **kwargs)
+            return frozen_batch(graphs, folded)
 
-        monkeypatch.setattr(encoder, "encode_multilevel", counting)
+        monkeypatch.setattr(encoder, "_frozen_batch", counting)
         scored = score_task(self.model, self.task, self.cfg, self.seeds)
         monkeypatch.undo()
         seen = sum(batches, [])
@@ -614,7 +618,8 @@ class TestScoreTask:
 
     def test_single_class_episodes_are_dropped_before_encoding(self, monkeypatch):
         task = chain_task("v", 10, 2)  # the balanced support takes both positives
-        monkeypatch.setattr(encoder, "encode_multilevel", None)  # any call fails
+        for name in ("encode_multilevel", "_frozen_batch"):  # any call fails
+            monkeypatch.setattr(encoder, name, None)
         assert score_task(self.model, task, self.cfg, self.seeds) == []
 
     @staticmethod

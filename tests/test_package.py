@@ -96,6 +96,30 @@ def test_only_the_encoder_batches_graphs():
     assert not episode_sized, f"meta.py sums support_size and query_size at lines {episode_sized}"
 
 
+def test_frozen_encoding_has_one_path():
+    # with theta frozen, molecules are encoded only through the folded
+    # kernel, whose one caller is encoder.frozen_batches; the
+    # graph-tracked encode_multilevel is for training, never run on a
+    # detached copy of the encoder
+    package = Path(molmatch.__file__).parent
+    kernel_callers, detached_encodes = set(), []
+    for path in sorted(package.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = {
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+            }
+            if "_frozen_batch" in called:
+                kernel_callers.add(f"{path.stem}.{function.name}")
+            if {"encode_multilevel", "detach"} <= called:
+                detached_encodes.append(f"{path.stem}.{function.name}")
+    assert kernel_callers == {"encoder.frozen_batches"}
+    assert not detached_encodes, f"{detached_encodes} encode a detached encoder"
+
+
 def test_only_smiles_featurizes():
     # featurization has one owner: smiles.featurize lays out the one-hot
     # atom and bond rows and builds every MolGraph, and episodes and cli
