@@ -145,7 +145,11 @@ def main(argv=None) -> int:
         "synth": cmd_synth,
     }
     try:
-        return handlers[args.command](args)
+        # every command checks its outputs for finiteness before it writes
+        # anything (exit 4), so numpy's floating-point warnings would only
+        # precede that one line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -159,10 +163,9 @@ def main(argv=None) -> int:
 
 def _save_model(path, model: ModelParams, cfg: RunConfig, epoch: int) -> None:
     tensors = {name: t.values for name, t in model.tensors().items()}
-    with np.errstate(over="ignore"):  # a cast that overflows to inf is what this catches
-        for name, values in tensors.items():
-            if not np.isfinite(values.astype(np.float32)).all():
-                raise NumericalError(f"weight {name} is not finite as stored (float32)")
+    for name, values in tensors.items():
+        if not np.isfinite(values.astype(np.float32)).all():
+            raise NumericalError(f"weight {name} is not finite as stored (float32)")
     save_checkpoint(
         path,
         tensors,
@@ -409,9 +412,8 @@ def cmd_taskrel(args) -> int:
         task_vector(task, model, cfg, mode, seed=[seed, i]) for i, task in enumerate(tasks)
     ]
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            rel = relation_matrix(vectors, metric)
-            matrix = row_normalize(rel.matrix) if args.normalize else rel.matrix
+        rel = relation_matrix(vectors, metric)
+        matrix = row_normalize(rel.matrix) if args.normalize else rel.matrix
     except ValueError as exc:  # e.g. a zero task vector
         raise DataError(str(exc)) from None
     if not np.isfinite(matrix).all():
@@ -499,8 +501,7 @@ def _pca(z: np.ndarray, k: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
     """``metrics.pca_project(z, k)``, or NumericalError when finite but
     huge embeddings overflow the covariance."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            proj, ratios = metrics.pca_project(z, k)
+        proj, ratios = metrics.pca_project(z, k)
         if np.isfinite(proj).all() and np.isfinite(ratios).all():
             return proj, ratios
     except np.linalg.LinAlgError:

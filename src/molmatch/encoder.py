@@ -207,8 +207,8 @@ def _frozen_batch(graphs: list[MolGraph], folded: list[tuple[np.ndarray, ...]]) 
     """The [L, n_mols, hidden] stack of one batch through the ``_fold``
     weights: one atom-level product per layer, and each level pooled
     before its ``w2`` projection (a mean of rows commutes with ``@ w2 +
-    b2``).  The ReLU maps NaN to 0, as ``gin_conv``'s does.  Overflow is
-    left to the callers' finiteness checks, so numpy warns of none.
+    b2``).  The ReLU maps NaN to 0, as ``gin_conv``'s does.  An overflow
+    leaves non-finite rows, which every caller checks for.
     """
     batch = GraphBatch(graphs)
     n, edges = batch.n_atoms, batch.n_edges > 0
@@ -217,24 +217,23 @@ def _frozen_batch(graphs: list[MolGraph], folded: list[tuple[np.ndarray, ...]]) 
     degree = np.bincount(batch.edge_dst, minlength=n)
     u = batch.atom_feats.values
     levels = np.empty((len(folded), batch.n_mols, folded[0][2].shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level, (k, e1, w2, b2) in zip(levels, folded):
-            # columns [x_u | 1 + eps + deg | 1 | bond_sums] against k's rows;
-            # without edges the bond term is absent, as in gin_conv
-            d = u.shape[1]
-            s = np.empty((n, d + 2 + D_BOND))
-            np.multiply(u, e1, out=s[:, :d])
-            if edges:
-                s[:, :d] += batch.by_dst.sum(u, batch.by_src.index)
-            s[:, d] = degree + e1
-            s[:, d + 1] = 1.0
-            s[:, d + 2 :] = batch.bond_sums.values
-            z = s @ k if edges else s[:, : d + 2] @ k[: d + 2]
-            np.fmax(z, 0.0, out=z)
-            z += 0.0
-            np.matmul(pool.sum(z) / sizes, w2, out=level)
-            level += b2
-            u = z
+    for level, (k, e1, w2, b2) in zip(levels, folded):
+        # columns [x_u | 1 + eps + deg | 1 | bond_sums] against k's rows;
+        # without edges the bond term is absent, as in gin_conv
+        d = u.shape[1]
+        s = np.empty((n, d + 2 + D_BOND))
+        np.multiply(u, e1, out=s[:, :d])
+        if edges:
+            s[:, :d] += batch.by_dst.sum(u, batch.by_src.index)
+        s[:, d] = degree + e1
+        s[:, d + 1] = 1.0
+        s[:, d + 2 :] = batch.bond_sums.values
+        z = s @ k if edges else s[:, : d + 2] @ k[: d + 2]
+        np.fmax(z, 0.0, out=z)
+        z += 0.0
+        np.matmul(pool.sum(z) / sizes, w2, out=level)
+        level += b2
+        u = z
     return levels
 
 

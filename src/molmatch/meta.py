@@ -10,6 +10,7 @@ apply directly to the shared initialisation.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -326,9 +327,8 @@ def _adapt_on_rows(
         leaves = MatchParams(
             {name: Tensor(v, requires_grad=name in trainable) for name, v in w.items()}
         )
-        with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
-            probs, _, _ = match_levels(z_query, z_support, y_s, leaves)
-            losses = cross_entropy(probs, target)
+        probs, _, _ = match_levels(z_query, z_support, y_s, leaves)
+        losses = cross_entropy(probs, target)
         ok = np.isfinite(losses.values)
         for i, value in enumerate(losses.values.tolist()):
             if ok[i]:
@@ -446,12 +446,14 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
         batch = rng.choice(
             len(tasks), size=cfg.train.batch_tasks, replace=len(tasks) < cfg.train.batch_tasks
         )
-        jobs = [(slot, tasks[int(i)]) for slot, i in enumerate(batch)]
+        # pool threads start in an empty context, so each task runs in a
+        # copy of this one and keeps the caller's numpy error state
+        jobs = [(slot, tasks[int(i)], contextvars.copy_context()) for slot, i in enumerate(batch)]
         total_loss = 0.0
         summed: dict[str, np.ndarray] = {}
         with ThreadPoolExecutor(max_workers=cfg.train.workers) as pool:
             steps = (pool.map if cfg.train.workers > 1 else map)(
-                lambda job: _outer_task_step(model, job[1], cfg, epoch, job[0]), jobs
+                lambda job: job[2].run(_outer_task_step, model, job[1], cfg, epoch, job[0]), jobs
             )
             for value, gmap in steps:  # slot order: deterministic sums
                 total_loss += value
@@ -461,8 +463,7 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
             raise NumericalError(f"epoch {epoch}: non-finite batch loss")
 
         values = {name: t.values for name, t in model.tensors().items()}
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            values = optimizer.step(values, summed)
+        values = optimizer.step(values, summed)
         for name in summed:
             if not np.isfinite(values[name]).all():
                 raise NumericalError(
@@ -597,10 +598,9 @@ def _match_rows(
     and attention [E, L, n_q, n_s], and per episode whether all its
     probabilities are finite, which is where an overflow shows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # ``ok`` reports it
-        probs, y_hat, attention = match_levels(
-            z_query, z_support, y_support, MatchParams({name: Tensor(v) for name, v in w.items()})
-        )
+    probs, y_hat, attention = match_levels(
+        z_query, z_support, y_support, MatchParams({name: Tensor(v) for name, v in w.items()})
+    )
     ok = np.isfinite(probs.values).reshape(len(probs.values), -1).all(axis=1)
     return probs.values, y_hat, attention, ok
 

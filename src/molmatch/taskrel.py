@@ -79,9 +79,7 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
         vec = _flatten(adapted.w_tau) - _flatten(model.matcher)
         return TaskVector(task.task_id, vec, mode)
     graphs = [g for g, _ in episode.support]
-    # a non-finite embedding, or a mean of huge ones, leaves the vector non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
+    vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
     if not np.isfinite(vec).all():
         raise NumericalError(f"task {task.task_id}: non-finite mean support embedding")
     return TaskVector(task.task_id, vec, mode)
@@ -109,14 +107,15 @@ def relation_matrix(vectors: list[TaskVector], metric: str) -> TaskRelationMatri
     if len(dims) != 1:
         raise ValueError(f"task vectors disagree in length: {sorted(dims)}")
     p = np.stack([v.vector for v in vectors])
-    norms = np.linalg.norm(p, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
+    scale = np.abs(p).max(axis=1)  # a norm of the raw vector can overflow or underflow
+    zero = np.nonzero(scale == 0.0)[0]
     if zero.size:
         raise ValueError(
             f"{metric} relation undefined: task {vectors[int(zero[0])].task_id!r} has a zero vector"
         )
     if metric == "cosine":
-        p = p / norms[:, None]
+        p = p / scale[:, None]
+        p = p / np.linalg.norm(p, axis=1)[:, None]
         m = p @ p.T
     elif metric == "dot":
         m = p @ p.T

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molmatch import cli, encoder, meta
 from molmatch.checkpoint import load_checkpoint, save_checkpoint
@@ -18,6 +21,9 @@ from molmatch.meta import finetune_and_predict
 from helpers import first_name_offset, poison_first_gradient
 from molmatch.config import RunConfig
 from molmatch.meta import init_model
+
+# finite boundary values of train's numeric keys: each passes validation
+BOUNDARY_RATES = st.sampled_from([0.0, 1e-300, 1.0, 1e39, 1e50, 1e150, 1e300, 1.7e308])
 
 TINY_CONFIG = """\
 [train]
@@ -76,6 +82,16 @@ def large_tasks(tmp_path_factory):
 
 def read_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def main_without_warnings(argv):
+    """``main(argv)``'s exit code, asserting that the run let no warning
+    through: the CLI must silence numpy itself."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # numpy warns once per location otherwise
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
 
 
 def one_error_line(capsys):
@@ -328,12 +344,27 @@ class TestTrain:
             encoding="utf-8",
         )
         out = tmp_path / "m.ckpt"
-        with np.errstate(over="ignore"):
-            code = main(["train", "--config", str(config), "--data", str(workspace["data"]),
-                         "--out", str(out)])
+        code = main_without_warnings(["train", "--config", str(config),
+                                      "--data", str(workspace["data"]), "--out", str(out)])
         assert code == 4
         line = one_error_line(capsys)
         assert line.startswith("numerical abort: weight ") and "not finite as stored" in line
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_outer_step_is_one_line_numerical_abort(self, workspace, tmp_path,
+                                                                 capsys, workers):
+        # a meta_lr of 1e100 leaves finite weights that overflow the next
+        # epoch's graph-tracked encoder, in the pool's threads at workers 2
+        config = tmp_path / "huge.cfg"
+        config.write_text(TINY_CONFIG.replace("[train]", "[train]\nmeta_lr = 1e100"),
+                          encoding="utf-8")
+        code = main_without_warnings(["train", "--config", str(config),
+                                      "--data", str(workspace["data"]),
+                                      "--out", str(tmp_path / "m.ckpt"), "--workers", str(workers)])
+        assert code == 4
+        line = one_error_line(capsys)
+        assert line.startswith("numerical abort: task ")
         assert list(tmp_path.iterdir()) == [config]
 
     def test_overflowing_optimizer_step_is_numerical_abort(self, workspace, tmp_path, capsys):
@@ -343,12 +374,10 @@ class TestTrain:
             TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1\nmeta_lr = 1e308"),
             encoding="utf-8",
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["train", "--config", str(config), "--data", str(workspace["data"]),
-                         "--out", str(tmp_path / "m.ckpt")])
+        code = main_without_warnings(["train", "--config", str(config),
+                                      "--data", str(workspace["data"]),
+                                      "--out", str(tmp_path / "m.ckpt")])
         assert code == 4
-        assert [str(w.message) for w in caught] == []
         line = one_error_line(capsys)
         assert line.startswith("numerical abort: epoch 0: non-finite weight ")
         assert line.endswith(" after the optimizer step")
@@ -363,16 +392,39 @@ class TestTrain:
             TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1\nalpha = 1e300"),
             encoding="utf-8",
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["train", "--config", str(config), "--data", str(workspace["data"]),
-                         "--out", str(tmp_path / "m.ckpt")])
+        code = main_without_warnings(["train", "--config", str(config),
+                                      "--data", str(workspace["data"]),
+                                      "--out", str(tmp_path / "m.ckpt")])
         assert code == 4
-        assert [str(w.message) for w in caught] == []
         line = one_error_line(capsys)
         assert line.startswith("numerical abort: task ")
         assert line.endswith(": non-finite inner loss nan")
         assert list(tmp_path.iterdir()) == [config]
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(alpha=BOUNDARY_RATES, meta_lr=BOUNDARY_RATES, weight_decay=BOUNDARY_RATES,
+           workers=st.sampled_from([1, 2]), epochs=st.sampled_from([1, 2]))
+    def test_numeric_keys_train_or_abort_in_one_line(self, workspace, tmp_path_factory, alpha,
+                                                     meta_lr, weight_decay, workers, epochs):
+        root = tmp_path_factory.mktemp("fuzz")
+        config = root / "fuzz.cfg"
+        config.write_text(TINY_CONFIG.replace(
+            "max_epochs = 2",
+            f"max_epochs = {epochs}\nalpha = {alpha!r}\nmeta_lr = {meta_lr!r}\n"
+            f"weight_decay = {weight_decay!r}\nworkers = {workers}",
+        ), encoding="utf-8")
+        out = root / "m.ckpt"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main_without_warnings(["train", "--config", str(config),
+                                          "--data", str(workspace["data"]), "--out", str(out)])
+        assert code in (0, 4)
+        (line,) = err.getvalue().splitlines()
+        if code == 0:
+            assert line.startswith(f"saved checkpoint to {out} ")
+        else:
+            assert line.startswith("numerical abort: ")
+            assert list(root.iterdir()) == [config]
 
     def test_missing_data_is_data_error(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace["config"]),
@@ -565,18 +617,17 @@ class TestEval:
 
     def test_nan_checkpoint_is_numerical_abort(self, workspace, tmp_path, capsys):
         # the attention softmax turns the overflow into NaN inner losses
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["eval", "--ckpt", str(overflowing_checkpoint(tmp_path)),
-                         "--data", str(workspace["data"])])
+        code = main_without_warnings(["eval", "--ckpt", str(overflowing_checkpoint(tmp_path)),
+                                      "--data", str(workspace["data"])])
         assert code == 4
-        assert "non-finite inner loss" in capsys.readouterr().err
+        assert "non-finite inner loss" in one_error_line(capsys)
 
     def test_non_finite_prediction_is_numerical_abort(self, workspace, tmp_path, capsys):
         # a one-per-class support leaves no adaptation queries, so only the
         # prediction itself can show the overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["eval", "--ckpt", str(overflowing_checkpoint(tmp_path)),
-                         "--data", str(workspace["data"]), "--support-size", "2", "--repeats", "2"])
+        code = main_without_warnings(["eval", "--ckpt", str(overflowing_checkpoint(tmp_path)),
+                                      "--data", str(workspace["data"]),
+                                      "--support-size", "2", "--repeats", "2"])
         assert code == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -755,10 +806,9 @@ class TestPredict:
                            encoding="utf-8")
         query = tmp_path / "query.txt"
         query.write_text("CCO\nCCN\n", encoding="utf-8")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["predict", "--ckpt", str(overflowing_checkpoint(tmp_path)),
-                         "--support", str(support), "--query", str(query),
-                         "--attention-out", str(tmp_path / "attn.csv")])
+        code = main_without_warnings(["predict", "--ckpt", str(overflowing_checkpoint(tmp_path)),
+                                      "--support", str(support), "--query", str(query),
+                                      "--attention-out", str(tmp_path / "attn.csv")])
         assert code == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -768,12 +818,9 @@ class TestPredict:
     def test_overflowing_encoding_is_one_line_numerical_abort(self, workspace, tmp_path, capsys):
         support, query, _ = self.write_inputs(workspace, tmp_path)
         ckpt = scaled_encoder_checkpoint(tmp_path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # numpy warns once per location otherwise
-            code = main(["predict", "--ckpt", str(ckpt), "--support", str(support),
-                         "--query", str(query)])
+        code = main_without_warnings(["predict", "--ckpt", str(ckpt), "--support", str(support),
+                                      "--query", str(query)])
         assert code == 4
-        assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numerical abort: task finetune: non-finite inner loss nan\n"

@@ -298,6 +298,13 @@ class TestMetaTrain:
         for name, t in a.tensors().items():
             assert t.values.tobytes() == b.tensors()[name].values.tobytes(), name
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_follow_the_callers_error_state(self, workers):
+        # a meta_lr of 1e100 leaves finite weights whose second-epoch
+        # encoding overflows; pool threads must raise where the caller does
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            meta_train(self.registry(), tiny_cfg(meta_lr=1e100, workers=workers))
+
     @pytest.mark.parametrize("batch_tasks", [4, 8])
     def test_gradient_maps_are_summed_as_they_arrive(self, monkeypatch, batch_tasks):
         class GradientMap(dict):  # a plain dict cannot be weakly referenced

@@ -96,6 +96,21 @@ def test_only_the_encoder_batches_graphs():
     assert not episode_sized, f"meta.py sums support_size and query_size at lines {episode_sized}"
 
 
+def test_only_the_cli_sets_the_floating_point_error_state():
+    # cli.main silences numpy's floating-point warnings once, because every
+    # command checks its outputs for finiteness before writing; library
+    # calls keep numpy's defaults, or whatever state their caller set
+    package = Path(molmatch.__file__).parent
+    calls = sorted(
+        (path.name, node.func.attr)
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("errstate", "seterr")
+    )
+    assert calls == [("cli.py", "errstate")]
+
+
 def test_frozen_encoding_has_one_path():
     # with theta frozen, molecules are encoded only through the folded
     # kernel, whose one caller is encoder.frozen_batches; the

@@ -75,6 +75,23 @@ class TestRelationMatrix:
             np.diag(relation_matrix(vectors, "cosine").matrix), 1.0, rtol=1e-12
         )
 
+    def test_cosine_of_huge_vectors_is_their_direction(self):
+        # the norm of a vector near 1e200 overflows to inf, which would
+        # turn every unit vector into 0
+        rel = relation_matrix([vec("a", [1e200, 0.0]), vec("b", [1e200, 1e200])], "cosine")
+        r = 1.0 / np.sqrt(2.0)
+        np.testing.assert_allclose(rel.matrix, [[1.0, r], [r, 1.0]], rtol=1e-15)
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine", "euclidean"])
+    def test_tiny_vectors_are_not_zero(self, metric):
+        # the norm of a vector near 1e-170 underflows to 0
+        m = relation_matrix([vec("a", [1e-170, 0.0]), vec("b", [1e-170, 1e-170])], metric).matrix
+        if metric == "cosine":
+            r = 1.0 / np.sqrt(2.0)
+            np.testing.assert_allclose(m, [[1.0, r], [r, 1.0]], rtol=1e-15)
+        else:
+            np.testing.assert_array_equal(m, np.zeros((2, 2)))  # the products underflow
+
     def test_cosine_rejects_zero_vector_naming_task(self):
         vectors = [vec("ok", [1.0, 2.0]), vec("null-task", [0.0, 0.0])]
         with pytest.raises(ValueError, match="null-task"):
