@@ -249,7 +249,8 @@ def inner_adapt(
     *,
     embeddings: np.ndarray | None = None,
 ) -> AdaptedParams:
-    """Gradient-descent adaptation of w with theta frozen.
+    """Gradient-descent adaptation of w with theta frozen: ``_adapt`` on
+    one episode that adapts on ``support`` with the queries ``queries``.
 
     The encoder runs once in inference mode over support plus queries;
     the inner objective is deterministic (no dropout), so each step is
@@ -266,95 +267,98 @@ def inner_adapt(
         embeddings = encode_frozen([g for g, _ in pairs], encoder_params)
     elif embeddings.shape[1] != len(pairs):
         raise ValueError(f"inner_adapt: embeddings must have {len(pairs)} rows")
-    w, _, (history,), (error,) = _adapt_on_rows(
+    w, (history,), errors = _adapt(
         match_params,
         embeddings,
         np.asarray([y for _, y in pairs], dtype=np.float64),
-        np.arange(n_s)[None],
-        np.arange(n_s, len(pairs))[None],
+        [(np.arange(n_s), np.arange(n_s, len(pairs)))],
         cfg,
         task_id,
     )
-    if error is not None:
-        raise error
+    if errors:
+        raise errors[0]
     w_tau = match_params.replace_values({name: v[0] for name, v in w.items()})
     return AdaptedParams(w_tau, history)
 
 
-def _adapt_on_rows(
+def _adapt(
     match_params: MatchParams,
     stacked: np.ndarray,
     labels: np.ndarray,
-    support_rows: np.ndarray,
-    query_rows: np.ndarray,
+    splits,
     cfg: TrainConfig,
     task_id: str,
-) -> tuple[dict[str, np.ndarray], np.ndarray, list[list[float]], list[NumericalError | None]]:
-    """The inner loop of ``inner_adapt`` for E episodes at once, on
-    precomputed frozen embeddings: ``stacked[l, r]`` is row r's layer-l
-    embedding and ``labels[r]`` its label, and episode e adapts on the
-    rows ``support_rows[e]`` with the queries ``query_rows[e]`` ([E, k]
-    index arrays).
+) -> tuple[dict[str, np.ndarray], list[list[float]], dict[int, NumericalError]]:
+    """The inner loop for E episodes at once, on precomputed frozen
+    embeddings: ``stacked[l, r]`` is row r's layer-l embedding and
+    ``labels[r]`` its label, and episode e adapts on the rows
+    ``splits[e][0]`` with the queries ``splits[e][1]``.
 
-    Every tensor of w gets a leading episode axis.  A step is one
-    ``match_levels`` call and one backward sweep over the summed
-    episode losses; the episodes share no term, so each episode's
-    weights receive exactly the gradient, and take exactly the steps,
-    that adapting it alone gives.  An episode whose loss or gradient goes
-    non-finite leaves the stack.
+    Episodes whose splits have the same sizes adapt in one stack: every
+    tensor of w gets a leading episode axis, and a step is one
+    ``match_levels`` call and one backward sweep over the summed episode
+    losses.  The episodes share no term, so each episode's weights
+    receive exactly the gradient, and take exactly the steps, that
+    adapting it alone gives.  An episode whose loss or gradient goes
+    non-finite leaves its stack.
 
-    Returns the adapted w of the surviving episodes, still stacked
-    [E_live, ...] by name; their episode indices, in order; each
-    episode's inner-loss history; and per episode None or the
-    NumericalError adapting it alone raises.
+    Returns w stacked [E, ...] by name, each episode's inner-loss
+    history, and the NumericalError of each episode whose adaptation
+    fails, by episode; a failed episode's rows hold w unadapted.
     """
-    n_eps = len(support_rows)
     named = match_params.tensors()
-    w = {name: np.repeat(t.values[None], n_eps, axis=0) for name, t in named.items()}
-    live = np.arange(n_eps)  # the episodes still in the stack, in order
-    histories: list[list[float]] = [[] for _ in range(n_eps)]
-    failed: list[NumericalError | None] = [None] * n_eps
-    if not query_rows.shape[1]:
-        log.debug("task %s: no adaptation queries; skipping inner loop", task_id)
-        return w, live, histories, failed
     trainable = {name for name, t in named.items() if t.requires_grad}
+    w = {name: np.repeat(t.values[None], len(splits), axis=0) for name, t in named.items()}
+    histories: list[list[float]] = [[] for _ in splits]
+    errors: dict[int, NumericalError] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for e, (support, query) in enumerate(splits):
+        groups.setdefault((len(support), len(query)), []).append(e)
     levels = Tensor(stacked)
-    z_support, z_query = episode_rows(levels, support_rows), episode_rows(levels, query_rows)
-    y_s = labels[support_rows][..., None]
-    target = _onehot(labels[query_rows])
-
-    for step in range(cfg.inner_steps + 1):
-        leaves = MatchParams(
-            {name: Tensor(v, requires_grad=name in trainable) for name, v in w.items()}
-        )
-        probs, _, _ = match_levels(z_query, z_support, y_s, leaves)
-        losses = cross_entropy(probs, target)
-        ok = np.isfinite(losses.values)
-        for i, value in enumerate(losses.values.tolist()):
-            if ok[i]:
-                histories[live[i]].append(value)
-            else:
-                failed[live[i]] = NumericalError(f"task {task_id}: non-finite inner loss {value}")
-        if step < cfg.inner_steps:
-            grads = backward(sum_all(losses), params=leaves.tensors().values(), write_grad=False)
-            for name, t in leaves.tensors().items():
-                if name not in trainable:
-                    continue
-                finite = np.isfinite(grads[t]).reshape(len(live), -1).all(axis=1)
-                for i in np.nonzero(ok & ~finite)[0]:
-                    failed[live[i]] = NumericalError(
-                        f"task {task_id}: non-finite gradient for {name}"
-                    )
-                ok &= finite
-                if cfg.alpha != 0.0:
-                    w[name] = w[name] - cfg.alpha * grads[t]
-        if not ok.all():
-            live, y_s = live[ok], y_s[ok]
-            z_support, z_query, target = (Tensor(t.values[ok]) for t in (z_support, z_query, target))
-            w = {name: v[ok] for name, v in w.items()}
-            if not live.size:
-                break
-    return w, live, histories, failed
+    for (_, n_query), members in groups.items():
+        if not n_query:
+            log.debug("task %s: no adaptation queries; skipping inner loop", task_id)
+            continue
+        live = np.array(members)  # the episodes still in the stack, in order
+        support_rows, query_rows = (np.array([splits[e][side] for e in members]) for side in (0, 1))
+        z_support, z_query = episode_rows(levels, support_rows), episode_rows(levels, query_rows)
+        y_s = labels[support_rows][..., None]
+        target = _onehot(labels[query_rows])
+        w_live = {name: v[live] for name, v in w.items()}
+        for step in range(cfg.inner_steps + 1):
+            leaves = MatchParams(
+                {name: Tensor(v, requires_grad=name in trainable) for name, v in w_live.items()}
+            )
+            probs, _, _ = match_levels(z_query, z_support, y_s, leaves)
+            losses = cross_entropy(probs, target)
+            ok = np.isfinite(losses.values)
+            for e, value, finite in zip(live.tolist(), losses.values.tolist(), ok):
+                if finite:
+                    histories[e].append(value)
+                else:
+                    errors[e] = NumericalError(f"task {task_id}: non-finite inner loss {value}")
+            if step < cfg.inner_steps:
+                grads = backward(sum_all(losses), params=leaves.tensors().values(), write_grad=False)
+                for name, t in leaves.tensors().items():
+                    if name not in trainable:
+                        continue
+                    finite = np.isfinite(grads[t]).reshape(len(live), -1).all(axis=1)
+                    for e in live[ok & ~finite].tolist():
+                        errors[e] = NumericalError(f"task {task_id}: non-finite gradient for {name}")
+                    ok &= finite
+                    if cfg.alpha != 0.0:
+                        w_live[name] = w_live[name] - cfg.alpha * grads[t]
+            if not ok.all():
+                live, y_s = live[ok], y_s[ok]
+                z_support, z_query, target = (
+                    Tensor(t.values[ok]) for t in (z_support, z_query, target)
+                )
+                w_live = {name: v[ok] for name, v in w_live.items()}
+                if not live.size:
+                    break
+        for name, v in w_live.items():
+            w[name][live] = v
+    return w, histories, errors
 
 
 def _outer_task_step(
@@ -530,15 +534,16 @@ def score_task(
     # the samplers give every episode of a task the same support and query sizes
     support = np.array([np.searchsorted(used, e.support_idx) for _, e in episodes])
     query = np.array([np.searchsorted(used, e.query_idx) for _, e in episodes])
-    w, errors = _adapt_labelled(
-        model.matcher, stacked, labels, support, cfg, [[*seed, 1] for seed, _ in episodes]
+    fine_seeds = [[*seed, 1] for seed, _ in episodes]
+    w, _, errors = _adapt_labelled(
+        model.matcher, stacked, labels, support, cfg, fine_seeds, task.task_id
     )
     levels = Tensor(stacked)
     probs, _, _, ok = _match_rows(
         episode_rows(levels, query), episode_rows(levels, support), labels[support][..., None], w
     )
     for e in np.nonzero(~ok)[0]:  # an episode that failed to adapt keeps that error
-        errors.setdefault(int(e), NumericalError("finetune: non-finite prediction"))
+        errors.setdefault(int(e), NumericalError(f"task {task.task_id}: non-finite prediction"))
     if errors:
         raise errors[min(errors)]
     return [(p[:, 0], [y for _, y in episode.query]) for p, (_, episode) in zip(probs, episodes)]
@@ -548,43 +553,22 @@ def _adapt_labelled(
     match_params: MatchParams,
     stacked: np.ndarray,
     labels: np.ndarray,
-    labelled_rows: np.ndarray,
+    labelled_rows,
     cfg: RunConfig,
     seeds,
-) -> tuple[dict[str, np.ndarray], dict[int, NumericalError]]:
+    task_id: str,
+) -> tuple[dict[str, np.ndarray], list[list[float]], dict[int, NumericalError]]:
     """Test-time adaptation of w for E episodes on the rows of one frozen
-    [L, n, d] stack.
-
-    Episode e's labelled set is the rows ``labelled_rows[e]`` ([E, k]),
-    labelled ``labels[r]``; it adapts w on the split ``seeds[e]`` makes of
-    that set.  Episodes whose splits have the same sizes adapt in one
-    stacked pass.  Returns the adapted w, stacked [E, ...] by name, and
-    the NumericalError of each episode whose adaptation fails, by
-    episode; a failed episode's rows hold w unadapted.
+    [L, n, d] stack: episode e's labelled set is the rows
+    ``labelled_rows[e]``, labelled ``labels[r]``, and it adapts w on the
+    split ``seeds[e]`` makes of that set.  Returns what ``_adapt``
+    returns for those splits.
     """
     splits = [
-        _split_rows(labels[rows], cfg.train.support_split_fraction, seed)
+        [rows[side] for side in _split_rows(labels[rows], cfg.train.support_split_fraction, seed)]
         for rows, seed in zip(labelled_rows, seeds)
     ]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for e, (s_fine, q_fine) in enumerate(splits):
-        groups.setdefault((len(s_fine), len(q_fine)), []).append(e)
-    w = {
-        name: np.repeat(t.values[None], len(seeds), axis=0)
-        for name, t in match_params.tensors().items()
-    }
-    errors: dict[int, NumericalError] = {}
-    for members in groups.values():
-        fine_support, fine_query = (
-            np.array([labelled_rows[e][splits[e][side]] for e in members]) for side in (0, 1)
-        )
-        w_stack, live, _, failed = _adapt_on_rows(
-            match_params, stacked, labels, fine_support, fine_query, cfg.train, "finetune"
-        )
-        errors.update((e, error) for e, error in zip(members, failed) if error is not None)
-        for name, v in w_stack.items():
-            w[name][np.array(members)[live]] = v
-    return w, errors
+    return _adapt(match_params, stacked, labels, splits, cfg.train, task_id)
 
 
 def _match_rows(
@@ -642,8 +626,8 @@ def finetune_and_predict_detailed(
         raise ValueError("finetune_and_predict: empty query list")
     support = encode_frozen([g for g, _ in support_set], model.encoder)
     labels = np.asarray([y for _, y in support_set], dtype=np.float64)
-    w, errors = _adapt_labelled(
-        model.matcher, support, labels, np.arange(len(labels))[None], cfg, [seed]
+    w, _, errors = _adapt_labelled(
+        model.matcher, support, labels, np.arange(len(labels))[None], cfg, [seed], "finetune"
     )
     if errors:
         raise errors[0]

@@ -231,7 +231,7 @@ class TestTrain:
 
         monkeypatch.setattr(meta, "_match_rows", overflowing)
         assert main(argv) == 4
-        assert one_error_line(capsys) == "numerical abort: finetune: non-finite prediction"
+        assert one_error_line(capsys) == "numerical abort: task synth-0003: non-finite prediction"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stop.cfg"]
         assert len(calls) == 1
 
@@ -631,7 +631,7 @@ class TestEval:
         assert code == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numerical abort: finetune: non-finite prediction\n"
+        assert captured.err == "numerical abort: task synth-0003: non-finite prediction\n"
 
     def test_poisoned_episode_is_numerical_abort(self, workspace, large_tasks, monkeypatch, capsys):
         # a molecule of the first task's second episode, and not of its
@@ -654,7 +654,7 @@ class TestEval:
         assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(large_tasks)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numerical abort: task finetune: non-finite inner loss nan\n"
+        assert captured.err == "numerical abort: task synth-0000: non-finite inner loss nan\n"
 
     def test_nonfinite_gradient_is_numerical_abort(self, workspace, tmp_path, monkeypatch, capsys):
         poison_first_gradient(monkeypatch)

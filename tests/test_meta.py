@@ -631,22 +631,25 @@ class TestScoreTask:
 
     @staticmethod
     def captured_calls(monkeypatch):
-        """Record the arguments of every ``_adapt_labelled`` call and the
-        shapes of the adaptation stacks it builds."""
-        calls, stacks = [], []
-        adapt_labelled, adapt = meta._adapt_labelled, meta._adapt_on_rows
+        """Record the arguments of every ``_adapt_labelled`` call, the
+        split sizes of every ``_adapt`` call and every backward sweep."""
+        calls, shapes, sweeps = [], [], []
+        adapt_labelled, adapt, real_backward = meta._adapt_labelled, meta._adapt, meta.backward
 
         def recording(*args):
             calls.append(args)
             return adapt_labelled(*args)
 
-        def adapt_on_rows(*args, **kwargs):
-            stacks.append((args[3].shape, args[4].shape))
-            return adapt(*args, **kwargs)
+        def adapting(*args):
+            shapes.append({(len(s), len(q)) for s, q in args[3]})
+            return adapt(*args)
 
         monkeypatch.setattr(meta, "_adapt_labelled", recording)
-        monkeypatch.setattr(meta, "_adapt_on_rows", adapt_on_rows)
-        return calls, stacks
+        monkeypatch.setattr(meta, "_adapt", adapting)
+        monkeypatch.setattr(
+            meta, "backward", lambda *a, **k: sweeps.append(a) or real_backward(*a, **k)
+        )
+        return calls, shapes, sweeps
 
     @pytest.mark.parametrize(
         "sampling, support_size",
@@ -657,25 +660,31 @@ class TestScoreTask:
         cfg = tiny_cfg()
         cfg.protocol.sampling, cfg.protocol.support_size = sampling, support_size
         seeds = [[5, meta.KEY_EVAL, 0, rep] for rep in range(6)]
-        calls, stacks = self.captured_calls(monkeypatch)
+        calls, shapes, sweeps = self.captured_calls(monkeypatch)
         scored = score_task(self.model, self.task, cfg, seeds)
         monkeypatch.undo()
-        ((_, levels, labels, support_rows, _, fine_seeds),) = calls
+        ((_, levels, labels, support_rows, _, fine_seeds, task_id),) = calls
+        (split_shapes,) = shapes
+        assert task_id == self.task.task_id
         assert len(scored) == len(fine_seeds) >= 5
         if sampling == "unbalanced":
-            assert len(set(stacks)) >= 2  # adaptation splits of different shapes
+            assert len(split_shapes) >= 2  # adaptation splits of different shapes
         else:
-            assert len(stacks) == 1  # one stacked pass for the whole task
+            assert len(split_shapes) == 1
         if support_size == 2:
-            assert stacks[0][1][1] == 0  # one example per class: no adaptation queries
+            assert split_shapes == {(2, 0)}  # one example per class: no adaptation queries
+            assert sweeps == []
+        elif sampling == "balanced":
+            assert len(sweeps) == cfg.train.inner_steps  # one stacked pass for the whole task
         episodes = [sample_episode(self.task, cfg.protocol, seed[:-1]) for seed in fine_seeds]
         used = np.unique(np.concatenate([np.r_[e.support_idx, e.query_idx] for e in episodes]))
         for (scores, _), fine_seed, s_rows, episode in zip(scored, fine_seeds, support_rows, episodes):
             assert s_rows.tolist() == np.searchsorted(used, episode.support_idx).tolist()
             rows = levels[:, np.r_[s_rows, np.searchsorted(used, episode.query_idx)]]
             n_s = len(s_rows)
-            w, errors = meta._adapt_labelled(
-                self.model.matcher, rows, labels[s_rows], np.arange(n_s)[None], cfg, [fine_seed]
+            w, _, errors = meta._adapt_labelled(
+                self.model.matcher, rows, labels[s_rows], np.arange(n_s)[None], cfg, [fine_seed],
+                task_id,
             )
             assert errors == {}
             alone = meta._match_rows(
@@ -688,6 +697,42 @@ class TestScoreTask:
                 cfg.train.support_split_fraction, fine_seed, cfg.train.inner_steps, cfg.train.alpha,
             )
             np.testing.assert_allclose(scores, reference[:, 0], rtol=0, atol=1e-12)
+
+    def test_failed_episode_leaves_the_others_untouched(self):
+        # episodes 0-2 hold four labelled rows and episode 3 six, so their
+        # splits take two shapes; episode 1, in the middle of the first
+        # stack, reads NaN rows and leaves that stack at its first step
+        cfg = tiny_cfg()
+        lengths = [4, 4, 4, 6]
+        starts = np.cumsum([0] + lengths)
+        rows = [np.arange(a, b) for a, b in zip(starts, starts[1:])]
+        labels = np.concatenate([np.arange(n) % 2 for n in lengths]).astype(np.float64)
+        stacked = np.random.default_rng(0).normal(
+            size=(cfg.encoder.layers, starts[-1], cfg.encoder.hidden)
+        )
+        stacked[:, rows[1]] = np.nan
+        seeds = [[7, e] for e in range(len(rows))]
+        assert len({
+            tuple(map(len, meta._split_rows(labels[r], cfg.train.support_split_fraction, seed)))
+            for r, seed in zip(rows, seeds)
+        }) == 2
+        w, histories, errors = meta._adapt_labelled(
+            self.model.matcher, stacked, labels, rows, cfg, seeds, "t"
+        )
+        assert list(errors) == [1]
+        assert str(errors[1]) == "task t: non-finite inner loss nan"
+        assert histories[1] == []
+        for name, t in self.model.matcher.tensors().items():
+            assert w[name][1].tobytes() == t.values.tobytes(), name
+        for e in (0, 2, 3):
+            w_alone, (history,), errors = meta._adapt_labelled(
+                self.model.matcher, stacked, labels, [rows[e]], cfg, [seeds[e]], "t"
+            )
+            assert errors == {}
+            assert len(history) == cfg.train.inner_steps + 1
+            assert histories[e] == history, e
+            for name, v in w_alone.items():
+                assert w[name][e].tobytes() == v[0].tobytes(), (e, name)
 
     def test_repeats_share_each_backward_sweep(self, monkeypatch):
         sweeps = []
@@ -724,7 +769,8 @@ class TestScoreTask:
             finetune_and_predict(
                 self.model, episode.support, [g for g, _ in episode.query], self.cfg, seeds[2] + [1]
             )
-        assert str(stacked.value) == str(alone.value) == "task finetune: non-finite inner loss nan"
+        assert str(stacked.value) == "task t: non-finite inner loss nan"
+        assert str(alone.value) == "task finetune: non-finite inner loss nan"
 
     def test_prediction_failure_outranks_a_later_adaptation_failure(self, monkeypatch):
         # episode 1 fails only in the match, on a molecule that only its
@@ -739,7 +785,7 @@ class TestScoreTask:
         late_support = sorted(set(episodes[3].support_idx.tolist()) - rows[0] - rows[1])
         assert query_only and late_support
         self.poison(monkeypatch, [query_only[0], late_support[0]])
-        with pytest.raises(NumericalError, match="^task finetune: non-finite inner loss nan$"):
+        with pytest.raises(NumericalError, match="^task t: non-finite inner loss nan$"):
             score_task(self.model, self.task, self.cfg, [seeds[3]])
-        with pytest.raises(NumericalError, match="^finetune: non-finite prediction$"):
+        with pytest.raises(NumericalError, match="^task t: non-finite prediction$"):
             score_task(self.model, self.task, self.cfg, seeds)

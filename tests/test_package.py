@@ -57,22 +57,33 @@ def test_only_the_matcher_calls_the_attention_op():
     assert naming == ["matcher.py", "tensor.py"]
 
 
-def test_test_time_adaptation_has_one_owner():
-    # eval, validation and predict split the labelled rows and adapt w
-    # only through meta._adapt_labelled; training keeps its own split
-    # and inner_adapt
+def meta_callers(*names: str) -> dict[str, set[str]]:
+    """The top-level functions of meta.py that call each of ``names``."""
     package = Path(molmatch.__file__).parent
     tree = ast.parse((package / "meta.py").read_text(encoding="utf-8"))
-    callers: dict[str, set[str]] = {"_adapt_on_rows": set(), "_split_rows": set()}
+    callers: dict[str, set[str]] = {name: set() for name in names}
     for function in tree.body:
         if isinstance(function, ast.FunctionDef):
             for node in ast.walk(function):
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
                     callers[node.func.id].add(function.name)
-    assert callers == {
-        "_adapt_on_rows": {"inner_adapt", "_adapt_labelled"},
+    return callers
+
+
+def test_test_time_adaptation_has_one_owner():
+    # eval, validation and predict split the labelled rows only through
+    # meta._adapt_labelled; training keeps its own split and inner_adapt;
+    # both adapt w through the one inner loop, meta._adapt
+    assert meta_callers("_adapt", "_split_rows") == {
+        "_adapt": {"inner_adapt", "_adapt_labelled"},
         "_split_rows": {"split_support", "_outer_task_step", "_adapt_labelled"},
     }
+
+
+def test_meta_runs_backward_only_in_the_inner_loop_and_the_outer_step():
+    # _adapt takes every inner-loop step; _named_grads is the outer step's
+    # one sweep, so no other function in meta.py differentiates
+    assert meta_callers("backward") == {"backward": {"_named_grads", "_adapt"}}
 
 
 def test_only_the_encoder_batches_graphs():
