@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -166,11 +167,10 @@ def _save_model(path, model: ModelParams, cfg: RunConfig, epoch: int) -> None:
     for name, values in tensors.items():
         if not np.isfinite(values.astype(np.float32)).all():
             raise NumericalError(f"weight {name} is not finite as stored (float32)")
-    save_checkpoint(
-        path,
-        tensors,
-        {"config": config_to_dict(cfg), "epoch": epoch, "seed": cfg.train.seed},
-    )
+    config = config_to_dict(cfg)
+    # how the run executed, not what it trained: the file must not depend on it
+    del config["train"]["workers"]
+    save_checkpoint(path, tensors, {"config": config, "epoch": epoch, "seed": cfg.train.seed})
 
 
 def _load_model(path) -> tuple[ModelParams, RunConfig, dict]:
@@ -193,6 +193,30 @@ def _load_model(path) -> tuple[ModelParams, RunConfig, dict]:
             )
     model = model.replace_values({k: v.astype(np.float64) for k, v in tensors.items()})
     return model, cfg, meta
+
+
+@contextmanager
+def _csv_file(path, header: list):
+    """A ``csv.writer`` on a fresh UTF-8 file at ``path``, its header row
+    written."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer
+
+
+def _read_molecules(path):
+    """Each non-blank line of ``path`` as (line number, SMILES, graph or
+    the ``SmilesError`` that parsing it raised)."""
+    for line_no, line in enumerate(read_lines(path), start=1):
+        smiles = line.strip()
+        if not smiles:
+            continue
+        try:
+            graph = graph_from_smiles(smiles)
+        except SmilesError as exc:
+            graph = exc
+        yield line_no, smiles, graph
 
 
 def _check_output_path(path) -> None:
@@ -238,9 +262,7 @@ def cmd_train(args) -> int:
     epochs = len(logs) if best is None else best + 1
     _save_model(args.out, model, cfg, epoch=epochs)
 
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_outer_loss", "wall_seconds", "val_metric"])
+    with _csv_file(log_path, ["epoch", "mean_outer_loss", "wall_seconds", "val_metric"]) as writer:
         for entry in logs:
             writer.writerow(
                 [
@@ -280,7 +302,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.data}: no tasks in split {args.split!r}")
 
     rows = []  # (task_id, status, {metric: EvalResult}), empty for a skipped task
-    for task_idx, task in enumerate(sorted(tasks, key=lambda t: t.task_id)):
+    for task_idx, task in enumerate(tasks):
         if not can_sample(task, cfg.protocol):
             rows.append((task.task_id, "skipped:protocol", {}))
             continue
@@ -350,17 +372,8 @@ def cmd_predict(args) -> int:
     seed = args.seed if args.seed is not None else cfg.train.seed
     support = _read_support_file(args.support)
 
-    queries: list[tuple[str, object]] = []  # (smiles, graph or error message)
-    for line in read_lines(args.query):
-        smiles = line.strip()
-        if not smiles:
-            continue
-        try:
-            queries.append((smiles, graph_from_smiles(smiles)))
-        except SmilesError as exc:
-            queries.append((smiles, str(exc)))
-
-    good = [(s, g) for s, g in queries if not isinstance(g, str)]
+    queries = [(smiles, graph) for _, smiles, graph in _read_molecules(args.query)]
+    good = [(s, g) for s, g in queries if not isinstance(g, SmilesError)]
     failed = len(queries) - len(good)
     if not good:
         raise DataError(f"{args.query}: no parseable query SMILES ({failed} failed)")
@@ -371,9 +384,9 @@ def cmd_predict(args) -> int:
     scores = iter(probs[:, 0])
     writer = csv.writer(sys.stdout)
     writer.writerow(["smiles", "p_positive", "error"])
-    for smiles, graph_or_err in queries:
-        if isinstance(graph_or_err, str):
-            writer.writerow([smiles, "", graph_or_err])
+    for smiles, graph in queries:
+        if isinstance(graph, SmilesError):
+            writer.writerow([smiles, "", str(graph)])
         else:
             writer.writerow([smiles, f"{next(scores):.6f}", ""])
     print(f"{len(good)} queries scored, {failed} failed to parse", file=sys.stderr)
@@ -384,12 +397,10 @@ def cmd_predict(args) -> int:
 
 
 def _write_attention(path, layer_preds: list[LayerPrediction]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        n_support = layer_preds[0].attention.shape[1]
-        writer.writerow(["layer", "query_index"] + [f"support_{j}" for j in range(n_support)])
+    n_support = layer_preds[0].attention.shape[1]
+    with _csv_file(path, ["layer", "query_index"] + [f"support_{j}" for j in range(n_support)]) as writer:
         for layer, pred in enumerate(layer_preds, start=1):
-            for qi, row in enumerate(pred.attention.values):
+            for qi, row in enumerate(pred.attention):
                 writer.writerow([layer, qi] + [f"{v:.8f}" for v in row])
 
 
@@ -407,7 +418,6 @@ def cmd_taskrel(args) -> int:
         raise DataError(
             f"task relation needs at least 2 protocol-compatible tasks in {args.split!r}"
         )
-    tasks = sorted(tasks, key=lambda t: t.task_id)
     vectors = [
         task_vector(task, model, cfg, mode, seed=[seed, i]) for i, task in enumerate(tasks)
     ]
@@ -419,9 +429,7 @@ def cmd_taskrel(args) -> int:
     if not np.isfinite(matrix).all():
         raise NumericalError(f"{metric} relation matrix is not finite")
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_id"] + rel.task_ids)
+    with _csv_file(args.out, ["task_id"] + rel.task_ids) as writer:
         for task_id, row in zip(rel.task_ids, matrix):
             writer.writerow([task_id] + [f"{v:.10g}" for v in row])
     with open(meta_path, "w", encoding="utf-8") as fh:
@@ -447,14 +455,11 @@ def cmd_export_embeddings(args) -> int:
     _check_output_path(args.out)
     model, cfg, _ = _load_model(args.ckpt)
     entries = []
-    for line_no, line in enumerate(read_lines(args.smiles), start=1):
-        smiles = line.strip()
-        if not smiles:
-            continue
-        try:
-            entries.append((smiles, graph_from_smiles(smiles)))
-        except SmilesError as exc:
-            log.warning("smiles line %d skipped: %s", line_no, exc)
+    for line_no, smiles, graph in _read_molecules(args.smiles):
+        if isinstance(graph, SmilesError):
+            log.warning("smiles line %d skipped: %s", line_no, graph)
+        else:
+            entries.append((smiles, graph))
     if not entries:
         raise DataError(f"{args.smiles}: no parseable molecules")
     hidden = model.encoder.hidden
@@ -472,26 +477,23 @@ def cmd_export_embeddings(args) -> int:
     if not np.isfinite(levels).all():
         raise NumericalError("embeddings are not finite")
     pcas = [] if k is None else [_pca(z, k, layer) for layer, z in enumerate(levels, start=1)]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["molecule_index", "smiles", "layer"] + [f"dim_{i}" for i in range(hidden)])
+    header = ["molecule_index", "smiles", "layer"] + [f"dim_{i}" for i in range(hidden)]
+    with _csv_file(args.out, header) as writer:
         for layer, z in enumerate(levels, start=1):
             for mi, (smiles, _) in enumerate(entries):
                 writer.writerow([mi, smiles, layer] + [f"{v:.8f}" for v in z[mi]])
 
     if k is not None:
         variance_rows = []
+        header = ["molecule_index"] + [f"pc_{i + 1}" for i in range(k)]
         for layer, (proj, ratios) in enumerate(pcas, start=1):
-            with open(f"{base}.pca_layer{layer}.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["molecule_index"] + [f"pc_{i + 1}" for i in range(k)])
+            with _csv_file(f"{base}.pca_layer{layer}.csv", header) as writer:
                 for mi in range(len(entries)):
                     writer.writerow([mi] + [f"{v:.8f}" for v in proj[mi]])
             for ci, ratio in enumerate(ratios, start=1):
                 variance_rows.append([layer, ci, f"{ratio:.8f}"])
-        with open(f"{base}.pca_variance.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "component", "explained_variance_ratio"])
+        header = ["layer", "component", "explained_variance_ratio"]
+        with _csv_file(f"{base}.pca_variance.csv", header) as writer:
             writer.writerows(variance_rows)
     print(f"wrote embeddings for {len(entries)} molecules x {len(levels)} layers", file=sys.stderr)
     return EXIT_OK

@@ -80,10 +80,6 @@ class EncoderParams(Params):
     def layer(self, i: int) -> GinLayerParams:
         return GinLayerParams(*(self[f"layer{i}.{f.name}"] for f in fields(GinLayerParams)))
 
-    @property
-    def layers(self) -> list[GinLayerParams]:
-        return [self.layer(i) for i in range(self.n_layers)]
-
     @staticmethod
     def init(n_layers: int, hidden: int, seed=0) -> "EncoderParams":
         """Seeded init: weights and biases uniform in +-1/sqrt(fan_in), eps at 0."""
@@ -116,7 +112,9 @@ class GraphBatch:
     ``by_dst`` and ``by_src`` are the slot tables of the edge
     destinations and sources, built once here and shared by every
     layer's forward and backward.  ``bond_sums`` holds each atom's summed
-    incoming bond features, a constant of the batch.
+    incoming bond features, a constant of the batch.  The feature rows
+    (``atom_feats``, ``edge_feats``, ``bond_sums``) are plain numpy
+    arrays: no op differentiates them.
     """
 
     def __init__(self, graphs: list[MolGraph]):
@@ -126,7 +124,7 @@ class GraphBatch:
         sizes = np.array([g.n_atoms for g in graphs], dtype=np.int64)
         offsets = np.cumsum(sizes) - sizes
         self.n_atoms = int(sizes.sum())
-        self.atom_feats = Tensor(np.concatenate([g.atom_feats.values for g in graphs]))
+        self.atom_feats = np.concatenate([g.atom_feats for g in graphs])
         self.mol_ids = np.repeat(np.arange(self.n_mols, dtype=np.int64), sizes)
         # one (u, v) row per bond in batch atom numbers; each bond becomes
         # the directed edges u->v then v->u, in bond order
@@ -135,11 +133,11 @@ class GraphBatch:
         self.edge_src = bonds.reshape(-1)
         self.edge_dst = bonds[:, ::-1].reshape(-1)
         self.n_edges = self.edge_src.size
-        bond_rows = np.concatenate([g.bond_feats.values for g in graphs])
-        self.edge_feats = Tensor(np.repeat(bond_rows, 2, axis=0))
+        bond_rows = np.concatenate([g.bond_feats for g in graphs])
+        self.edge_feats = np.repeat(bond_rows, 2, axis=0)
         self.by_dst = SlotTable(self.edge_dst, self.n_atoms)
         self.by_src = SlotTable(self.edge_src, self.n_atoms)
-        self.bond_sums = Tensor(self.by_dst.sum(self.edge_feats.values))
+        self.bond_sums = self.by_dst.sum(self.edge_feats)
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -> Tensor:
@@ -150,7 +148,7 @@ def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -
     lp = params.layer(layer)
     return gin_conv(
         h, lp.eps, lp.bond_embed, lp.w1, lp.b1, lp.w2, lp.b2,
-        batch.bond_sums.values, batch.by_dst, batch.by_src,
+        batch.bond_sums, batch.by_dst, batch.by_src,
     )
 
 
@@ -168,7 +166,7 @@ def encode_multilevel(
     ``dropout_rate`` follows every layer when the rate is above 0.
     """
     batch = GraphBatch(graphs)
-    h = add(matmul(batch.atom_feats, params.input_w), params.input_b)
+    h = add(matmul(Tensor(batch.atom_feats), params.input_w), params.input_b)
     levels = []
     for layer in range(params.n_layers):
         h = gin_layer(h, batch, params, layer)
@@ -215,7 +213,7 @@ def _frozen_batch(graphs: list[MolGraph], folded: list[tuple[np.ndarray, ...]]) 
     pool = SlotTable(batch.mol_ids, batch.n_mols)
     sizes = np.bincount(batch.mol_ids, minlength=batch.n_mols)[:, None]
     degree = np.bincount(batch.edge_dst, minlength=n)
-    u = batch.atom_feats.values
+    u = batch.atom_feats
     levels = np.empty((len(folded), batch.n_mols, folded[0][2].shape[1]))
     for level, (k, e1, w2, b2) in zip(levels, folded):
         # columns [x_u | 1 + eps + deg | 1 | bond_sums] against k's rows;
@@ -227,7 +225,7 @@ def _frozen_batch(graphs: list[MolGraph], folded: list[tuple[np.ndarray, ...]]) 
             s[:, :d] += batch.by_dst.sum(u, batch.by_src.index)
         s[:, d] = degree + e1
         s[:, d + 1] = 1.0
-        s[:, d + 2 :] = batch.bond_sums.values
+        s[:, d + 2 :] = batch.bond_sums
         z = s @ k if edges else s[:, : d + 2] @ k[: d + 2]
         np.fmax(z, 0.0, out=z)
         z += 0.0

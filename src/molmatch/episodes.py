@@ -85,7 +85,10 @@ class Registry:
     tasks: dict[str, list[TaskRecord]] = field(default_factory=dict)
 
     def split_tasks(self, split: str) -> list[TaskRecord]:
-        return self.tasks.get(split, [])
+        """The split's tasks in task-id order: training's task draws,
+        validation, ``eval`` and ``taskrel`` all visit tasks, and hand out
+        their per-index seeds, in this one order."""
+        return sorted(self.tasks.get(split, []), key=lambda t: t.task_id)
 
     @property
     def n_tasks(self) -> int:

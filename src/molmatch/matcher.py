@@ -112,10 +112,11 @@ class MatchParams(Params):
 
 @dataclass
 class LayerPrediction:
-    """One layer's attention matrix and label estimate for the queries."""
+    """One layer's attention matrix and label estimate for the queries,
+    as plain arrays."""
 
-    y_hat: Tensor  # [n_query, 1], convex combination of support labels
-    attention: Tensor  # [n_query, n_support], rows sum to 1
+    y_hat: np.ndarray  # [n_query, 1], convex combination of support labels
+    attention: np.ndarray  # [n_query, n_support], rows sum to 1
 
 
 def episode_rows(levels: Tensor, rows: np.ndarray) -> Tensor:
@@ -174,7 +175,7 @@ def match_levels(
 def layer_predictions(y_hat: np.ndarray, attention: np.ndarray) -> list[LayerPrediction]:
     """Per-layer views of one episode's label estimates [L, n_query, 1]
     and attention [L, n_query, n_support] from ``match_levels``."""
-    return [LayerPrediction(y_hat=Tensor(y), attention=Tensor(a)) for y, a in zip(y_hat, attention)]
+    return [LayerPrediction(y_hat=y, attention=a) for y, a in zip(y_hat, attention)]
 
 
 def predict_detailed(

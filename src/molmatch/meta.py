@@ -74,7 +74,7 @@ def _named_grads(loss: Tensor, params: Params, task_id: str) -> dict[str, np.nda
     """Gradients of ``loss`` for the trainable tensors of ``params``, by
     name; a non-finite one raises before any update."""
     named = params.tensors()
-    grads = backward(loss, params=named.values(), write_grad=False)
+    grads = backward(loss, params=named.values())
     gmap = {name: grads[t] for name, t in named.items() if t.requires_grad}
     for name, g in gmap.items():
         if not np.isfinite(g).all():
@@ -212,16 +212,16 @@ def episode_loss(
     encoder_params: EncoderParams,
     match_params: MatchParams,
     *,
-    training: bool = False,
     matcher_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     levels: Tensor | None = None,
 ) -> Tensor:
     """Summed cross-entropy of the fused predictions over the query set.
 
-    ``training`` switches ``matcher_dropout`` on.  ``levels`` is
-    ``predict_detailed``'s: the encoder's [L, n, d] stack for the
-    support graphs followed by the query graphs, used instead of
+    Matcher dropout is on exactly when ``matcher_dropout`` is above 0:
+    training passes its configured rate, every other caller 0.
+    ``levels`` is ``predict_detailed``'s: the encoder's [L, n, d] stack
+    for the support graphs followed by the query graphs, used instead of
     encoding them here.
     """
     if not support or not query:
@@ -232,7 +232,7 @@ def episode_loss(
         [g for g, _ in query],
         encoder_params,
         match_params,
-        matcher_dropout=matcher_dropout if training else 0.0,
+        matcher_dropout=matcher_dropout,
         rng=rng,
         levels=levels,
     )
@@ -338,7 +338,7 @@ def _adapt(
                 else:
                     errors[e] = NumericalError(f"task {task_id}: non-finite inner loss {value}")
             if step < cfg.inner_steps:
-                grads = backward(sum_all(losses), params=leaves.tensors().values(), write_grad=False)
+                grads = backward(sum_all(losses), params=leaves.tensors().values())
                 for name, t in leaves.tensors().items():
                     if name not in trainable:
                         continue
@@ -402,7 +402,6 @@ def _outer_task_step(
         episode.query,
         model.encoder,
         adapted.w_tau,
-        training=True,
         matcher_dropout=cfg.matcher.dropout,
         rng=rng,
         levels=levels,
@@ -431,7 +430,6 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     tasks = [t for t in registry.split_tasks("train") if can_sample(t, cfg.protocol)]
     if not tasks:
         raise EpisodeError("no train task can satisfy the episode protocol")
-    tasks = sorted(tasks, key=lambda t: t.task_id)
     valid = registry.split_tasks("valid") if cfg.train.early_stop else []
     if valid and not any(can_query_both_classes(t, cfg.protocol) for t in valid):
         # validation would score no episode, so early stopping would stop blind

@@ -52,8 +52,9 @@ class Params:
             for name, t in self._tensors.items()
         })
 
-    def clone(self, requires_grad: bool = True):
-        return self.replace_values({}, requires_grad=requires_grad)
+    def clone(self):
+        """Fresh tensors with the same values and gradient flags."""
+        return self.replace_values({})
 
     def detach(self):
         """Gradient-free view sharing values; used for frozen passes."""

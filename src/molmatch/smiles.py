@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = [
     "SmilesError",
     "Token",
@@ -307,14 +305,15 @@ _BOND_COL = {order: col for col, order in enumerate(BOND_ORDERS)}
 class MolGraph:
     """Featurized molecular graph ready for the encoder.
 
+    ``atom_feats`` and ``bond_feats`` are plain float64 numpy rows.
     ``bonds`` stores each undirected bond once as (u, v) with u < v;
     ``bond_feats`` has one row per stored bond (possibly zero rows for
     single-atom molecules).
     """
 
-    atom_feats: Tensor
+    atom_feats: np.ndarray
     bonds: list[tuple[int, int]]
-    bond_feats: Tensor
+    bond_feats: np.ndarray
     source_smiles: str
 
     @property
@@ -327,7 +326,7 @@ class MolGraph:
 
 
 def featurize(mol: ParsedMolecule) -> MolGraph:
-    """Build feature tensors from a parsed molecule.  Never raises on
+    """Build feature rows from a parsed molecule.  Never raises on
     exotic atoms: unknown elements land in the "other" bucket and
     out-of-range degrees, charges and H counts clamp to the last bucket.
     """
@@ -356,9 +355,9 @@ def featurize(mol: ParsedMolecule) -> MolGraph:
         hot = [row * D_BOND + _BOND_COL[order] for row, (_, _, order) in enumerate(mol.bonds)]
         bond_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = 1.0
     return MolGraph(
-        atom_feats=Tensor(atom_rows),
+        atom_feats=atom_rows,
         bonds=[(u, v) for u, v, _ in mol.bonds],
-        bond_feats=Tensor(bond_rows),
+        bond_feats=bond_rows,
         source_smiles=mol.smiles,
     )
 

@@ -47,7 +47,6 @@ class TaskVector:
 @dataclass
 class TaskRelationMatrix:
     matrix: np.ndarray  # [n_tasks, n_tasks], symmetric
-    metric: str
     task_ids: list[str]
 
 
@@ -123,7 +122,7 @@ def relation_matrix(vectors: list[TaskVector], metric: str) -> TaskRelationMatri
         sq = (p * p).sum(axis=1)
         m = -(sq[:, None] + sq[None, :] - 2.0 * (p @ p.T))
     m = 0.5 * (m + m.T)  # kill asymmetric round-off
-    return TaskRelationMatrix(m, metric, [v.task_id for v in vectors])
+    return TaskRelationMatrix(m, [v.task_id for v in vectors])
 
 
 def row_normalize(matrix: np.ndarray) -> np.ndarray:

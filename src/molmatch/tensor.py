@@ -7,9 +7,9 @@ inverted-scaling dropout, a summed cross-entropy, one fused GIN layer
 and one fused attention-match block.  Op functions build the graph
 implicitly; ``backward`` replays it once in reverse topological order.
 
-Tensors are treated as immutable once created (the ``grad`` slot is the
-one exception), so parameter updates always construct fresh tensors and
-in-flight graphs keep reading a consistent snapshot.
+Tensors are immutable once created, so parameter updates always
+construct fresh tensors and in-flight graphs keep reading a consistent
+snapshot.  A gradient lives only in the map that ``backward`` returns.
 """
 
 from __future__ import annotations
@@ -48,20 +48,19 @@ LOG_CLAMP = 1e-12
 
 
 class Tensor:
-    """A float64 array plus the bookkeeping needed for backward().
+    """An immutable autodiff node: a float64 array plus the bookkeeping
+    needed for backward().
 
     ``requires_grad`` marks leaves whose gradient the caller wants; op
-    outputs inherit it from their inputs.  ``grad`` stays ``None`` until
-    a backward sweep writes it (write, not accumulate, so rebuilding an
-    identical graph and sweeping again gives identical results).
+    outputs inherit it from their inputs.  A tensor holds no gradient;
+    ``backward`` returns gradients in a map keyed by tensor.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("values", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._parents: tuple = ()
         self._vjp = None
 
@@ -679,14 +678,13 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _make(a.values * factor, (a,), vjp)
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None, write_grad: bool = True):
+def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
     """Single reverse sweep from a scalar loss.
 
     Returns a dict mapping every visited requires_grad tensor to its
-    gradient array.  Tensors passed in ``params`` that the sweep never
-    reaches are included with zero gradients.  When ``write_grad`` is
-    set the same arrays are written to each tensor's ``grad`` slot
-    (overwriting, never accumulating across sweeps).
+    gradient array; the tensors themselves are left untouched.  Tensors
+    passed in ``params`` that the sweep never reaches are included with
+    zero gradients.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -734,7 +732,4 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None, write_grad: b
         for p in params:
             if p not in result:
                 result[p] = np.zeros_like(p.values)
-    if write_grad:
-        for tensor, g in result.items():
-            tensor.grad = g
     return result

@@ -56,9 +56,9 @@ def poison_first_gradient(monkeypatch) -> None:
     parameter each sweep is asked about."""
     real = meta.backward
 
-    def backward(loss, params=None, write_grad=True):
+    def backward(loss, params=None):
         params = list(params)
-        grads = real(loss, params=params, write_grad=write_grad)
+        grads = real(loss, params=params)
         grads[params[0]] = np.full_like(grads[params[0]], np.inf)
         return grads
 

@@ -179,7 +179,7 @@ def finetune_per_episode(matcher, levels, labels, fraction, seed, inner_steps, a
         for _ in range(inner_steps):
             probs, _, _ = match_levels_unfused(rows(fine_q), rows(fine_s), column(fine_s), w)
             named = w.tensors()
-            grads = backward(cross_entropy(probs, target), params=named.values(), write_grad=False)
+            grads = backward(cross_entropy(probs, target), params=named.values())
             w = w.replace_values({
                 name: t.values - alpha * grads[t] for name, t in named.items() if t.requires_grad
             })
@@ -245,12 +245,12 @@ def graph_batch_per_bond(graphs) -> dict:
     offset = 0
     for i, g in enumerate(graphs):
         mol_ids.extend([i] * g.n_atoms)
-        for (u, v), row in zip(g.bonds, g.bond_feats.values):
+        for (u, v), row in zip(g.bonds, g.bond_feats):
             src += [offset + u, offset + v]
             dst += [offset + v, offset + u]
             rows += [row, row]
         offset += g.n_atoms
-    width = graphs[0].bond_feats.values.shape[1]
+    width = graphs[0].bond_feats.shape[1]
     edge_feats = np.array(rows, dtype=np.float64).reshape(-1, width)
     bond_sums = np.zeros((offset, width))
     for d, row in zip(dst, edge_feats):
@@ -286,14 +286,14 @@ def encode_unfused(graphs, params):
     """``encode_multilevel`` without dropout, through ``gin_layer_unfused``
     and bond sums scattered from the per-edge feature rows."""
     from molmatch.encoder import GraphBatch
-    from molmatch.tensor import add, matmul, scatter_add_rows, segment_mean, stack
+    from molmatch.tensor import Tensor, add, matmul, scatter_add_rows, segment_mean, stack
 
     batch = GraphBatch(graphs)
-    bond_sums = scatter_add_rows(batch.edge_feats, batch.edge_dst, batch.n_atoms)
-    h = add(matmul(batch.atom_feats, params.input_w), params.input_b)
+    bond_sums = scatter_add_rows(Tensor(batch.edge_feats), batch.edge_dst, batch.n_atoms)
+    h = add(matmul(Tensor(batch.atom_feats), params.input_w), params.input_b)
     levels = []
-    for lp in params.layers:
-        h = gin_layer_unfused(h, batch.edge_src, batch.edge_dst, bond_sums, lp)
+    for i in range(params.n_layers):
+        h = gin_layer_unfused(h, batch.edge_src, batch.edge_dst, bond_sums, params.layer(i))
         levels.append(segment_mean(h, batch.mol_ids, batch.n_mols))
     return stack(levels)
 
@@ -408,17 +408,17 @@ def find_isomorphism(graph_a, graph_b):
     n = graph_a.n_atoms
     if n != graph_b.n_atoms or graph_a.n_bonds != graph_b.n_bonds:
         return None
-    rows_a = [tuple(r) for r in graph_a.atom_feats.values]
-    rows_b = [tuple(r) for r in graph_b.atom_feats.values]
+    rows_a = [tuple(r) for r in graph_a.atom_feats]
+    rows_b = [tuple(r) for r in graph_b.atom_feats]
     bonds_b = {
-        (u, v, tuple(f)) for (u, v), f in zip(graph_b.bonds, graph_b.bond_feats.values)
+        (u, v, tuple(f)) for (u, v), f in zip(graph_b.bonds, graph_b.bond_feats)
     }
     for perm in itertools.permutations(range(n)):
         if any(rows_a[i] != rows_b[perm[i]] for i in range(n)):
             continue
         mapped = {
             (min(perm[u], perm[v]), max(perm[u], perm[v]), tuple(f))
-            for (u, v), f in zip(graph_a.bonds, graph_a.bond_feats.values)
+            for (u, v), f in zip(graph_a.bonds, graph_a.bond_feats)
         }
         if mapped == bonds_b:
             return perm

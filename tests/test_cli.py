@@ -270,19 +270,36 @@ class TestTrain:
 
     def test_workers_env_override(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("MOLMATCH_WORKERS", "3")
+        workers = []
+
+        def spy(registry, cfg, **kwargs):
+            workers.append(cfg.train.workers)
+            return meta.meta_train(registry, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "meta_train", spy)
         out = tmp_path / "workers.ckpt"
         assert main(["train", "--config", str(workspace["config"]),
                      "--data", str(workspace["data"]), "--out", str(out)]) == 0
-        # merged in slot order: parameters must not depend on the cap
-        # (metadata records the differing worker count, so compare tensors)
-        from molmatch.checkpoint import load_checkpoint
+        assert workers == [3]
+        # merged in slot order, and the worker count stays out of the file
+        assert out.read_bytes() == workspace["ckpt"].read_bytes()
 
-        ours, meta = load_checkpoint(out)
-        theirs, _ = load_checkpoint(workspace["ckpt"])
-        assert meta["config"]["train"]["workers"] == 3
-        assert set(ours) == set(theirs)
-        for name in ours:
-            assert ours[name].tobytes() == theirs[name].tobytes(), name
+    def test_checkpoint_bytes_do_not_depend_on_workers(self, workspace, tmp_path):
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.ckpt"
+            assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                         "--out", str(out), "--workers", workers]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert "workers" not in load_checkpoint(out)[1]["config"]["train"]
+
+    def test_a_snapshot_carrying_workers_still_loads(self, workspace, tmp_path):
+        tensors, metadata = load_checkpoint(workspace["ckpt"])
+        metadata["config"]["train"]["workers"] = 2
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, tensors, metadata)
+        assert cli._load_model(old)[1].train.workers == 2
 
     def test_bad_workers_env_is_config_error(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("MOLMATCH_WORKERS", "several")

@@ -109,6 +109,15 @@ class TestLoadRegistry:
         (line,) = skipped_lines(caplog)
         assert line.startswith("valid-task.jsonl line 3 skipped: ")
 
+    def test_split_tasks_come_in_task_id_order(self, tmp_path):
+        # path order puts "t-2.jsonl" before "t.jsonl"; every command
+        # visits tasks, and hands out per-index seeds, in id order
+        rows = [{"smiles": "C", "label": 0}, {"smiles": "CC", "label": 1}]
+        (tmp_path / "valid").mkdir()
+        for name in ("t", "t-2"):
+            write_task(tmp_path / "valid" / f"{name}.jsonl", rows)
+        assert [t.task_id for t in load_registry(tmp_path).split_tasks("valid")] == ["t", "t-2"]
+
     def test_empty_root_rejected(self, tmp_path):
         (tmp_path / "train").mkdir()
         with pytest.raises(DataError, match="no task files"):
@@ -312,8 +321,8 @@ class TestSynthGenerate:
                 digest.update(f"{split}/{record.task_id}\n".encode())
                 for ex in record.examples:
                     digest.update(f"{ex.smiles}\t{ex.label}\t{ex.graph.bonds}\n".encode())
-                    digest.update(ex.graph.atom_feats.values.tobytes())
-                    digest.update(ex.graph.bond_feats.values.tobytes())
+                    digest.update(ex.graph.atom_feats.tobytes())
+                    digest.update(ex.graph.bond_feats.tobytes())
         assert digest.hexdigest() == (
             "5438d4fbd06c54831abcec8084b5a1deff4c47e8e79c0d545713f441da3002ac"
         )

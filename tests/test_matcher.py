@@ -88,8 +88,8 @@ class TestMatchLayer:
         z_s = np.random.default_rng(1).normal(size=(1, 3))
         for label in (0.0, 1.0):
             _, pred = match_one(z_q, z_s, [[label]], params)
-            assert (pred.attention.values == 1.0).all()
-            assert (pred.y_hat.values == label).all()
+            assert (pred.attention == 1.0).all()
+            assert (pred.y_hat == label).all()
 
     def test_zero_projection_gives_uniform_attention(self):
         params = MatchParams.init(1, 3, seed=0).replace_values({"wq0": np.zeros((3, 3))})
@@ -100,7 +100,7 @@ class TestMatchLayer:
             rng.integers(0, 2, size=(7, 1)).astype(float),
             params,
         )
-        np.testing.assert_allclose(pred.attention.values, np.full((5, 7), 1 / 7), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pred.attention, np.full((5, 7), 1 / 7), rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one_and_estimates_stay_in_range(self):
         rng = np.random.default_rng(0)
@@ -111,8 +111,8 @@ class TestMatchLayer:
             _, pred = match_one(
                 rng.normal(size=(n_q, d)) * 3, rng.normal(size=(n_s, d)) * 3, y_s, params
             )
-            np.testing.assert_allclose(pred.attention.values.sum(axis=1), 1.0, atol=1e-12)
-            assert (pred.y_hat.values >= 0.0).all() and (pred.y_hat.values <= 1.0).all()
+            np.testing.assert_allclose(pred.attention.sum(axis=1), 1.0, atol=1e-12)
+            assert (pred.y_hat >= 0.0).all() and (pred.y_hat <= 1.0).all()
 
     def test_hand_computed_scalar_attention(self):
         params = MatchParams.init(1, 1, seed=0).replace_values(
@@ -122,8 +122,8 @@ class TestMatchLayer:
         scores = np.array([3.0 * 2.0, 3.0 * 0.5])  # (z_q wq)(z_s wk)^T / sqrt(1)
         expect = np.exp(scores - scores.max())
         expect /= expect.sum()
-        np.testing.assert_allclose(pred.attention.values, expect[None, :], rtol=1e-14)
-        np.testing.assert_allclose(pred.y_hat.values, [[expect[0]]], rtol=1e-14)
+        np.testing.assert_allclose(pred.attention, expect[None, :], rtol=1e-14)
+        np.testing.assert_allclose(pred.y_hat, [[expect[0]]], rtol=1e-14)
 
     def test_errors(self):
         params = MatchParams.init(1, 3, seed=0)
@@ -156,7 +156,7 @@ class TestFuse:
         # a single support row gets all the attention, so the layer
         # estimate is its label exactly
         probs, pred = match_one([[1.0]], [[1.0]], [[y_hat]], params)
-        assert (pred.y_hat.values == y_hat).all()
+        assert (pred.y_hat == y_hat).all()
         logits = np.array([y_hat * 2.0 + 0.5, y_hat * -1.0 - 0.5])
         expect = np.exp(logits - logits.max())
         expect /= expect.sum()
@@ -204,7 +204,7 @@ class TestPredict:
         assert len(preds) == 3
         for p in preds:
             assert p.attention.shape == (len(QUERIES), len(SUPPORT))
-            np.testing.assert_allclose(p.attention.values.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(p.attention.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dropout_paths(self):
         enc, match = self.make_model(seed=6)
@@ -216,7 +216,7 @@ class TestPredict:
         assert not np.array_equal(clean.values, dropped.values)
         # the reported attention is the pre-dropout distribution
         for p in preds:
-            np.testing.assert_allclose(p.attention.values.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(p.attention.sum(axis=1), 1.0, atol=1e-12)
 
     def test_label_count_mismatch(self):
         enc, match = self.make_model()
@@ -265,12 +265,12 @@ class TestStackedMatch:
             preds = layer_predictions(y_hat, attention)
             assert len(preds) == n_layers
             for pred, y, att in zip(preds, ref_y, ref_att):
-                np.testing.assert_allclose(pred.y_hat.values, y.values, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(pred.attention.values, att.values, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pred.y_hat, y.values, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pred.attention, att.values, rtol=0, atol=1e-12)
 
             watched = list(params.tensors().values()) + zq + zs
-            grads = backward(cross_entropy(probs, target), params=watched, write_grad=False)
-            ref = backward(cross_entropy(ref_probs, target), params=watched, write_grad=False)
+            grads = backward(cross_entropy(probs, target), params=watched)
+            ref = backward(cross_entropy(ref_probs, target), params=watched)
             for t in watched:
                 if t.requires_grad:
                     np.testing.assert_allclose(grads[t], ref[t], rtol=0, atol=1e-12)
@@ -300,8 +300,8 @@ class TestStackedMatch:
         )
         np.testing.assert_allclose(probs.values, ref_probs.values, rtol=0, atol=1e-12)
         for pred, y, att in zip(preds, ref_y, ref_att):
-            np.testing.assert_allclose(pred.y_hat.values, y.values, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(pred.attention.values, att.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pred.y_hat, y.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pred.attention, att.values, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("share_qk, learn_bias, rate", MATCH_CASES)
     def test_fused_op_is_bit_identical_to_unfused_composition(self, share_qk, learn_bias, rate):
@@ -322,7 +322,7 @@ class TestStackedMatch:
                     zq, zs, y_s, params, dropout_rate=rate, rng=np.random.default_rng(seed)
                 )
                 watched = [zq, zs, *params.tensors().values()]
-                grads = backward(cross_entropy(probs, target), params=watched, write_grad=False)
+                grads = backward(cross_entropy(probs, target), params=watched)
                 runs.append([probs.values, getattr(y_hat, "values", y_hat),
                              getattr(attention, "values", attention), *(grads[t] for t in watched)])
             fused, unfused = runs
@@ -352,7 +352,7 @@ class TestStackedMatch:
                 )
                 losses = cross_entropy(probs, Tensor(target.values[episodes]))
                 watched = w.tensors().values()
-                grads = backward(sum_all(losses), params=watched, write_grad=False)
+                grads = backward(sum_all(losses), params=watched)
                 return [probs.values, y_hat, attention, losses.values, *(grads[t] for t in watched)]
 
             stacked = run(np.arange(n_eps))
@@ -380,8 +380,7 @@ class TestStackedMatch:
             })
             probs, y_hat, attention = match_levels(Tensor(zq), Tensor(zs), y_s, w)
             grads = backward(
-                sum_all(cross_entropy(probs, Tensor(target))), params=w.tensors().values(),
-                write_grad=False,
+                sum_all(cross_entropy(probs, Tensor(target))), params=w.tensors().values()
             )
             for e, params in enumerate(episodes):
                 alone = match_episode(Tensor(zq[e]), Tensor(zs[e]), Tensor(y_s[e]), params)
@@ -390,7 +389,7 @@ class TestStackedMatch:
                 assert attention[e].tobytes() == alone[2].tobytes()
                 ref = backward(
                     cross_entropy(alone[0], Tensor(target[e])),
-                    params=params.tensors().values(), write_grad=False,
+                    params=params.tensors().values(),
                 )
                 for name, t in params.tensors().items():
                     assert grads[w[name]][e].tobytes() == ref[t].tobytes(), name
@@ -432,7 +431,7 @@ class TestEpisodeRows:
         levels = Tensor(self.stacked, requires_grad=True)
         upstream = np.random.default_rng(36).normal(size=(2, 3, 3, 4))
         got = episode_rows(levels, self.rows)
-        grads = backward(sum_all(mul(got, Tensor(upstream))), params=[levels], write_grad=False)
+        grads = backward(sum_all(mul(got, Tensor(upstream))), params=[levels])
         want = np.zeros_like(self.stacked)
         for e, episode in enumerate(self.rows):
             for j, r in enumerate(episode):

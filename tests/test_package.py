@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -151,7 +152,6 @@ def test_only_smiles_featurizes():
     # atom and bond rows and builds every MolGraph, and episodes and cli
     # turn SMILES into graphs only through parse, featurize and
     # graph_from_smiles
-    package = Path(molmatch.__file__).parent
     layout = {"ELEMENTS", "MAX_DEGREE", "CHARGE_RANGE", "MAX_H", "BOND_ORDERS"}
 
     def featurizes(tree) -> bool:
@@ -165,7 +165,7 @@ def test_only_smiles_featurizes():
                 return True
         return False
 
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    trees = package_trees()
     assert sorted(name for name, tree in trees.items() if featurizes(tree)) == ["smiles.py"]
     for name in ("episodes.py", "cli.py"):
         from_smiles = {
@@ -176,3 +176,56 @@ def test_only_smiles_featurizes():
         }
         extra = from_smiles - {"MolGraph", "SmilesError", "parse", "featurize", "graph_from_smiles"}
         assert not extra, f"{name} imports {sorted(extra)} from smiles"
+
+
+def package_trees() -> dict[str, ast.Module]:
+    """The parsed source of every module, by file name."""
+    package = Path(molmatch.__file__).parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+
+
+def test_a_gradient_lives_only_in_the_map_backward_returns():
+    # a Tensor is an immutable autodiff node: no slot for a gradient, and
+    # backward has no option to write one there
+    assert not hasattr(tensor.Tensor(1.0, requires_grad=True), "grad")
+    assert list(inspect.signature(tensor.backward).parameters) == ["loss", "params"]
+
+
+def test_no_function_takes_a_training_flag():
+    # dropout is on exactly when its rate is above 0
+    flagged = [
+        f"{name}:{node.name}"
+        for name, tree in package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "training" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+    assert not flagged, f"{flagged} take a training parameter"
+
+
+def test_smiles_does_not_import_the_autodiff_engine():
+    # a MolGraph holds plain numpy rows; no op differentiates them
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(package_trees()["smiles.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not [m for m in imported if m and m.split(".")[-1] == "tensor"]
+
+
+def test_only_the_registry_orders_tasks():
+    # Registry.split_tasks returns each split in task-id order, so no
+    # caller sorts tasks by id again
+    sorting = [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees().items()
+        if name != "episodes.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "sorted" or getattr(node.func, "attr", None) == "sort")
+        for keyword in node.keywords
+        if keyword.arg == "key"
+        and any(getattr(n, "attr", None) == "task_id" for n in ast.walk(keyword.value))
+    ]
+    assert not sorting, f"tasks sorted by id at {sorting}"

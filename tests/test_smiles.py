@@ -248,7 +248,7 @@ class TestFeaturize:
 
     def test_atom_row_layout(self):
         g = graph_from_smiles("[NH3+]C")  # charged nitrogen bonded to carbon
-        row = g.atom_feats.values[0]
+        row = g.atom_feats[0]
         assert row[1] == 1.0  # N is the second element bucket
         assert row[12 + 1] == 1.0  # degree 1
         assert row[19 + (1 - (-2))] == 1.0  # charge +1
@@ -258,7 +258,7 @@ class TestFeaturize:
 
     def test_one_hot_block_structure(self):
         for smiles in ("CCO", "c1ccncc1", "[O-]S(=O)(=O)[O-]"):
-            feats = graph_from_smiles(smiles).atom_feats.values
+            feats = graph_from_smiles(smiles).atom_feats
             assert feats.shape[1] == 30
             # element, degree, charge, H blocks each sum to one; the
             # aromatic column is free
@@ -269,34 +269,34 @@ class TestFeaturize:
                 assert row[25:].sum() == 1.0
 
     def test_unknown_element_goes_to_other_bucket(self):
-        row = graph_from_smiles("[U]").atom_feats.values[0]
+        row = graph_from_smiles("[U]").atom_feats[0]
         assert row[11] == 1.0
 
     def test_degree_clamps(self):
         g = graph_from_smiles("C(F)(F)(F)(F)(F)(F)F")  # degree 7 center
-        center = g.atom_feats.values[0]
+        center = g.atom_feats[0]
         assert center[12 + 6] == 1.0
 
     def test_charge_clamps(self):
-        row = graph_from_smiles("[O-3]").atom_feats.values[0]
+        row = graph_from_smiles("[O-3]").atom_feats[0]
         assert row[19] == 1.0  # clamped to -2
 
     def test_h_count_clamps(self):
-        row = graph_from_smiles("[CH9]").atom_feats.values[0]
+        row = graph_from_smiles("[CH9]").atom_feats[0]
         assert row[25 + 4] == 1.0
 
     def test_aromatic_flag(self):
         g = graph_from_smiles("c1ccccc1")
-        assert (g.atom_feats.values[:, 24] == 1.0).all()
+        assert (g.atom_feats[:, 24] == 1.0).all()
 
     def test_bond_rows_one_hot(self):
         g = graph_from_smiles("C-C=C#Cc1ccccc1")
         assert g.bond_feats.shape == (g.n_bonds, 4)
-        assert (g.bond_feats.values.sum(axis=1) == 1.0).all()
-        assert g.bond_feats.values[0].tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert g.bond_feats.values[1].tolist() == [0.0, 1.0, 0.0, 0.0]
-        assert g.bond_feats.values[2].tolist() == [0.0, 0.0, 1.0, 0.0]
-        assert g.bond_feats.values[-1].tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert (g.bond_feats.sum(axis=1) == 1.0).all()
+        assert g.bond_feats[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert g.bond_feats[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert g.bond_feats[2].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert g.bond_feats[-1].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_single_atom_has_empty_bond_block(self):
         g = graph_from_smiles("C")
@@ -317,7 +317,7 @@ class TestFeaturize:
         mol = parse(smiles)
         graph = featurize(mol)
         atom_rows, bond_rows = featurize_by_rows(mol)
-        for got, want in ((graph.atom_feats.values, atom_rows), (graph.bond_feats.values, bond_rows)):
+        for got, want in ((graph.atom_feats, atom_rows), (graph.bond_feats, bond_rows)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), smiles
         assert graph.bonds == [(u, v) for u, v, _ in mol.bonds]

@@ -231,7 +231,7 @@ class TestGradients:
 
     def check(self, build_loss, tensors, tol=1e-4):
         loss = build_loss()
-        analytic = backward(loss, params=tensors.values(), write_grad=False)
+        analytic = backward(loss, params=tensors.values())
         named = {name: analytic[t] for name, t in tensors.items()}
         numeric = fd_gradients(lambda: build_loss().item(), tensors)
         assert_grads_match(named, numeric, tol)
@@ -333,7 +333,7 @@ class TestGradients:
         a, w = leaf(rng, 4, 3, 6), leaf(rng, 6, 2)
         g = rng.normal(size=(4, 3, 2))
         out = batched_matmul(a, w)
-        grads = backward(weighted_sum(out, g), params=[w], write_grad=False)
+        grads = backward(weighted_sum(out, g), params=[w])
         expect = a.values.reshape(-1, 6).T @ g.reshape(-1, 2)
         np.testing.assert_array_equal(grads[w], expect)
 
@@ -342,7 +342,7 @@ class TestGradients:
         a, w = leaf(rng, 5, 7, 4), leaf(rng, 4, 3)
         g = rng.normal(size=(5, 7, 3))
         out = batched_matmul(a, w)
-        grads = backward(weighted_sum(out, g), params=[a, w], write_grad=False)
+        grads = backward(weighted_sum(out, g), params=[a, w])
         ref_out, ref_a, ref_w = broadcast_batched_matmul(a.values, w.values, g)
         np.testing.assert_allclose(out.values, ref_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads[a], ref_a, rtol=0, atol=1e-12)
@@ -391,24 +391,17 @@ class TestGradients:
 
     def test_square_at_three(self):
         x = Tensor(3.0, requires_grad=True)
-        grads = backward(sum_all(mul(x, x)), write_grad=False)
+        grads = backward(sum_all(mul(x, x)))
         np.testing.assert_allclose(grads[x], 6.0, rtol=0, atol=0)
 
 
 class TestBackwardSemantics:
-    def test_write_not_accumulate(self):
-        x = Tensor(np.arange(1.0, 5.0).reshape(2, 2), requires_grad=True)
-        backward(sum_all(x))
-        np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
-        backward(sum_all(mul(x, x)))  # a fresh sweep must overwrite, not add
-        np.testing.assert_array_equal(x.grad, 2.0 * x.values)
-
     def test_repeat_sweep_identical(self):
         rng = np.random.default_rng(0)
         x = leaf(rng, 3, 3)
         loss = sum_all(mul(softmax_rows(x), x))
-        first = backward(loss, write_grad=False)[x].copy()
-        second = backward(loss, write_grad=False)[x]
+        first = backward(loss)[x].copy()
+        second = backward(loss)[x]
         np.testing.assert_array_equal(first, second)
 
     def test_shared_input_accumulates_within_sweep(self):
@@ -421,12 +414,11 @@ class TestBackwardSemantics:
         z = Tensor(np.ones((2, 2)), requires_grad=True)
         grads = backward(sum_all(x), params=[x, z])
         np.testing.assert_array_equal(grads[z], np.zeros((2, 2)))
-        np.testing.assert_array_equal(z.grad, np.zeros((2, 2)))
 
-    def test_write_grad_false_leaves_grad_slot(self):
+    def test_gradient_lives_only_in_the_returned_map(self):
         x = Tensor([1.0], requires_grad=True)
-        grads = backward(sum_all(x), write_grad=False)
-        assert x.grad is None
+        grads = backward(sum_all(x))
+        assert not hasattr(x, "grad")
         np.testing.assert_array_equal(grads[x], [1.0])
 
     def test_no_grad_leaves_are_excluded(self):
