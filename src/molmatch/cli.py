@@ -28,6 +28,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, load_config
 from .encoder import encode_frozen
 from .episodes import (
+    SPLITS,
     DataError,
     EpisodeError,
     can_sample,
@@ -240,6 +241,8 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{WORKERS_ENV} must be an integer") from None
     cfg.validate()
     log_path = args.log or f"{args.out}.log.csv"
+    if Path(log_path).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--log and --out name the same file: {args.out}")
     for path in (args.out, log_path):
         _check_output_path(path)
 
@@ -514,6 +517,9 @@ def _pca(z: np.ndarray, k: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
 def cmd_synth(args) -> int:
     if min(args.n_train, args.n_valid, args.n_test) < 0 or args.molecules < 4:
         raise ConfigError("synth: counts must be non-negative and --molecules >= 4")
+    # adding to an old dataset would mix its tasks with the new ones
+    if any(next(Path(args.out, split).glob("*.jsonl"), None) for split in SPLITS):
+        raise DataError(f"{args.out}: already holds task files; synth needs a fresh --out")
     registry = synth_generate(
         args.n_train, args.n_test, args.molecules, args.seed, n_valid=args.n_valid
     )

@@ -111,10 +111,10 @@ class GraphBatch:
     grouped sum realises the neighbour sum for every atom at once.
     ``by_dst`` and ``by_src`` are the slot tables of the edge
     destinations and sources, built once here and shared by every
-    layer's forward and backward.  ``bond_sums`` holds each atom's summed
-    incoming bond features, a constant of the batch.  The feature rows
-    (``atom_feats``, ``edge_feats``, ``bond_sums``) are plain numpy
-    arrays: no op differentiates them.
+    layer's forward and backward.  ``bond_sums``, each atom's summed
+    incoming bond features, is summed through ``by_dst`` straight from
+    the bond rows (directed edge i carries bond i // 2).  ``atom_feats``
+    and ``bond_sums`` are plain numpy arrays: no op differentiates them.
     """
 
     def __init__(self, graphs: list[MolGraph]):
@@ -134,10 +134,9 @@ class GraphBatch:
         self.edge_dst = bonds[:, ::-1].reshape(-1)
         self.n_edges = self.edge_src.size
         bond_rows = np.concatenate([g.bond_feats for g in graphs])
-        self.edge_feats = np.repeat(bond_rows, 2, axis=0)
         self.by_dst = SlotTable(self.edge_dst, self.n_atoms)
         self.by_src = SlotTable(self.edge_src, self.n_atoms)
-        self.bond_sums = self.by_dst.sum(self.edge_feats)
+        self.bond_sums = self.by_dst.sum(bond_rows, np.arange(self.n_edges) // 2)
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, params: EncoderParams, layer: int) -> Tensor:

@@ -257,13 +257,7 @@ def sample_episode_balanced(task: TaskRecord, support_size: int, query_size: int
     rng = np.random.default_rng(seed)
     s_neg = rng.choice(neg, size=per_class, replace=False)
     s_pos = rng.choice(pos, size=per_class, replace=False)
-    support = np.concatenate([s_neg, s_pos])
-    rest = np.setdiff1d(np.arange(len(task.examples)), support)
-    rng.shuffle(rest)
-    query = rest[: min(query_size, rest.size)]
-    return Episode(
-        task.task_id, _pairs(task, support), _pairs(task, query), "balanced", support, query
-    )
+    return _with_queries(task, np.concatenate([s_neg, s_pos]), query_size, rng, "balanced")
 
 
 def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: int, seed) -> Episode:
@@ -277,27 +271,25 @@ def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: i
     for cls_idx in (neg, pos):
         if cls_idx.size == 0:
             continue
-        chosen = set(support)
-        if not chosen.intersection(cls_idx):
+        if not set(support).intersection(cls_idx):
             # swap a random support member for a random member of the class,
             # provided the removal cannot empty the other class
             addition = int(rng.choice(cls_idx))
-            removable = [i for i in support if sum(1 for j in support if _same_class(task, i, j)) > 1]
-            if not removable:
-                removable = support
+            labels = [task.examples[i].label for i in support]
+            per_class = {y: labels.count(y) for y in set(labels)}
+            removable = [i for i, y in zip(support, labels) if per_class[y] > 1] or support
             drop = removable[int(rng.integers(len(removable)))]
             support[support.index(drop)] = addition
-    support_arr = np.array(sorted(support))
-    rest = np.setdiff1d(np.arange(n), support_arr)
+    return _with_queries(task, np.array(sorted(support)), query_size, rng, "unbalanced")
+
+
+def _with_queries(task: TaskRecord, support, query_size: int, rng, sampling: str) -> Episode:
+    """The episode of ``support``: the rest of the task, shuffled, gives
+    the first ``query_size`` queries."""
+    rest = np.setdiff1d(np.arange(len(task.examples)), support)
     rng.shuffle(rest)
-    query = rest[: min(query_size, rest.size)]
-    return Episode(
-        task.task_id, _pairs(task, support_arr), _pairs(task, query), "unbalanced", support_arr, query
-    )
-
-
-def _same_class(task: TaskRecord, i: int, j: int) -> bool:
-    return task.examples[i].label == task.examples[j].label
+    query = rest[:query_size]
+    return Episode(task.task_id, _pairs(task, support), _pairs(task, query), sampling, support, query)
 
 
 # --- synthetic task generation -------------------------------------------

@@ -330,12 +330,6 @@ class SlotTable:
         return out
 
 
-def _grouped_row_sum(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """``out[j]`` = the sum of the rows ``values[i]`` with ``index[i] == j``,
-    through a slot table built for this one sum."""
-    return SlotTable(index, n).sum(values)
-
-
 def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     """Mean of the rows of ``a`` grouped by ``segment_ids``.
 
@@ -354,7 +348,7 @@ def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     empty = np.nonzero(counts == 0)[0]
     if empty.size:
         raise ValueError(f"segment_mean: segment {int(empty[0])} is empty")
-    out = _grouped_row_sum(a.values, ids, n_segments)
+    out = SlotTable(ids, n_segments).sum(a.values)
     out /= counts[:, None]
 
     def vjp(g):
@@ -372,7 +366,7 @@ def gather_rows(a: Tensor, index) -> Tensor:
     n_rows = a.values.shape[0]
 
     def vjp(g):
-        return (_grouped_row_sum(g, idx, n_rows),)
+        return (SlotTable(idx, n_rows).sum(g),)
 
     return _make(a.values[idx], (a,), vjp)
 
@@ -388,7 +382,7 @@ def scatter_add_rows(a: Tensor, index, n_rows: int) -> Tensor:
     def vjp(g):
         return (g[idx],)
 
-    return _make(_grouped_row_sum(a.values, idx, n_rows), (a,), vjp)
+    return _make(SlotTable(idx, n_rows).sum(a.values), (a,), vjp)
 
 
 def gin_conv(
@@ -508,7 +502,6 @@ def attention_match(
     zq, zs = z_query.values, z_support.values
     n_eps, n_layers, n_q, d = zq.shape if zq.ndim == 4 else (-1, -1, -1, -1)
     n_s = zs.shape[2] if zs.ndim == 4 else -1
-    shared = len(wq) == 1
     w_shape = (n_eps, d, d)
     if (
         zs.shape != (n_eps, n_layers, n_s, d)
@@ -529,14 +522,15 @@ def attention_match(
             f"{len(wq)}+{len(wk)} projections, wo {wo.shape}, bias {bias.shape}"
         )
     c = 1.0 / math.sqrt(d)
-    wqv = wq[0].values if shared else np.stack([w.values for w in wq], axis=1)
-    wkv = wk[0].values if shared else np.stack([w.values for w in wk], axis=1)
-    if shared:
-        # one [L * n, d] @ [d, d] product per episode
-        q = np.matmul(zq.reshape(n_eps, -1, d), wqv).reshape(zq.shape)
-        k = np.matmul(zs.reshape(n_eps, -1, d), wkv).reshape(zs.shape)
-    else:
-        q, k = np.matmul(zq, wqv), np.matmul(zs, wkv)
+    # G projection groups [E, G, d, d]: a shared pair is one group of L * n
+    # rows (one [L * n, d] @ [d, d] product per episode), per-layer pairs L
+    # of n; a single projection is viewed as its group, not copied
+    wqv, wkv = (
+        ws[0].values[:, None] if len(ws) == 1 else np.stack([w.values for w in ws], axis=1)
+        for ws in (wq, wk)
+    )
+    q = np.matmul(zq.reshape(n_eps, len(wq), -1, d), wqv).reshape(zq.shape)
+    k = np.matmul(zs.reshape(n_eps, len(wk), -1, d), wkv).reshape(zs.shape)
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     scores = np.matmul(q, kt) * c
     scores -= scores.max(axis=-1, keepdims=True)
@@ -565,18 +559,14 @@ def attention_match(
     need_k = z_support.requires_grad or any(w.requires_grad for w in wk)
 
     def projection_grads(g, z, w, ws, need_z):
-        """Gradients of the projection ``z @ w`` for the embeddings and
-        for each tensor in ``ws``."""
-        if shared:
-            z_rows, g_rows = z.reshape(n_eps, -1, d), g.reshape(n_eps, -1, d)
-            gz = np.matmul(g_rows, np.swapaxes(w, -1, -2)).reshape(z.shape) if need_z else None
-            gw = [np.matmul(np.swapaxes(z_rows, -1, -2), g_rows) if ws[0].requires_grad else None]
-            return gz, gw
-        gz = np.matmul(g, np.swapaxes(w, -1, -2)) if need_z else None
-        gw = [None] * n_layers
+        """Gradients of the grouped projection ``z @ w`` for the embeddings
+        and for each tensor in ``ws``."""
+        z_rows, g_rows = z.reshape(n_eps, len(ws), -1, d), g.reshape(n_eps, len(ws), -1, d)
+        gz = np.matmul(g_rows, np.swapaxes(w, -1, -2)).reshape(z.shape) if need_z else None
+        gw = [None] * len(ws)
         if any(t.requires_grad for t in ws):
-            per_layer = np.matmul(np.swapaxes(z, -1, -2), g)
-            gw = [per_layer[:, i] if t.requires_grad else None for i, t in enumerate(ws)]
+            per_group = np.matmul(np.swapaxes(z_rows, -1, -2), g_rows)
+            gw = [per_group[:, i] if t.requires_grad else None for i, t in enumerate(ws)]
         return gz, gw
 
     def vjp(g):
@@ -681,10 +671,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
     """Single reverse sweep from a scalar loss.
 
-    Returns a dict mapping every visited requires_grad tensor to its
-    gradient array; the tensors themselves are left untouched.  Tensors
-    passed in ``params`` that the sweep never reaches are included with
-    zero gradients.
+    Returns the sweep's one gradient map, keyed by tensor (tensors hash
+    by identity): every visited requires_grad tensor's gradient, the
+    tensors themselves left untouched.  Tensors passed in ``params``
+    that the sweep never reaches get zero gradients.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -692,44 +682,32 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
     # Iterative post-order over op nodes only; leaves collect gradients
     # when their consumers run.
     topo: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p._vjp is not None and id(p) not in visited:
+            if p._vjp is not None and p not in visited:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    by_id: dict[int, Tensor] = {id(loss): loss}
+    grads = {loss: np.ones_like(loss.values)} if loss.requires_grad else {}
     for node in reversed(topo):
-        g = grads.get(id(node))
+        g = grads.get(node)
         if g is None or node._vjp is None:
             continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
-                by_id[key] = parent
+            grads[parent] = grads[parent] + pg if parent in grads else pg
 
-    result: dict[Tensor, np.ndarray] = {}
-    for key, tensor in by_id.items():
-        if tensor.requires_grad:
-            result[tensor] = grads[key]
-    if params is not None:
-        for p in params:
-            if p not in result:
-                result[p] = np.zeros_like(p.values)
-    return result
+    for p in params or ():
+        if p not in grads:
+            grads[p] = np.zeros_like(p.values)
+    return grads

@@ -289,7 +289,8 @@ def encode_unfused(graphs, params):
     from molmatch.tensor import Tensor, add, matmul, scatter_add_rows, segment_mean, stack
 
     batch = GraphBatch(graphs)
-    bond_sums = scatter_add_rows(Tensor(batch.edge_feats), batch.edge_dst, batch.n_atoms)
+    edge_feats = graph_batch_per_bond(graphs)["edge_feats"]
+    bond_sums = scatter_add_rows(Tensor(edge_feats), batch.edge_dst, batch.n_atoms)
     h = add(matmul(Tensor(batch.atom_feats), params.input_w), params.input_b)
     levels = []
     for i in range(params.n_layers):

@@ -18,7 +18,7 @@ from molmatch.checkpoint import load_checkpoint, save_checkpoint
 from molmatch.cli import _save_model, main
 from molmatch.episodes import load_registry, sample_episode
 from molmatch.meta import finetune_and_predict
-from helpers import first_name_offset, poison_first_gradient
+from helpers import SCENARIO_CONFIG, cli_scenario, first_name_offset, poison_first_gradient
 from molmatch.config import RunConfig
 from molmatch.meta import init_model
 
@@ -152,6 +152,17 @@ def scaled_encoder_checkpoint(tmp_path, layers=5):
     return path
 
 
+class TestScenario:
+    @pytest.mark.parametrize("share_qk", ["true", "false"])
+    def test_every_subcommand_is_deterministic(self, tmp_path, share_qk):
+        # the second run builds new tensors at new addresses, so this also
+        # keeps maps keyed by tensor identity from leaking into an output
+        config = SCENARIO_CONFIG.replace("[matcher]\n", f"[matcher]\nshare_qk = {share_qk}\n")
+        first = cli_scenario(tmp_path / "a", config)
+        assert len(first) == 16  # 3 layers: 3 PCA files
+        assert cli_scenario(tmp_path / "b", config) == first
+
+
 class TestSynth:
     def test_layout_and_counts(self, workspace):
         data = workspace["data"]
@@ -164,6 +175,33 @@ class TestSynth:
 
     def test_bad_molecule_count_is_config_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d"), "--molecules", "3"]) == 2
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_root_holding_task_files_is_refused(self, tmp_path, capsys, split):
+        # writing into an old dataset would leave its tasks beside the new ones
+        out = tmp_path / "st"
+        assert main(["synth", "--out", str(out), "--train", "5", "--test", "2",
+                     "--molecules", "12"]) == 0
+        (out / "valid" / "mine.jsonl").write_text("", encoding="utf-8")
+        for other in {"train", "valid", "test"} - {split}:
+            for path in (out / other).glob("*.jsonl"):
+                path.unlink()
+        before = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--train", "2", "--test", "1",
+                     "--molecules", "12", "--seed", "9"]) == 3
+        assert one_error_line(capsys) == (
+            f"data error: {out}: already holds task files; synth needs a fresh --out"
+        )
+        assert {p: p.is_file() and p.read_bytes() for p in out.rglob("*")} == before
+
+    def test_existing_root_without_task_files_is_written(self, tmp_path):
+        (tmp_path / "train").mkdir()
+        (tmp_path / "train" / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["synth", "--out", str(tmp_path), "--train", "2", "--test", "1",
+                     "--molecules", "12"]) == 0
+        assert len(list(tmp_path.rglob("*.jsonl"))) == 3
+        assert (tmp_path / "train" / "notes.txt").read_text(encoding="utf-8") == "kept"
 
 
 class TestTrain:
@@ -331,6 +369,22 @@ class TestTrain:
         assert one_error_line(capsys) == f"data error: {paths[bad]}: {problem}"
         assert calls == []
         assert sorted(tmp_path.rglob("*")) == made
+
+    @pytest.mark.parametrize("log_name", ["m.ckpt", "./m.ckpt", "sub/../m.ckpt"])
+    def test_log_naming_the_checkpoint_is_config_error_before_reading_data(
+        self, workspace, tmp_path, monkeypatch, capsys, log_name
+    ):
+        # the log would overwrite the checkpoint written just before it
+        calls = []
+        monkeypatch.setattr(cli, "load_registry", lambda *a, **k: calls.append(a))
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--out", str(out), "--log", f"{tmp_path}/{log_name}"]) == 2
+        assert one_error_line(capsys) == f"config error: --log and --out name the same file: {out}"
+        assert calls == []
+        assert not out.exists()
 
     def test_unknown_config_key_is_config_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.cfg"

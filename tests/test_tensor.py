@@ -11,7 +11,6 @@ from molmatch import tensor as tensor_module
 from molmatch.tensor import (
     SlotTable,
     Tensor,
-    _grouped_row_sum,
     add,
     backward,
     batched_matmul,
@@ -482,7 +481,7 @@ class TestGroupedRowSum:
         rows = np.arange(len(index))[::-1]
         for block in (tensor_module._BLOCK_ELEMENTS, 1, 5):
             with mock.patch.object(tensor_module, "_BLOCK_ELEMENTS", block):
-                out = _grouped_row_sum(values, index, n)
+                out = SlotTable(index, n).sum(values)
                 mapped = SlotTable(index, n).sum(values[::-1], rows)
             assert np.array_equal(out, ref)
             assert out.tobytes() == ref.tobytes()
@@ -497,7 +496,7 @@ class TestGroupedRowSum:
         rng.shuffle(index)
         values = rng.normal(size=(index.size, d)) * 10.0 ** rng.integers(-8, 8, size=(index.size, 1))
         ref = add_at_rows(values, index, 520)
-        assert _grouped_row_sum(values, index, 520).tobytes() == ref.tobytes()
+        assert SlotTable(index, 520).sum(values).tobytes() == ref.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(grouped_rows())
