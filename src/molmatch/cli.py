@@ -25,7 +25,8 @@ import numpy as np
 
 from . import metrics
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, load_config
+from .config import METRICS, MODES, SAMPLINGS, ConfigError, RunConfig, load_config
+from .config import config_from_dict, config_to_dict
 from .encoder import encode_frozen
 from .episodes import (
     SPLITS,
@@ -38,7 +39,6 @@ from .episodes import (
     synth_generate,
     write_registry,
 )
-from .matcher import LayerPrediction
 from .meta import (
     KEY_EVAL,
     ModelParams,
@@ -90,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--support-size", type=int, help="override the checkpoint protocol")
     p.add_argument("--repeats", type=int, help="episodes per task (default from checkpoint)")
-    p.add_argument("--protocol", choices=["balanced", "unbalanced"])
+    p.add_argument("--protocol", choices=SAMPLINGS)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--split", default="test", choices=["train", "valid", "test"])
+    p.add_argument("--split", default="test", choices=SPLITS)
 
     p = sub.add_parser("predict", help="label queries from a labelled support file")
     p.add_argument("--ckpt", required=True)
@@ -104,10 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("taskrel", help="export the task-relation matrix")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--metric", choices=["dot", "cosine", "euclidean"])
-    p.add_argument("--mode", choices=["adapted-w-delta", "mean-support-embedding"])
+    p.add_argument("--metric", choices=METRICS)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--out", required=True, help="matrix CSV path")
-    p.add_argument("--split", default="train", choices=["train", "valid", "test"])
+    p.add_argument("--split", default="train", choices=SPLITS)
     p.add_argument("--normalize", action="store_true", help="row-softmax the matrix before writing")
     p.add_argument("--seed", type=_seed, default=None)
 
@@ -174,7 +174,7 @@ def _save_model(path, model: ModelParams, cfg: RunConfig, epoch: int) -> None:
     save_checkpoint(path, tensors, {"config": config, "epoch": epoch, "seed": cfg.train.seed})
 
 
-def _load_model(path) -> tuple[ModelParams, RunConfig, dict]:
+def _load_model(path) -> tuple[ModelParams, RunConfig]:
     tensors, meta = load_checkpoint(path)
     if "config" not in meta:
         raise CheckpointError(f"{path}: metadata lacks a config snapshot")
@@ -193,7 +193,7 @@ def _load_model(path) -> tuple[ModelParams, RunConfig, dict]:
                 f"its config expects {t.shape}"
             )
     model = model.replace_values({k: v.astype(np.float64) for k, v in tensors.items()})
-    return model, cfg, meta
+    return model, cfg
 
 
 @contextmanager
@@ -220,12 +220,22 @@ def _read_molecules(path):
         yield line_no, smiles, graph
 
 
-def _check_output_path(path) -> None:
-    """Raise before any work when ``path`` cannot be written as a file."""
+def _check_output_path(path, args) -> None:
+    """Raise before any work when ``path`` cannot be written as a file, or
+    names a file the command reads: its ``--ckpt``, ``--config``,
+    ``--support``, ``--query`` or ``--smiles``, or a task file of a split
+    of its ``--data``."""
     if not Path(path).parent.is_dir():
         raise DataError(f"{path}: its directory does not exist")
     if Path(path).is_dir():
         raise DataError(f"{path}: is a directory")
+    target = Path(path).resolve()
+    inputs = [getattr(args, name, None) for name in ("ckpt", "config", "support", "query", "smiles")]
+    splits = [Path(args.data, split).resolve() for split in SPLITS] if getattr(args, "data", None) else []
+    if target in {Path(p).resolve() for p in inputs if p} or (
+        target.suffix == ".jsonl" and target.parent in splits
+    ):
+        raise ConfigError(f"{path}: is an input of this command")
 
 
 def cmd_train(args) -> int:
@@ -244,7 +254,7 @@ def cmd_train(args) -> int:
     if Path(log_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"--log and --out name the same file: {args.out}")
     for path in (args.out, log_path):
-        _check_output_path(path)
+        _check_output_path(path, args)
 
     # meta_train reads the valid split only to stop early
     registry = load_registry(args.data, ("train", "valid") if cfg.train.early_stop else ("train",))
@@ -288,7 +298,7 @@ def _eval_seed(base: int, task_idx: int, repeat: int) -> list[int]:
 
 
 def cmd_eval(args) -> int:
-    model, cfg, _ = _load_model(args.ckpt)
+    model, cfg = _load_model(args.ckpt)
     if args.support_size is not None:
         cfg.protocol.support_size = args.support_size
     if args.protocol:
@@ -355,7 +365,7 @@ def _fmt(value) -> str:
 
 
 def _read_support_file(path) -> list[tuple]:
-    record, malformed = load_task_file(Path(path), "support")
+    record, malformed = load_task_file(Path(path))
     if malformed:
         print(f"support file: {malformed} malformed lines skipped", file=sys.stderr)
     if not record.examples:
@@ -370,8 +380,8 @@ def _read_support_file(path) -> list[tuple]:
 
 def cmd_predict(args) -> int:
     if args.attention_out:
-        _check_output_path(args.attention_out)
-    model, cfg, _ = _load_model(args.ckpt)
+        _check_output_path(args.attention_out, args)
+    model, cfg = _load_model(args.ckpt)
     seed = args.seed if args.seed is not None else cfg.train.seed
     support = _read_support_file(args.support)
 
@@ -381,7 +391,7 @@ def cmd_predict(args) -> int:
     if not good:
         raise DataError(f"{args.query}: no parseable query SMILES ({failed} failed)")
 
-    probs, layer_preds = finetune_and_predict_detailed(
+    probs, attention = finetune_and_predict_detailed(
         model, support, [g for _, g in good], cfg, seed=[seed, KEY_EVAL]
     )
     scores = iter(probs[:, 0])
@@ -395,23 +405,24 @@ def cmd_predict(args) -> int:
     print(f"{len(good)} queries scored, {failed} failed to parse", file=sys.stderr)
 
     if args.attention_out:
-        _write_attention(args.attention_out, layer_preds)
+        _write_attention(args.attention_out, attention)
     return EXIT_OK
 
 
-def _write_attention(path, layer_preds: list[LayerPrediction]) -> None:
-    n_support = layer_preds[0].attention.shape[1]
+def _write_attention(path, attention: np.ndarray) -> None:
+    """The [L, n_query, n_support] attention as one CSV row per layer and query."""
+    n_support = attention.shape[2]
     with _csv_file(path, ["layer", "query_index"] + [f"support_{j}" for j in range(n_support)]) as writer:
-        for layer, pred in enumerate(layer_preds, start=1):
-            for qi, row in enumerate(pred.attention):
+        for layer, rows in enumerate(attention, start=1):
+            for qi, row in enumerate(rows):
                 writer.writerow([layer, qi] + [f"{v:.8f}" for v in row])
 
 
 def cmd_taskrel(args) -> int:
     meta_path = f"{args.out}.meta.jsonl"
     for path in (args.out, meta_path):
-        _check_output_path(path)
-    model, cfg, _ = _load_model(args.ckpt)
+        _check_output_path(path, args)
+    model, cfg = _load_model(args.ckpt)
     metric = args.metric or cfg.taskrel.metric
     mode = args.mode or cfg.taskrel.mode
     seed = args.seed if args.seed is not None else cfg.train.seed
@@ -455,8 +466,8 @@ def cmd_taskrel(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    _check_output_path(args.out)
-    model, cfg, _ = _load_model(args.ckpt)
+    _check_output_path(args.out, args)
+    model, cfg = _load_model(args.ckpt)
     entries = []
     for line_no, smiles, graph in _read_molecules(args.smiles):
         if isinstance(graph, SmilesError):
@@ -474,7 +485,7 @@ def cmd_export_embeddings(args) -> int:
             raise ConfigError(f"--pca must be in [1, {limit}] for {len(entries)} molecules")
         layers = range(1, model.encoder.n_layers + 1)
         for path in [*(f"{base}.pca_layer{i}.csv" for i in layers), f"{base}.pca_variance.csv"]:
-            _check_output_path(path)
+            _check_output_path(path, args)
 
     levels = encode_frozen([g for _, g in entries], model.encoder)
     if not np.isfinite(levels).all():
@@ -524,7 +535,7 @@ def cmd_synth(args) -> int:
         args.n_train, args.n_test, args.molecules, args.seed, n_valid=args.n_valid
     )
     write_registry(registry, args.out)
-    total = registry.n_tasks
+    total = args.n_train + args.n_valid + args.n_test
     print(f"wrote {total} tasks under {args.out}", file=sys.stderr)
     return EXIT_OK
 

@@ -15,6 +15,10 @@ from pathlib import Path
 
 __all__ = [
     "ConfigError",
+    "OPTIMIZERS",
+    "SAMPLINGS",
+    "METRICS",
+    "MODES",
     "TrainConfig",
     "EncoderConfig",
     "MatcherConfig",
@@ -31,12 +35,19 @@ class ConfigError(ValueError):
     """Bad configuration file or field value."""
 
 
+# the valid values of the enumerated settings
+OPTIMIZERS = ("adam", "adamw")
+SAMPLINGS = ("balanced", "unbalanced")
+METRICS = ("dot", "cosine", "euclidean")
+MODES = ("adapted-w-delta", "mean-support-embedding")
+
+
 @dataclass
 class TrainConfig:
     alpha: float = 0.05  # inner-loop (fine-tune) learning rate
     inner_steps: int = 5
     meta_lr: float = 0.001
-    optimizer: str = "adam"  # adam | adamw
+    optimizer: str = "adam"  # one of OPTIMIZERS
     weight_decay: float = 0.0
     batch_tasks: int = 21
     max_epochs: int = 200
@@ -63,7 +74,7 @@ class MatcherConfig:
 
 @dataclass
 class ProtocolConfig:
-    sampling: str = "balanced"  # balanced | unbalanced
+    sampling: str = "balanced"  # one of SAMPLINGS
     support_size: int = 20
     query_size: int = 256  # cap on the leftover examples used as queries
     eval_repeats: int = 10
@@ -71,8 +82,8 @@ class ProtocolConfig:
 
 @dataclass
 class TaskRelConfig:
-    metric: str = "cosine"  # dot | cosine | euclidean
-    mode: str = "adapted-w-delta"  # adapted-w-delta | mean-support-embedding
+    metric: str = "cosine"  # one of METRICS
+    mode: str = "adapted-w-delta"  # one of MODES
 
 
 @dataclass
@@ -89,7 +100,7 @@ class RunConfig:
             (0 <= t.alpha < math.inf, "train.alpha must be finite and >= 0"),
             (t.inner_steps >= 0, "train.inner_steps must be >= 0"),
             (0 <= t.meta_lr < math.inf, "train.meta_lr must be finite and >= 0"),
-            (t.optimizer in ("adam", "adamw"), "train.optimizer must be adam or adamw"),
+            (t.optimizer in OPTIMIZERS, "train.optimizer must be adam or adamw"),
             (0 <= t.weight_decay < math.inf, "train.weight_decay must be finite and >= 0"),
             (t.batch_tasks >= 1, "train.batch_tasks must be >= 1"),
             (t.max_epochs >= 0, "train.max_epochs must be >= 0"),
@@ -101,7 +112,7 @@ class RunConfig:
             (e.hidden >= 1, "encoder.hidden must be >= 1"),
             (0 <= e.dropout < 1, "encoder.dropout must be in [0, 1)"),
             (0 <= m.dropout < 1, "matcher.dropout must be in [0, 1)"),
-            (p.sampling in ("balanced", "unbalanced"), "protocol.sampling must be balanced or unbalanced"),
+            (p.sampling in SAMPLINGS, "protocol.sampling must be balanced or unbalanced"),
             (p.support_size >= 1, "protocol.support_size must be >= 1"),
             (
                 p.sampling != "balanced" or p.support_size % 2 == 0,
@@ -109,11 +120,8 @@ class RunConfig:
             ),
             (p.query_size >= 1, "protocol.query_size must be >= 1"),
             (p.eval_repeats >= 1, "protocol.eval_repeats must be >= 1"),
-            (r.metric in ("dot", "cosine", "euclidean"), "taskrel.metric must be dot, cosine or euclidean"),
-            (
-                r.mode in ("adapted-w-delta", "mean-support-embedding"),
-                "taskrel.mode must be adapted-w-delta or mean-support-embedding",
-            ),
+            (r.metric in METRICS, "taskrel.metric must be dot, cosine or euclidean"),
+            (r.mode in MODES, "taskrel.mode must be adapted-w-delta or mean-support-embedding"),
         ]
         for ok, message in checks:
             if not ok:
@@ -159,10 +167,9 @@ def load_config(path) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         target = getattr(cfg, section)
-        fields = {f.name: f.type for f in dataclasses.fields(target)}
         types = {f.name: type(getattr(target, f.name)) for f in dataclasses.fields(target)}
         for key, raw in parser.items(section):
-            if key not in fields:
+            if key not in types:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             setattr(target, key, _coerce(section, key, raw, types[key]))
     return cfg.validate()

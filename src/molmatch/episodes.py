@@ -61,7 +61,6 @@ class TaskExample:
 @dataclass
 class TaskRecord:
     task_id: str
-    split: str
     examples: list[TaskExample]
 
     def class_counts(self) -> tuple[int, int]:
@@ -71,10 +70,8 @@ class TaskRecord:
 
 @dataclass
 class Episode:
-    task_id: str
     support: list[tuple[MolGraph, int]]
     query: list[tuple[MolGraph, int]]
-    protocol: str
     # rows of the task's examples behind ``support`` and ``query``, in order
     support_idx: np.ndarray
     query_idx: np.ndarray
@@ -90,10 +87,6 @@ class Registry:
         their per-index seeds, in this one order."""
         return sorted(self.tasks.get(split, []), key=lambda t: t.task_id)
 
-    @property
-    def n_tasks(self) -> int:
-        return sum(len(v) for v in self.tasks.values())
-
 
 def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file, less any leading byte-order mark;
@@ -105,7 +98,7 @@ def read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_task_file(path: Path, split: str) -> tuple[TaskRecord, int]:
+def load_task_file(path: Path) -> tuple[TaskRecord, int]:
     """One task's featurized examples and its count of malformed lines,
     which are skipped with a warning."""
     examples = []
@@ -128,7 +121,7 @@ def load_task_file(path: Path, split: str) -> tuple[TaskRecord, int]:
             log.warning("%s line %d skipped: %s", path.name, line_no, exc)
             continue
         examples.append(TaskExample(smiles=smiles, label=int(label), graph=graph))
-    return TaskRecord(task_id=path.stem, split=split, examples=examples), malformed
+    return TaskRecord(task_id=path.stem, examples=examples), malformed
 
 
 def load_registry(root, splits=SPLITS) -> Registry:
@@ -162,7 +155,7 @@ def load_registry(root, splits=SPLITS) -> Registry:
             continue
         records = []
         for path in paths:
-            record, _ = load_task_file(path, split)
+            record, _ = load_task_file(path)
             if len(record.examples) < 2:
                 log.warning("task %s skipped: fewer than 2 usable examples", record.task_id)
                 continue
@@ -257,7 +250,7 @@ def sample_episode_balanced(task: TaskRecord, support_size: int, query_size: int
     rng = np.random.default_rng(seed)
     s_neg = rng.choice(neg, size=per_class, replace=False)
     s_pos = rng.choice(pos, size=per_class, replace=False)
-    return _with_queries(task, np.concatenate([s_neg, s_pos]), query_size, rng, "balanced")
+    return _with_queries(task, np.concatenate([s_neg, s_pos]), query_size, rng)
 
 
 def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: int, seed) -> Episode:
@@ -280,16 +273,16 @@ def sample_episode_unbalanced(task: TaskRecord, support_size: int, query_size: i
             removable = [i for i, y in zip(support, labels) if per_class[y] > 1] or support
             drop = removable[int(rng.integers(len(removable)))]
             support[support.index(drop)] = addition
-    return _with_queries(task, np.array(sorted(support)), query_size, rng, "unbalanced")
+    return _with_queries(task, np.array(sorted(support)), query_size, rng)
 
 
-def _with_queries(task: TaskRecord, support, query_size: int, rng, sampling: str) -> Episode:
+def _with_queries(task: TaskRecord, support, query_size: int, rng) -> Episode:
     """The episode of ``support``: the rest of the task, shuffled, gives
     the first ``query_size`` queries."""
     rest = np.setdiff1d(np.arange(len(task.examples)), support)
     rng.shuffle(rest)
     query = rest[:query_size]
-    return Episode(task.task_id, _pairs(task, support), _pairs(task, query), sampling, support, query)
+    return Episode(_pairs(task, support), _pairs(task, query), support, query)
 
 
 # --- synthetic task generation -------------------------------------------
@@ -356,7 +349,7 @@ def _rule_pool(rng: np.random.Generator) -> tuple[str, Callable]:
     return f"atoms>={min_atoms}", lambda mol: len(mol.atoms) >= min_atoms
 
 
-def _synth_task(task_id: str, split: str, n_molecules: int, rng: np.random.Generator) -> TaskRecord:
+def _synth_task(task_id: str, n_molecules: int, rng: np.random.Generator) -> TaskRecord:
     rule, applies = _rule_pool(rng)
     target_pos = int(round(n_molecules * rng.uniform(0.4, 0.6)))
     target_pos = min(max(target_pos, int(0.35 * n_molecules) + 1), int(0.65 * n_molecules))
@@ -382,7 +375,7 @@ def _synth_task(task_id: str, split: str, n_molecules: int, rng: np.random.Gener
         TaskExample(s, 0, featurize(m)) for s, m in list(neg_pool.items())[: n_molecules - target_pos]
     ]
     order = rng.permutation(len(examples))
-    return TaskRecord(task_id=task_id, split=split, examples=[examples[i] for i in order])
+    return TaskRecord(task_id=task_id, examples=[examples[i] for i in order])
 
 
 def synth_generate(
@@ -407,7 +400,7 @@ def synth_generate(
         records = []
         for _ in range(count):
             rng = np.random.default_rng([int(seed), counter])
-            records.append(_synth_task(f"synth-{counter:04d}", split, molecules_per_task, rng))
+            records.append(_synth_task(f"synth-{counter:04d}", molecules_per_task, rng))
             counter += 1
         registry.tasks[split] = records
     return registry

@@ -29,7 +29,7 @@ from .episodes import (
     can_sample,
     sample_episode,
 )
-from .matcher import MatchParams, episode_rows, layer_predictions, match_levels, predict_detailed
+from .matcher import MatchParams, episode_rows, match_levels, predict_detailed
 from .params import Params
 from .smiles import MolGraph
 from .tensor import Tensor, backward, cross_entropy, sum_all
@@ -537,7 +537,7 @@ def score_task(
         model.matcher, stacked, labels, support, cfg, fine_seeds, task.task_id
     )
     levels = Tensor(stacked)
-    probs, _, _, ok = _match_rows(
+    probs, _, ok = _match_rows(
         episode_rows(levels, query), episode_rows(levels, support), labels[support][..., None], w
     )
     for e in np.nonzero(~ok)[0]:  # an episode that failed to adapt keeps that error
@@ -571,20 +571,20 @@ def _adapt_labelled(
 
 def _match_rows(
     z_query: Tensor, z_support: Tensor, y_support: np.ndarray, w: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prediction step of fine-tuning: ``match_levels`` for E
     episodes' query rows against their support rows with their adapted
     w, stacked [E, ...] by name, recording no autodiff graph.
 
-    Returns the probabilities [E, n_q, 2], label estimates [E, L, n_q, 1]
-    and attention [E, L, n_q, n_s], and per episode whether all its
-    probabilities are finite, which is where an overflow shows.
+    Returns the probabilities [E, n_q, 2] and attention [E, L, n_q, n_s],
+    and per episode whether all its probabilities are finite, which is
+    where an overflow shows.
     """
-    probs, y_hat, attention = match_levels(
+    probs, _, attention = match_levels(
         z_query, z_support, y_support, MatchParams({name: Tensor(v) for name, v in w.items()})
     )
     ok = np.isfinite(probs.values).reshape(len(probs.values), -1).all(axis=1)
-    return probs.values, y_hat, attention, ok
+    return probs.values, attention, ok
 
 
 def finetune_and_predict(
@@ -604,7 +604,7 @@ def finetune_and_predict_detailed(
     query_graphs: list[MolGraph],
     cfg: RunConfig,
     seed,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Inference: adapt w on a split of the labelled set, then predict
     the queries with the full labelled set as attention support.
 
@@ -615,8 +615,8 @@ def finetune_and_predict_detailed(
     memory grows with the per-query outputs only, never with a whole
     request's embeddings or projections.
 
-    Returns ([n_query, 2] probabilities, per-layer predictions).  Theta
-    is never modified.
+    Returns the [n_query, 2] probabilities and the attention
+    [L, n_query, n_support] of every layer.  Theta is never modified.
     """
     if not support_set:
         raise ValueError("finetune_and_predict: empty support set")
@@ -630,13 +630,11 @@ def finetune_and_predict_detailed(
     if errors:
         raise errors[0]
     z_support, y_support = Tensor(support[None]), labels[None, :, None]
-    chunks = []
+    probs, attention = [], []
     for rows in frozen_batches(query_graphs, model.encoder):
-        probs, y_hat, attention, (ok,) = _match_rows(Tensor(rows[None]), z_support, y_support, w)
+        p, a, (ok,) = _match_rows(Tensor(rows[None]), z_support, y_support, w)
         if not ok:
             raise NumericalError("finetune: non-finite prediction")
-        chunks.append((probs[0], y_hat[0], attention[0]))
-    probs, y_hat, attention = (
-        np.concatenate(parts, axis=axis) for parts, axis in zip(zip(*chunks), (0, 1, 1))
-    )
-    return probs, layer_predictions(y_hat, attention)
+        probs.append(p[0])
+        attention.append(a[0])
+    return np.concatenate(probs), np.concatenate(attention, axis=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import METRICS, MODES, RunConfig
 from .encoder import encode_frozen
 from .episodes import TaskRecord, sample_episode
 from .matcher import MatchParams
@@ -32,10 +32,6 @@ __all__ = [
     "implicit_inference_update",
     "allocate_shadow_block",
 ]
-
-MODES = ("adapted-w-delta", "mean-support-embedding")
-METRICS = ("dot", "cosine", "euclidean")
-
 
 @dataclass
 class TaskVector:
@@ -68,7 +64,7 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
     """Summarise a task as a fixed-length vector under the chosen mode."""
     if mode not in MODES:
         raise ValueError(f"unknown task-vector mode {mode!r} (expected one of {MODES})")
-    base = _seed_list(seed)
+    base = list(seed)
     episode = sample_episode(task, cfg.protocol, base + [KEY_EPISODE])
     if mode == "adapted-w-delta":
         s_adapt, q_adapt = split_support(
@@ -82,12 +78,6 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
     if not np.isfinite(vec).all():
         raise NumericalError(f"task {task.task_id}: non-finite mean support embedding")
     return TaskVector(task.task_id, vec, mode)
-
-
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
 
 
 def relation_matrix(vectors: list[TaskVector], metric: str) -> TaskRelationMatrix:

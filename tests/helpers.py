@@ -37,15 +37,15 @@ def distinct_smiles(n: int) -> list[str]:
     return out
 
 
-def make_task(task_id: str, labelled: list[tuple[str, int]], split: str = "train") -> TaskRecord:
+def make_task(task_id: str, labelled: list[tuple[str, int]]) -> TaskRecord:
     examples = [TaskExample(s, y, graph_from_smiles(s)) for s, y in labelled]
-    return TaskRecord(task_id=task_id, split=split, examples=examples)
+    return TaskRecord(task_id=task_id, examples=examples)
 
 
-def chain_task(task_id: str, n: int, n_pos: int, split: str = "train") -> TaskRecord:
+def chain_task(task_id: str, n: int, n_pos: int) -> TaskRecord:
     """n distinct molecules; the first n_pos are labelled positive."""
     smiles = distinct_smiles(n)
-    return make_task(task_id, [(s, 1 if i < n_pos else 0) for i, s in enumerate(smiles)], split)
+    return make_task(task_id, [(s, 1 if i < n_pos else 0) for i, s in enumerate(smiles)])
 
 
 def first_name_offset(raw: bytes) -> int:

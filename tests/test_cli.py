@@ -264,8 +264,8 @@ class TestTrain:
 
         def overflowing(*args):
             calls.append(args)
-            probs, y_hat, attention, ok = real(*args)
-            return probs, y_hat, attention, np.zeros_like(ok)
+            probs, attention, ok = real(*args)
+            return probs, attention, np.zeros_like(ok)
 
         monkeypatch.setattr(meta, "_match_rows", overflowing)
         assert main(argv) == 4
@@ -669,7 +669,7 @@ class TestEval:
                                                        capsys):
         batches = self.encoded_batches(monkeypatch, workspace["ckpt"], large_tasks)
         capsys.readouterr()
-        _, cfg, _ = cli._load_model(workspace["ckpt"])
+        _, cfg = cli._load_model(workspace["ckpt"])
         expected = []
         for task_idx, task in enumerate(sorted(load_registry(large_tasks).split_tasks("test"),
                                                key=lambda t: t.task_id)):
@@ -707,7 +707,7 @@ class TestEval:
     def test_poisoned_episode_is_numerical_abort(self, workspace, large_tasks, monkeypatch, capsys):
         # a molecule of the first task's second episode, and not of its
         # first, encodes to NaN
-        _, cfg, _ = cli._load_model(workspace["ckpt"])
+        _, cfg = cli._load_model(workspace["ckpt"])
         task = sorted(load_registry(large_tasks).split_tasks("test"), key=lambda t: t.task_id)[0]
         first, second = (sample_episode(task, cfg.protocol, cli._eval_seed(cfg.train.seed, 0, rep))
                          for rep in range(2))
@@ -1119,6 +1119,63 @@ class TestExportEmbeddings:
         assert main(["export-embeddings", "--ckpt", str(workspace["ckpt"]),
                      "--smiles", str(src), "--out", str(tmp_path / "e.csv")]) == 3
         capsys.readouterr()
+
+
+PREDICT = ["predict", "--ckpt", "{ckpt}", "--support", "{support}", "--query", "{query}"]
+
+
+class TestOutputNamingAnInput:
+    """An output that resolves to a file the command reads is refused
+    before any data is read: exit 2, one line, nothing written."""
+
+    @pytest.fixture
+    def inputs(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        paths = {"dir": tmp_path, "data": data, "task": data / "train" / "synth-0000.jsonl"}
+        for name in ("ckpt", "config"):
+            paths[name] = tmp_path / workspace[name].name
+            shutil.copy(workspace[name], paths[name])
+        paths["support"] = tmp_path / "support.jsonl"
+        shutil.copy(data / "test" / "synth-0003.jsonl", paths["support"])
+        paths["query"] = tmp_path / "query.txt"
+        paths["query"].write_text("\n".join(task_file_smiles(workspace, "test", 1)) + "\n",
+                                  encoding="utf-8")
+        return paths
+
+    # the output is the last argument; the victim is the input it names
+    @pytest.mark.parametrize("argv, victim", [
+        (["taskrel", "--ckpt", "{ckpt}", "--data", "{data}", "--out", "{dir}/./model.ckpt"], "ckpt"),
+        (["taskrel", "--ckpt", "{ckpt}", "--data", "{data}", "--out", "{task}"], "task"),
+        (PREDICT + ["--attention-out", "{ckpt}"], "ckpt"),
+        (PREDICT + ["--attention-out", "{query}"], "query"),
+        (PREDICT + ["--attention-out", "{support}"], "support"),
+        (["export-embeddings", "--ckpt", "{ckpt}", "--smiles", "{query}", "--out", "{query}"],
+         "query"),
+        (["train", "--config", "{config}", "--data", "{data}", "--out", "{task}"], "task"),
+        (["train", "--config", "{config}", "--data", "{data}", "--out", "{config}"], "config"),
+        (["train", "--config", "{config}", "--data", "{data}", "--out", "{dir}/new.ckpt",
+          "--log", "{task}"], "task"),
+    ], ids=["taskrel-ckpt", "taskrel-task-file", "predict-ckpt", "predict-query", "predict-support",
+            "export-smiles", "train-task-file", "train-config", "train-log-task-file"])
+    def test_is_config_error_leaving_the_input_intact(
+        self, inputs, monkeypatch, capsys, argv, victim
+    ):
+        calls = []
+        for name in ("load_registry", "_load_model"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+        argv = [arg.format(**inputs) for arg in argv]
+        before = inputs[victim].read_bytes()
+        made = sorted(inputs["dir"].rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {argv[-1]}: is an input of this command"
+        ]
+        assert calls == []
+        assert inputs[victim].read_bytes() == before
+        assert sorted(inputs["dir"].rglob("*")) == made
 
 
 class TestArgumentErrors:

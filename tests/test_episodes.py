@@ -52,7 +52,7 @@ class TestLoadRegistry:
                 {"smiles": "CCF", "label": True},  # JSON true equals 1 in Python
             ],
         )
-        assert load_task_file(train / "t1.jsonl", "train")[1] == 5
+        assert load_task_file(train / "t1.jsonl")[1] == 5
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="molmatch"):
             registry = load_registry(tmp_path)
@@ -152,7 +152,6 @@ class TestBalancedSampling:
         episode = sample_episode_balanced(self.task(), 8, 100, seed=0)
         labels = [y for _, y in episode.support]
         assert len(labels) == 8 and sum(labels) == 4
-        assert episode.protocol == "balanced"
 
     def test_support_and_query_are_disjoint_and_exhaustive(self):
         task = self.task()
@@ -197,7 +196,6 @@ class TestUnbalancedSampling:
         assert len(episode.query) == 11
         support_ids = {id(g) for g, _ in episode.support}
         assert not support_ids & {id(g) for g, _ in episode.query}
-        assert episode.protocol == "unbalanced"
 
     def test_both_classes_always_present(self):
         task = chain_task("t", 16, 1)  # a single positive example
@@ -241,7 +239,6 @@ class TestProtocol:
                         assert can_sample(task, protocol), case
                         assert len(episode.support) == len(episode.support_idx) == support_size
                         assert 1 <= len(episode.query) <= 3, case
-                        assert episode.protocol == sampling
 
     def test_two_class_queries_exactly_when_some_seed_draws_them(self):
         # every case the rule admits draws two-class queries on about two

@@ -454,8 +454,8 @@ class TestMetaTrain:
 
         def overflowing(*args):
             calls.append(args)
-            probs, y_hat, attention, ok = real(*args)
-            return probs, y_hat, attention, np.zeros_like(ok)
+            probs, attention, ok = real(*args)
+            return probs, attention, np.zeros_like(ok)
 
         monkeypatch.setattr(meta, "_match_rows", overflowing)
         registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 5)])
@@ -558,14 +558,12 @@ class TestFinetuneAndPredict:
             assert isinstance(levels, np.ndarray)
 
     def test_detailed_exposes_per_layer_predictions(self):
-        probs, layer_preds = finetune_and_predict_detailed(
+        probs, attention = finetune_and_predict_detailed(
             self.model, self.support_set, self.query_graphs, self.cfg, seed=0
         )
-        assert len(layer_preds) == self.cfg.encoder.layers
-        for lp in layer_preds:
-            assert lp.y_hat.shape == (4, 1)
-            assert lp.attention.shape == (4, 10)
-            np.testing.assert_allclose(lp.attention.sum(axis=1), 1.0, atol=1e-9)
+        assert probs.shape == (4, 2)
+        assert attention.shape == (self.cfg.encoder.layers, 4, 10)
+        np.testing.assert_allclose(attention.sum(axis=2), 1.0, atol=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty support"):

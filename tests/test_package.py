@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -229,3 +230,32 @@ def test_only_the_registry_orders_tasks():
         and any(getattr(n, "attr", None) == "task_id" for n in ast.walk(keyword.value))
     ]
     assert not sorting, f"tasks sorted by id at {sorting}"
+
+
+def test_each_choice_list_has_one_owner():
+    # the valid values of an enumerated setting are spelled once: the CLI's
+    # choices are config's tuples (and the registry's splits), and taskrel
+    # checks against config's
+    from molmatch import cli, config, episodes, taskrel
+
+    owners = {
+        "protocol": config.SAMPLINGS,
+        "metric": config.METRICS,
+        "mode": config.MODES,
+        "split": episodes.SPLITS,
+    }
+    (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {}
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.dest in owners:
+                found[f"{command} --{action.dest}"] = action.choices is owners[action.dest]
+    assert {flag.split(" --")[1] for flag in found} == set(owners)
+    assert all(found.values()), f"choices that copy their owner's tuple: {found}"
+    config_tuples = [v for v in vars(config).values() if isinstance(v, tuple)]
+    own = [
+        name for name, value in vars(taskrel).items()
+        if isinstance(value, tuple) and value and all(isinstance(v, str) for v in value)
+        and not any(value is t for t in config_tuples)
+    ]
+    assert not own, f"taskrel defines choice tuples of its own: {own}"

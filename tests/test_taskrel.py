@@ -318,29 +318,29 @@ class TestTaskVector:
         cfg = self.cfg()
         model = init_model(cfg)
         task = chain_task("t", 12, 5)
-        tv = task_vector(task, model, cfg, "adapted-w-delta", seed=0)
+        tv = task_vector(task, model, cfg, "adapted-w-delta", seed=[0])
         n_params = sum(t.values.size for t in model.matcher.tensors().values())
         assert tv.vector.shape == (n_params,)
         assert tv.task_id == "t" and tv.mode == "adapted-w-delta"
-        again = task_vector(task, model, cfg, "adapted-w-delta", seed=0)
+        again = task_vector(task, model, cfg, "adapted-w-delta", seed=[0])
         np.testing.assert_array_equal(tv.vector, again.vector)
         assert np.any(tv.vector != 0.0)  # adaptation actually moved w
 
     def test_embedding_mode_length(self):
         cfg = self.cfg()
         model = init_model(cfg)
-        tv = task_vector(chain_task("t", 12, 5), model, cfg, "mean-support-embedding", seed=1)
+        tv = task_vector(chain_task("t", 12, 5), model, cfg, "mean-support-embedding", seed=[1])
         assert tv.vector.shape == (cfg.encoder.layers * cfg.encoder.hidden,)
 
     def test_zero_steps_gives_zero_delta(self):
         cfg = self.cfg()
         cfg.train.inner_steps = 0
         model = init_model(cfg)
-        tv = task_vector(chain_task("t", 12, 5), model, cfg, "adapted-w-delta", seed=2)
+        tv = task_vector(chain_task("t", 12, 5), model, cfg, "adapted-w-delta", seed=[2])
         np.testing.assert_array_equal(tv.vector, 0.0)
 
     def test_unknown_mode_rejected(self):
         cfg = self.cfg()
         model = init_model(cfg)
         with pytest.raises(ValueError, match="unknown task-vector mode"):
-            task_vector(chain_task("t", 12, 5), model, cfg, "pca", seed=0)
+            task_vector(chain_task("t", 12, 5), model, cfg, "pca", seed=[0])
