@@ -184,18 +184,9 @@ def predict_detailed(
     query_graphs: list[MolGraph],
     encoder_params: EncoderParams,
     match_params: MatchParams,
-    *,
-    matcher_dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    levels: Tensor | None = None,
 ) -> tuple[Tensor, list[LayerPrediction]]:
-    """Encode support and queries jointly, match at every layer, combine.
-
-    ``levels`` supplies the encoding instead: the [L, n, d]
-    ``encode_multilevel`` stack of the support graphs followed by the
-    query graphs, so a caller that already ran the encoder (with or
-    without dropout) does not run it again; ``encoder_params`` then goes
-    unused.  Without ``levels`` the encoder runs without dropout.
+    """Encode support and queries jointly, without dropout, match at
+    every layer and combine.
 
     Returns the fused [n_query, 2] probabilities together with each
     layer's attention and label estimate.
@@ -206,13 +197,10 @@ def predict_detailed(
         raise ValueError("predict: empty query set")
     n_s = len(support_graphs)
     n_rows = n_s + len(query_graphs)
-    if levels is None:
-        levels = encode_multilevel(list(support_graphs) + list(query_graphs), encoder_params)
-    elif levels.shape[1] != n_rows:
-        raise ValueError(f"predict: levels must have {n_rows} rows")
     y_s = np.asarray(support_labels, dtype=np.float64).reshape(1, -1, 1)
     if y_s.shape[1] != n_s:
         raise ValueError(f"predict: {y_s.shape[1]} labels for {n_s} support graphs")
+    levels = encode_multilevel(list(support_graphs) + list(query_graphs), encoder_params)
     one = MatchParams({  # add the episode axis
         name: reshape(t, (1, *t.shape)) for name, t in match_params.tensors().items()
     })
@@ -221,7 +209,5 @@ def predict_detailed(
         episode_rows(levels, np.arange(n_s)[None]),
         y_s,
         one,
-        dropout_rate=matcher_dropout,
-        rng=rng,
     )
     return reshape(probs, (n_rows - n_s, 2)), layer_predictions(y_hat[0], attention[0])

@@ -14,7 +14,7 @@ import contextvars
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,15 @@ from .episodes import (
     can_sample,
     sample_episode,
 )
-from .matcher import MatchParams, episode_rows, match_levels, predict_detailed
+from .matcher import MatchParams, episode_rows, match_levels
+from .optim import make_optimizer
 from .params import Params
 from .smiles import MolGraph
-from .tensor import Tensor, backward, cross_entropy, sum_all
+from .tensor import Tensor, backward, cross_entropy, reshape, sum_all
 
 __all__ = [
     "NumericalError",
     "ModelParams",
-    "AdaptedParams",
     "EpochLog",
     "best_epoch",
     "init_model",
@@ -109,12 +109,6 @@ class ModelParams(Params):
 
 
 @dataclass
-class AdaptedParams:
-    w_tau: MatchParams
-    loss_history: list[float] = field(default_factory=list)
-
-
-@dataclass
 class EpochLog:
     epoch: int
     mean_outer_loss: float
@@ -149,21 +143,15 @@ def _onehot(labels) -> Tensor:
     return Tensor(np.stack([y, 1.0 - y], axis=-1))
 
 
-def split_support(examples: list, fraction: float, seed) -> tuple[list, list]:
-    """Stratified split of (item, label) pairs into adaptation support
-    and adaptation queries.
+def split_support(labels, fraction: float, seed) -> tuple[list[int], list[int]]:
+    """Stratified split of labelled rows into adaptation support and
+    adaptation queries: sorted (support, query) row numbers of ``labels``.
 
     Per-class counts follow the largest-remainder rule so the overall
     split matches ``fraction`` as closely as possible while keeping at
     least one example of every multi-member class on each side.
     Single-member classes go to the support side.
     """
-    support_idx, query_idx = _split_rows([label for _, label in examples], fraction, seed)
-    return [examples[i] for i in support_idx], [examples[i] for i in query_idx]
-
-
-def _split_rows(labels, fraction: float, seed) -> tuple[list[int], list[int]]:
-    """``split_support`` on row numbers: sorted (support, query) rows."""
     if not 0 < fraction < 1:
         raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
     if not len(labels):
@@ -207,105 +195,71 @@ def _split_rows(labels, fraction: float, seed) -> tuple[list[int], list[int]]:
 
 
 def episode_loss(
-    support: list[tuple[MolGraph, int]],
-    query: list[tuple[MolGraph, int]],
-    encoder_params: EncoderParams,
+    levels: Tensor,
+    labels,
+    support_rows,
+    query_rows,
     match_params: MatchParams,
     *,
     matcher_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    levels: Tensor | None = None,
 ) -> Tensor:
-    """Summed cross-entropy of the fused predictions over the query set.
+    """Summed cross-entropy of the fused predictions for one episode:
+    the rows ``query_rows`` of the [L, n, d] level stack ``levels``
+    matched against its rows ``support_rows``, row r labelled
+    ``labels[r]``.
 
-    Matcher dropout is on exactly when ``matcher_dropout`` is above 0:
-    training passes its configured rate, every other caller 0.
-    ``levels`` is ``predict_detailed``'s: the encoder's [L, n, d] stack
-    for the support graphs followed by the query graphs, used instead of
-    encoding them here.
+    Gradients reach ``levels`` when it is graph-tracked, and the tensors
+    of ``match_params``.  Matcher dropout is on exactly when
+    ``matcher_dropout`` is above 0: training passes its configured rate,
+    every other caller 0.
     """
-    if not support or not query:
+    if not len(support_rows) or not len(query_rows):
         raise ValueError("episode_loss: support and query must both be non-empty")
-    probs, _ = predict_detailed(
-        [g for g, _ in support],
-        [y for _, y in support],
-        [g for g, _ in query],
-        encoder_params,
-        match_params,
-        matcher_dropout=matcher_dropout,
+    labels = np.asarray(labels, dtype=np.float64)
+    one = MatchParams({  # add the episode axis
+        name: reshape(t, (1, *t.shape)) for name, t in match_params.tensors().items()
+    })
+    probs, _, _ = match_levels(
+        episode_rows(levels, np.asarray(query_rows)[None]),
+        episode_rows(levels, np.asarray(support_rows)[None]),
+        labels[support_rows].reshape(1, -1, 1),
+        one,
+        dropout_rate=matcher_dropout,
         rng=rng,
-        levels=levels,
     )
-    return cross_entropy(probs, _onehot([y for _, y in query]))
+    return cross_entropy(reshape(probs, (len(query_rows), 2)), _onehot(labels[query_rows]))
 
 
 def inner_adapt(
-    encoder_params: EncoderParams,
-    match_params: MatchParams,
-    support: list[tuple[MolGraph, int]],
-    queries: list[tuple[MolGraph, int]],
-    cfg: TrainConfig,
-    task_id: str = "",
-    *,
-    embeddings: np.ndarray | None = None,
-) -> AdaptedParams:
-    """Gradient-descent adaptation of w with theta frozen: ``_adapt`` on
-    one episode that adapts on ``support`` with the queries ``queries``.
-
-    The encoder runs once in inference mode over support plus queries;
-    the inner objective is deterministic (no dropout), so each step is
-    exactly w <- w - alpha * grad.  With zero steps the clone of w is
-    returned untouched, which is the zero-shot path.  ``embeddings``
-    supplies the rows instead: the [L, n, d] encoding of the support
-    graphs followed by the query graphs, as ``encode_frozen`` returns it.
-    """
-    if not support:
-        raise ValueError("inner_adapt: empty adaptation support set")
-    pairs = list(support) + list(queries)
-    n_s = len(support)
-    if embeddings is None:
-        embeddings = encode_frozen([g for g, _ in pairs], encoder_params)
-    elif embeddings.shape[1] != len(pairs):
-        raise ValueError(f"inner_adapt: embeddings must have {len(pairs)} rows")
-    w, (history,), errors = _adapt(
-        match_params,
-        embeddings,
-        np.asarray([y for _, y in pairs], dtype=np.float64),
-        [(np.arange(n_s), np.arange(n_s, len(pairs)))],
-        cfg,
-        task_id,
-    )
-    if errors:
-        raise errors[0]
-    w_tau = match_params.replace_values({name: v[0] for name, v in w.items()})
-    return AdaptedParams(w_tau, history)
-
-
-def _adapt(
     match_params: MatchParams,
     stacked: np.ndarray,
     labels: np.ndarray,
     splits,
     cfg: TrainConfig,
-    task_id: str,
+    task_id: str = "",
 ) -> tuple[dict[str, np.ndarray], list[list[float]], dict[int, NumericalError]]:
-    """The inner loop for E episodes at once, on precomputed frozen
-    embeddings: ``stacked[l, r]`` is row r's layer-l embedding and
-    ``labels[r]`` its label, and episode e adapts on the rows
-    ``splits[e][0]`` with the queries ``splits[e][1]``.
+    """Gradient-descent adaptation of w with theta frozen, for E episodes
+    at once, on precomputed frozen embeddings: ``stacked[l, r]`` is row
+    r's layer-l embedding and ``labels[r]`` its label, and episode e
+    adapts on the rows ``splits[e][0]`` with the queries ``splits[e][1]``.
 
-    Episodes whose splits have the same sizes adapt in one stack: every
-    tensor of w gets a leading episode axis, and a step is one
-    ``match_levels`` call and one backward sweep over the summed episode
-    losses.  The episodes share no term, so each episode's weights
-    receive exactly the gradient, and take exactly the steps, that
-    adapting it alone gives.  An episode whose loss or gradient goes
-    non-finite leaves its stack.
+    The inner objective is deterministic (no dropout), so each step is
+    exactly w <- w - alpha * grad; with zero steps, or no queries, w is
+    returned unadapted, which is the zero-shot path.  Episodes whose
+    splits have the same sizes adapt in one stack: every tensor of w gets
+    a leading episode axis, and a step is one ``match_levels`` call and
+    one backward sweep over the summed episode losses.  The episodes
+    share no term, so each episode's weights receive exactly the
+    gradient, and take exactly the steps, that adapting it alone gives.
+    An episode whose loss or gradient goes non-finite leaves its stack.
 
     Returns w stacked [E, ...] by name, each episode's inner-loss
     history, and the NumericalError of each episode whose adaptation
     fails, by episode; a failed episode's rows hold w unadapted.
     """
+    if any(not len(support) for support, _ in splits):
+        raise ValueError("inner_adapt: empty adaptation support set")
     named = match_params.tensors()
     trainable = {name for name, t in named.items() if t.requires_grad}
     w = {name: np.repeat(t.values[None], len(splits), axis=0) for name, t in named.items()}
@@ -368,49 +322,53 @@ def _outer_task_step(
     point and return its gradients keyed by shared-parameter name.
 
     The episode's molecules are encoded once, graph-tracked, and the
-    outer loss reads those levels.  Theta does not change between the
-    inner loop and the outer loss, so without encoder dropout the inner
-    loop adapts on the detached rows of its split.  Dropped-out rows
-    are not the inference-mode rows it adapts on, so with encoder
-    dropout it encodes its split itself.
+    outer loss reads those levels.  The inner loop adapts on the
+    inference-mode rows of its split, support side first: theta does not
+    change before the outer loss, so without encoder dropout those are
+    the detached levels; dropped-out rows are not, so with encoder
+    dropout the split is encoded again by ``encode_frozen``.
     """
     seed = cfg.train.seed
     episode = sample_episode(task, cfg.protocol, [seed, KEY_EPISODE, epoch, slot])
-    s_rows, q_rows = _split_rows(
-        [y for _, y in episode.support],
-        cfg.train.support_split_fraction,
-        [seed, KEY_SPLIT, epoch, slot],
+    pairs = episode.support + episode.query
+    graphs = [g for g, _ in pairs]
+    labels = np.asarray([y for _, y in pairs], dtype=np.float64)
+    n_support = len(episode.support)
+    s_rows, q_rows = split_support(
+        labels[:n_support], cfg.train.support_split_fraction, [seed, KEY_SPLIT, epoch, slot]
     )
     rng = _rng(seed, KEY_DROPOUT, epoch, slot)
-    levels = encode_multilevel(
-        [g for g, _ in episode.support + episode.query],
-        model.encoder,
-        dropout_rate=cfg.encoder.dropout,
-        rng=rng,
-    )
-    adapted = inner_adapt(
-        model.encoder,
+    levels = encode_multilevel(graphs, model.encoder, dropout_rate=cfg.encoder.dropout, rng=rng)
+    split = s_rows + q_rows
+    if cfg.encoder.dropout > 0.0:
+        frozen = encode_frozen([graphs[i] for i in split], model.encoder)
+    else:
+        frozen = levels.values[:, split]
+    w, _, errors = inner_adapt(
         model.matcher,
-        [episode.support[i] for i in s_rows],
-        [episode.support[i] for i in q_rows],
+        frozen,
+        labels[split],
+        [(np.arange(len(s_rows)), np.arange(len(s_rows), len(split)))],
         cfg.train,
         task.task_id,
-        embeddings=None if cfg.encoder.dropout > 0.0 else levels.values[:, s_rows + q_rows],
     )
+    if errors:
+        raise errors[0]
+    w_tau = model.matcher.replace_values({name: v[0] for name, v in w.items()})
     loss = episode_loss(
-        episode.support,
-        episode.query,
-        model.encoder,
-        adapted.w_tau,
+        levels,
+        labels,
+        np.arange(n_support),
+        np.arange(n_support, len(pairs)),
+        w_tau,
         matcher_dropout=cfg.matcher.dropout,
         rng=rng,
-        levels=levels,
     )
     value = loss.item()
     if not np.isfinite(value):
         raise NumericalError(f"task {task.task_id}: non-finite outer loss {value}")
 
-    watched = ModelParams.join(model.encoder, adapted.w_tau)
+    watched = ModelParams.join(model.encoder, w_tau)
     return value, _named_grads(loss, watched, task.task_id)
 
 
@@ -424,8 +382,6 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     and no more than a few gradient maps are held at once.  With
     validation tasks, the weights of ``best_epoch(logs)`` are returned.
     """
-    from .optim import make_optimizer
-
     cfg.validate()
     tasks = [t for t in registry.split_tasks("train") if can_sample(t, cfg.protocol)]
     if not tasks:
@@ -559,14 +515,14 @@ def _adapt_labelled(
     """Test-time adaptation of w for E episodes on the rows of one frozen
     [L, n, d] stack: episode e's labelled set is the rows
     ``labelled_rows[e]``, labelled ``labels[r]``, and it adapts w on the
-    split ``seeds[e]`` makes of that set.  Returns what ``_adapt``
+    split ``seeds[e]`` makes of that set.  Returns what ``inner_adapt``
     returns for those splits.
     """
     splits = [
-        [rows[side] for side in _split_rows(labels[rows], cfg.train.support_split_fraction, seed)]
+        [rows[side] for side in split_support(labels[rows], cfg.train.support_split_fraction, seed)]
         for rows, seed in zip(labelled_rows, seeds)
     ]
-    return _adapt(match_params, stacked, labels, splits, cfg.train, task_id)
+    return inner_adapt(match_params, stacked, labels, splits, cfg.train, task_id)
 
 
 def _match_rows(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import OPTIMIZERS
+
 __all__ = ["Adam", "make_optimizer"]
 
 BETA1 = 0.9
@@ -59,9 +61,8 @@ class Adam:
 
 
 def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0) -> Adam:
-    kind = kind.lower()
-    if kind == "adam":
-        return Adam(lr, weight_decay=weight_decay, decoupled=False)
-    if kind == "adamw":
-        return Adam(lr, weight_decay=weight_decay, decoupled=True)
-    raise ValueError(f"unknown optimizer {kind!r} (expected adam or adamw)")
+    """The optimizer named ``kind``, one of ``config.OPTIMIZERS`` exactly:
+    ``adam`` (L2 decay) or ``adamw`` (decoupled decay)."""
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r} (expected one of {OPTIMIZERS})")
+    return Adam(lr, weight_decay=weight_decay, decoupled=kind == "adamw")

@@ -67,12 +67,22 @@ def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str,
     base = list(seed)
     episode = sample_episode(task, cfg.protocol, base + [KEY_EPISODE])
     if mode == "adapted-w-delta":
-        s_adapt, q_adapt = split_support(
-            episode.support, cfg.train.support_split_fraction, base + [KEY_SPLIT]
+        labels = np.asarray([y for _, y in episode.support], dtype=np.float64)
+        s_rows, q_rows = split_support(labels, cfg.train.support_split_fraction, base + [KEY_SPLIT])
+        split = s_rows + q_rows
+        stacked = encode_frozen([episode.support[i][0] for i in split], model.encoder)
+        w, _, errors = inner_adapt(
+            model.matcher,
+            stacked,
+            labels[split],
+            [(np.arange(len(s_rows)), np.arange(len(s_rows), len(split)))],
+            cfg.train,
+            task.task_id,
         )
-        adapted = inner_adapt(model.encoder, model.matcher, s_adapt, q_adapt, cfg.train, task.task_id)
-        vec = _flatten(adapted.w_tau) - _flatten(model.matcher)
-        return TaskVector(task.task_id, vec, mode)
+        if errors:
+            raise errors[0]
+        w_tau = model.matcher.replace_values({name: v[0] for name, v in w.items()})
+        return TaskVector(task.task_id, _flatten(w_tau) - _flatten(model.matcher), mode)
     graphs = [g for g, _ in episode.support]
     vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
     if not np.isfinite(vec).all():

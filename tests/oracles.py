@@ -165,17 +165,18 @@ def finetune_per_episode(matcher, levels, labels, fraction, seed, inner_steps, a
     from molmatch.tensor import Tensor, backward, cross_entropy
 
     n_s = len(labels)
-    fine_s, fine_q = split_support(list(enumerate(labels)), fraction, seed)
+    fine_s, fine_q = split_support(labels, fraction, seed)
+    y = np.asarray(labels, dtype=float)
 
     def rows(picked):
-        return Tensor(levels[:, [i for i, _ in picked]])
+        return Tensor(levels[:, picked])
 
     def column(picked):
-        return Tensor(np.array([[y] for _, y in picked], dtype=float))
+        return Tensor(y[picked][:, None])
 
     w = matcher.clone()
     if fine_q:
-        target = Tensor(np.array([[y, 1.0 - y] for _, y in fine_q], dtype=float))
+        target = Tensor(np.stack([y[fine_q], 1.0 - y[fine_q]], axis=1))
         for _ in range(inner_steps):
             probs, _, _ = match_levels_unfused(rows(fine_q), rows(fine_s), column(fine_s), w)
             named = w.tensors()
@@ -183,7 +184,7 @@ def finetune_per_episode(matcher, levels, labels, fraction, seed, inner_steps, a
             w = w.replace_values({
                 name: t.values - alpha * grads[t] for name, t in named.items() if t.requires_grad
             })
-    labelled = list(enumerate(labels))
+    labelled = list(range(n_s))
     probs, _, _ = match_levels_unfused(
         Tensor(levels[:, n_s:]), rows(labelled), column(labelled), w.detach()
     )

@@ -206,18 +206,6 @@ class TestPredict:
             assert p.attention.shape == (len(QUERIES), len(SUPPORT))
             np.testing.assert_allclose(p.attention.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_dropout_paths(self):
-        enc, match = self.make_model(seed=6)
-        args = (graphs(SUPPORT), [1, 0, 1, 0], graphs(QUERIES), enc, match)
-        clean = predict_detailed(*args)[0]
-        rate_zero = predict_detailed(*args, matcher_dropout=0.0, rng=np.random.default_rng(0))[0]
-        assert clean.values.tobytes() == rate_zero.values.tobytes()
-        dropped, preds = predict_detailed(*args, matcher_dropout=0.5, rng=np.random.default_rng(0))
-        assert not np.array_equal(clean.values, dropped.values)
-        # the reported attention is the pre-dropout distribution
-        for p in preds:
-            np.testing.assert_allclose(p.attention.sum(axis=1), 1.0, atol=1e-12)
-
     def test_label_count_mismatch(self):
         enc, match = self.make_model()
         with pytest.raises(ValueError, match="labels"):
@@ -275,21 +263,42 @@ class TestStackedMatch:
                 if t.requires_grad:
                     np.testing.assert_allclose(grads[t], ref[t], rtol=0, atol=1e-12)
 
-    def test_predict_detailed_matches_reference_on_encoded_levels(self):
+    def test_dropout_paths(self):
+        enc, match = EncoderParams.init(2, 6, seed=6), MatchParams.init(2, 6, seed=7)
+        levels = encode_multilevel(graphs(SUPPORT + QUERIES), enc).values
+        n_s = len(SUPPORT)
+        labels = Tensor(np.array([[1.0], [0.0], [1.0], [0.0]]))
+        args = (Tensor(levels[:, n_s:]), Tensor(levels[:, :n_s]), labels, match)
+        clean = match_episode(*args)[0]
+        rate_zero = match_episode(*args, dropout_rate=0.0, rng=np.random.default_rng(0))[0]
+        assert clean.values.tobytes() == rate_zero.values.tobytes()
+        dropped, _, attention = match_episode(*args, dropout_rate=0.5, rng=np.random.default_rng(0))
+        assert not np.array_equal(clean.values, dropped.values)
+        # the reported attention is the pre-dropout distribution
+        np.testing.assert_allclose(attention.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_episode_rows_of_encoded_levels_match_reference(self):
+        # the outer loss's path: one tracked encode, then the support and
+        # query rows of the level stack matched with dropout
         enc = EncoderParams.init(3, 6, seed=2)
         match = MatchParams.init(3, 6, seed=3, share_qk=False)
         labels = [1, 0, 1, 0]
+        n_s, n_rows = len(SUPPORT), len(SUPPORT) + len(QUERIES)
         # encoder dropout, then the matcher's per-layer and fusion masks,
         # all from one generator; the reference draws in the same order
         rng = np.random.default_rng(9)
         levels = encode_multilevel(graphs(SUPPORT + QUERIES), enc, dropout_rate=0.2, rng=rng)
-        probs, preds = predict_detailed(
-            graphs(SUPPORT), labels, graphs(QUERIES), None, match,
-            matcher_dropout=0.25, rng=rng, levels=levels,
+        probs, y_hat, attention = match_levels(
+            episode_rows(levels, np.arange(n_s, n_rows)[None]),
+            episode_rows(levels, np.arange(n_s)[None]),
+            np.asarray(labels, dtype=float).reshape(1, -1, 1),
+            MatchParams({name: reshape(t, (1, *t.shape)) for name, t in match.tensors().items()}),
+            dropout_rate=0.25,
+            rng=rng,
         )
+        preds = layer_predictions(y_hat[0], attention[0])
         rng = np.random.default_rng(9)
         levels = encode_multilevel(graphs(SUPPORT + QUERIES), enc, dropout_rate=0.2, rng=rng)
-        n_s = len(SUPPORT)
         ref_probs, ref_y, ref_att = match_per_layer(
             [Tensor(z[n_s:]) for z in levels.values],
             [Tensor(z[:n_s]) for z in levels.values],
@@ -298,7 +307,7 @@ class TestStackedMatch:
             dropout_rate=0.25,
             rng=rng,
         )
-        np.testing.assert_allclose(probs.values, ref_probs.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs.values[0], ref_probs.values, rtol=0, atol=1e-12)
         for pred, y, att in zip(preds, ref_y, ref_att):
             np.testing.assert_allclose(pred.y_hat, y.values, rtol=0, atol=1e-12)
             np.testing.assert_allclose(pred.attention, att.values, rtol=0, atol=1e-12)

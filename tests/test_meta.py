@@ -48,44 +48,41 @@ class TestSplitSupport:
     def test_three_per_class_at_half(self):
         # 0.5 * 3 = 1.5 per class: one base seat each, the leftover seat
         # goes to the lower class label on the remainder tie
-        examples = [(i, 1) for i in range(3)] + [(i, 0) for i in range(3, 6)]
-        support, query = split_support(examples, 0.5, seed=0)
+        labels = [1, 1, 1, 0, 0, 0]
+        support, query = split_support(labels, 0.5, seed=0)
         assert len(support) == 3 and len(query) == 3
-        support_labels = sorted(y for _, y in support)
-        assert support_labels == [0, 0, 1]
+        assert sorted(labels[i] for i in support) == [0, 0, 1]
 
     def test_partition_is_exact(self):
-        examples = [(f"item{i}", i % 2) for i in range(11)]
-        support, query = split_support(examples, 0.4, seed=3)
-        assert sorted(x for x, _ in support + query) == sorted(x for x, _ in examples)
-        assert not {x for x, _ in support} & {x for x, _ in query}
+        support, query = split_support([i % 2 for i in range(11)], 0.4, seed=3)
+        assert sorted(support + query) == list(range(11))
+        assert support == sorted(support) and query == sorted(query)
 
     def test_deterministic_in_seed(self):
-        examples = [(i, i % 2) for i in range(20)]
-        a = split_support(examples, 0.5, seed=9)
-        b = split_support(examples, 0.5, seed=9)
+        labels = [i % 2 for i in range(20)]
+        a = split_support(labels, 0.5, seed=9)
+        b = split_support(labels, 0.5, seed=9)
         assert a == b
-        c = split_support(examples, 0.5, seed=10)
+        c = split_support(labels, 0.5, seed=10)
         assert a != c
 
     def test_single_member_class_goes_to_support(self):
-        examples = [(0, 0), (1, 0), (2, 0), (3, 1)]
-        support, query = split_support(examples, 0.5, seed=0)
-        assert (3, 1) in support
-        assert query and all(y == 0 for _, y in query)
+        labels = [0, 0, 0, 1]
+        support, query = split_support(labels, 0.5, seed=0)
+        assert 3 in support
+        assert query and all(labels[i] == 0 for i in query)
 
     def test_two_member_classes_keep_one_on_each_side(self):
         # even at fraction 0.9 a 2-member class cannot give both to support
-        examples = [(0, 0), (1, 0), (2, 1), (3, 1)]
-        support, query = split_support(examples, 0.9, seed=1)
-        assert sorted(y for _, y in support) == [0, 1]
-        assert sorted(y for _, y in query) == [0, 1]
+        labels = [0, 0, 1, 1]
+        support, query = split_support(labels, 0.9, seed=1)
+        assert sorted(labels[i] for i in support) == [0, 1]
+        assert sorted(labels[i] for i in query) == [0, 1]
 
     def test_validation(self):
-        examples = [(0, 0), (1, 1)]
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError, match="fraction"):
-                split_support(examples, bad, seed=0)
+                split_support([0, 1], bad, seed=0)
         with pytest.raises(ValueError, match="empty"):
             split_support([], 0.5, seed=0)
 
@@ -96,26 +93,37 @@ class TestInnerAdapt:
         self.model = init_model(self.cfg)
         task = chain_task("t", 12, 6)
         episode = sample_episode_balanced(task, 8, 20, seed=2)
-        self.support, self.queries = split_support(episode.support, 0.5, seed=3)
+        self.graphs = [g for g, _ in episode.support]
+        self.labels = np.array([y for _, y in episode.support], dtype=np.float64)
+        self.split = split_support(self.labels, 0.5, seed=3)
+        self.stacked = encode_frozen(self.graphs, self.model.encoder)
+
+    def adapt(self, splits=None, **kwargs):
+        """``inner_adapt`` on the episode's support rows, by default on
+        their one split."""
+        splits = [self.split] if splits is None else splits
+        return inner_adapt(
+            self.model.matcher, self.stacked, self.labels, splits, self.cfg.train, **kwargs
+        )
 
     def test_alpha_zero_is_bitwise_identity(self):
         self.cfg.train.alpha = 0.0
         self.cfg.train.inner_steps = 3
         before = self.model.matcher.tensors()
         before["wq0"].values[0, 0] = -0.0  # sign of zero must survive too
-        adapted = inner_adapt(
-            self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train
-        )
-        for name, t in adapted.w_tau.tensors().items():
-            np.testing.assert_array_equal(t.values, before[name].values)
-            assert np.signbit(adapted.w_tau.tensors()["wq0"].values[0, 0])
-        assert len(adapted.loss_history) == 4
-        assert all(v == adapted.loss_history[0] for v in adapted.loss_history)
+        w, (history,), errors = self.adapt()
+        assert errors == {}
+        for name, t in before.items():
+            np.testing.assert_array_equal(w[name][0], t.values)
+        assert np.signbit(w["wq0"][0, 0, 0])
+        assert len(history) == 4
+        assert all(v == history[0] for v in history)
 
     def test_encoder_params_bitwise_untouched(self):
         frozen = {k: t.values.copy() for k, t in self.model.encoder.tensors().items()}
         inner_adapt(
-            self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train
+            self.model.matcher, encode_frozen(self.graphs, self.model.encoder), self.labels,
+            [self.split], self.cfg.train,
         )
         for name, t in self.model.encoder.tensors().items():
             np.testing.assert_array_equal(t.values, frozen[name])
@@ -125,75 +133,59 @@ class TestInnerAdapt:
         self.cfg.train.inner_steps = 1
         self.cfg.train.alpha = 0.05
         w0 = self.model.matcher
-        frozen = self.model.encoder.detach()
 
         def build_loss():
-            return episode_loss(self.support, self.queries, frozen, w0).item()
+            return episode_loss(Tensor(self.stacked), self.labels, *self.split, w0).item()
 
         numeric = fd_gradients(build_loss, w0.tensors())
-        adapted = inner_adapt(
-            self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train
-        )
+        w, _, _ = self.adapt()
         for name, t in w0.tensors().items():
-            implied_grad = (t.values - adapted.w_tau.tensors()[name].values) / 0.05
+            implied_grad = (t.values - w[name][0]) / 0.05
             err = grad_rel_error(implied_grad, numeric[name])
             assert err < REL_TOL, f"{name}: rel err {err:.3e}"
 
     def test_loss_history_decreases(self):
         self.cfg.train.inner_steps = 5
         self.cfg.train.alpha = 0.05
-        adapted = inner_adapt(
-            self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train
-        )
-        assert len(adapted.loss_history) == 6
-        assert adapted.loss_history[-1] < adapted.loss_history[0]
+        _, (history,), _ = self.adapt()
+        assert len(history) == 6
+        assert history[-1] < history[0]
 
     def test_zero_steps_returns_untouched_clone(self):
         self.cfg.train.inner_steps = 0
-        adapted = inner_adapt(
-            self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train
-        )
-        for name, t in adapted.w_tau.tensors().items():
-            assert t is not self.model.matcher.tensors()[name]
-            np.testing.assert_array_equal(t.values, self.model.matcher.tensors()[name].values)
-        assert len(adapted.loss_history) == 1
+        w, (history,), _ = self.adapt()
+        for name, t in self.model.matcher.tensors().items():
+            assert not np.shares_memory(w[name], t.values)
+            np.testing.assert_array_equal(w[name][0], t.values)
+        assert len(history) == 1
 
     def test_no_queries_skips_loop(self):
-        adapted = inner_adapt(
-            self.model.encoder, self.model.matcher, self.support, [], self.cfg.train
-        )
-        assert adapted.loss_history == []
-        for name, t in adapted.w_tau.tensors().items():
-            np.testing.assert_array_equal(t.values, self.model.matcher.tensors()[name].values)
+        w, histories, errors = self.adapt([(self.split[0], [])])
+        assert histories == [[]] and errors == {}
+        for name, t in self.model.matcher.tensors().items():
+            np.testing.assert_array_equal(w[name][0], t.values)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty adaptation support"):
-            inner_adapt(self.model.encoder, self.model.matcher, [], self.queries, self.cfg.train)
+            self.adapt([([], self.split[1])])
 
     def test_nonfinite_loss_raises(self):
+        # inner_adapt reports the failed episode; a training step raises it
         self.model.matcher.tensors()["wq0"].values[:] = np.nan
-        with pytest.raises(NumericalError, match="non-finite inner loss"):
-            inner_adapt(
-                self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train
-            )
+        _, (history,), errors = self.adapt(task_id="t")
+        assert list(errors) == [0] and history == []
+        assert str(errors[0]) == "task t: non-finite inner loss nan"
+        with pytest.raises(NumericalError, match="^task t: non-finite inner loss nan$"):
+            meta._outer_task_step(self.model, chain_task("t", 12, 6), self.cfg, 0, 0)
 
     def test_nonfinite_gradient_raises_before_update(self, monkeypatch):
         poison_first_gradient(monkeypatch)
-        with pytest.raises(NumericalError, match="task t: non-finite gradient for wq0"):
-            inner_adapt(
-                self.model.encoder, self.model.matcher, self.support, self.queries,
-                self.cfg.train, task_id="t",
-            )
-
-
-    def test_supplied_embeddings_must_cover_the_split(self):
-        graphs = [g for g, _ in self.support + self.queries]
-        levels = encode_frozen(graphs, self.model.encoder)
-        args = (self.model.encoder, self.model.matcher, self.support, self.queries, self.cfg.train)
-        supplied = inner_adapt(*args, embeddings=levels)
-        assert supplied.loss_history == inner_adapt(*args).loss_history
-        with pytest.raises(ValueError, match=f"embeddings must have {len(graphs)} rows"):
-            inner_adapt(*args, embeddings=levels[:, :-1])
+        w, _, errors = self.adapt(task_id="t")
+        assert str(errors[0]) == "task t: non-finite gradient for wq0"
+        for name, t in self.model.matcher.tensors().items():
+            assert w[name][0].tobytes() == t.values.tobytes(), name
+        with pytest.raises(NumericalError, match="^task t: non-finite gradient for wq0$"):
+            meta._outer_task_step(self.model, chain_task("t", 12, 6), self.cfg, 0, 0)
 
 
 class TestOuterTaskStep:
@@ -203,9 +195,9 @@ class TestOuterTaskStep:
         self.task = chain_task("t", 12, 6)
         seed = self.cfg.train.seed
         self.episode = sample_episode(self.task, self.cfg.protocol, [seed, meta.KEY_EPISODE, 0, 0])
+        self.labels = np.array([y for _, y in self.episode.support], dtype=np.float64)
         self.split = split_support(
-            self.episode.support, self.cfg.train.support_split_fraction,
-            [seed, meta.KEY_SPLIT, 0, 0],
+            self.labels, self.cfg.train.support_split_fraction, [seed, meta.KEY_SPLIT, 0, 0]
         )
 
     def test_encodes_the_episode_once(self, monkeypatch):
@@ -236,45 +228,36 @@ class TestOuterTaskStep:
 
         monkeypatch.setattr(meta, "inner_adapt", recording)
         meta._outer_task_step(self.model, self.task, self.cfg, 0, 0)
-        plain = inner_adapt(
-            self.model.encoder, self.model.matcher, *self.split, self.cfg.train, "t"
+        stacked = encode_frozen([g for g, _ in self.episode.support], self.model.encoder)
+        _, (plain,), _ = inner_adapt(
+            self.model.matcher, stacked, self.labels, [self.split], self.cfg.train, "t"
         )
-        (step,) = adapted
-        np.testing.assert_allclose(step.loss_history, plain.loss_history, rtol=1e-12, atol=0)
+        ((_, (step,), _),) = adapted
+        np.testing.assert_allclose(step, plain, rtol=1e-12, atol=0)
 
 
 class TestEpisodeLoss:
-    def test_supplied_levels_replace_the_encode(self):
-        cfg = tiny_cfg()
-        model = init_model(cfg)
+    def episode(self):
+        model = init_model(tiny_cfg())
         pairs = labelled(chain_task("t", 10, 4))
         levels = encode_multilevel([g for g, _ in pairs], model.encoder)
-        loss = episode_loss(pairs[:4], pairs[4:], model.encoder, model.matcher)
-        supplied = episode_loss(pairs[:4], pairs[4:], None, model.matcher, levels=levels)
-        assert supplied.item() == loss.item()
-        with pytest.raises(ValueError, match="levels must have 9 rows"):
-            episode_loss(pairs[:4], pairs[4:-1], None, model.matcher, levels=levels)
+        return model, levels, [y for _, y in pairs]
 
     def test_zero_fusion_gives_ln2_per_query(self):
-        cfg = tiny_cfg()
-        model = init_model(cfg)
+        model, levels, labels = self.episode()
         matcher = model.matcher.replace_values(
             {"wo": np.zeros((2, 2)), "bias": np.zeros(2)}
         )
-        task = chain_task("t", 10, 4)
-        pairs = labelled(task)
-        loss = episode_loss(pairs[:4], pairs[4:], model.encoder, matcher)
+        loss = episode_loss(levels, labels, np.arange(4), np.arange(4, 10), matcher)
         assert loss.values.shape == ()
         np.testing.assert_allclose(loss.item(), 6 * np.log(2), rtol=1e-12)
 
     def test_empty_sides_rejected(self):
-        cfg = tiny_cfg()
-        model = init_model(cfg)
-        pairs = labelled(chain_task("t", 4, 2))
+        model, levels, labels = self.episode()
         with pytest.raises(ValueError, match="non-empty"):
-            episode_loss([], pairs, model.encoder, model.matcher)
+            episode_loss(levels, labels, [], np.arange(4), model.matcher)
         with pytest.raises(ValueError, match="non-empty"):
-            episode_loss(pairs, [], model.encoder, model.matcher)
+            episode_loss(levels, labels, np.arange(4), [], model.matcher)
 
 
 class TestMetaTrain:
@@ -344,22 +327,27 @@ class TestMetaTrain:
             episode = sample_episode_balanced(
                 task, cfg.protocol.support_size, cfg.protocol.query_size, [seed, 2, 0, slot]
             )
-            s_adapt, q_adapt = split_support(
-                episode.support, cfg.train.support_split_fraction, [seed, 3, 0, slot]
+            pairs = episode.support + episode.query
+            labels = np.array([y for _, y in pairs], dtype=np.float64)
+            n_s = len(episode.support)
+            fraction = cfg.train.support_split_fraction
+            split = split_support(labels[:n_s], fraction, [seed, 3, 0, slot])
+            support = encode_frozen([g for g, _ in episode.support], model.encoder)
+            w, _, _ = inner_adapt(
+                model.matcher, support, labels[:n_s], [split], cfg.train, task.task_id
             )
-            adapted = inner_adapt(
-                model.encoder, model.matcher, s_adapt, q_adapt, cfg.train, task.task_id
-            )
+            w_tau = model.matcher.replace_values({name: v[0] for name, v in w.items()})
             loss = episode_loss(
-                episode.support,
-                episode.query,
-                model.encoder,
-                adapted.w_tau,
+                encode_multilevel([g for g, _ in pairs], model.encoder),
+                labels,
+                np.arange(n_s),
+                np.arange(n_s, len(pairs)),
+                w_tau,
                 matcher_dropout=cfg.matcher.dropout,
                 rng=np.random.default_rng([seed, 4, 0, slot]),
             )
             watched = {f"encoder.{k}": t for k, t in model.encoder.tensors().items()}
-            watched.update({f"matcher.{k}": t for k, t in adapted.w_tau.tensors().items()})
+            watched.update({f"matcher.{k}": t for k, t in w_tau.tensors().items()})
             grads = backward(loss, params=watched.values())
             for name, tensor in watched.items():
                 if not tensor.requires_grad:
@@ -629,9 +617,9 @@ class TestScoreTask:
     @staticmethod
     def captured_calls(monkeypatch):
         """Record the arguments of every ``_adapt_labelled`` call, the
-        split sizes of every ``_adapt`` call and every backward sweep."""
+        split sizes of every ``inner_adapt`` call and every backward sweep."""
         calls, shapes, sweeps = [], [], []
-        adapt_labelled, adapt, real_backward = meta._adapt_labelled, meta._adapt, meta.backward
+        adapt_labelled, adapt, real_backward = meta._adapt_labelled, meta.inner_adapt, meta.backward
 
         def recording(*args):
             calls.append(args)
@@ -642,7 +630,7 @@ class TestScoreTask:
             return adapt(*args)
 
         monkeypatch.setattr(meta, "_adapt_labelled", recording)
-        monkeypatch.setattr(meta, "_adapt", adapting)
+        monkeypatch.setattr(meta, "inner_adapt", adapting)
         monkeypatch.setattr(
             meta, "backward", lambda *a, **k: sweeps.append(a) or real_backward(*a, **k)
         )
@@ -710,7 +698,7 @@ class TestScoreTask:
         stacked[:, rows[1]] = np.nan
         seeds = [[7, e] for e in range(len(rows))]
         assert len({
-            tuple(map(len, meta._split_rows(labels[r], cfg.train.support_split_fraction, seed)))
+            tuple(map(len, split_support(labels[r], cfg.train.support_split_fraction, seed)))
             for r, seed in zip(rows, seeds)
         }) == 2
         w, histories, errors = meta._adapt_labelled(

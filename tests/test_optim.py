@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from molmatch.config import OPTIMIZERS
 from molmatch.optim import Adam, make_optimizer
 
 LR, DECAY = 0.1, 0.1
@@ -53,3 +54,16 @@ def test_names_without_gradient_pass_through_unchanged():
 def test_unknown_name_raises_key_error():
     with pytest.raises(KeyError, match="'ghost'"):
         Adam(LR).step({"w": np.ones(2)}, {"ghost": np.ones(2)})
+
+
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+def test_every_configured_name_builds_an_optimizer(kind):
+    opt = make_optimizer(kind, LR, weight_decay=DECAY)
+    assert isinstance(opt, Adam) and opt.decoupled == (kind == "adamw")
+
+
+@pytest.mark.parametrize("kind", ["ADAM", "AdamW", "sgd", ""])
+def test_names_the_config_refuses_are_refused(kind):
+    # RunConfig.validate checks train.optimizer against OPTIMIZERS exactly
+    with pytest.raises(ValueError, match="expected one of"):
+        make_optimizer(kind, LR)

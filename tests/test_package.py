@@ -3,6 +3,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -73,19 +74,69 @@ def meta_callers(*names: str) -> dict[str, set[str]]:
 
 
 def test_test_time_adaptation_has_one_owner():
-    # eval, validation and predict split the labelled rows only through
-    # meta._adapt_labelled; training keeps its own split and inner_adapt;
-    # both adapt w through the one inner loop, meta._adapt
-    assert meta_callers("_adapt", "_split_rows") == {
-        "_adapt": {"inner_adapt", "_adapt_labelled"},
-        "_split_rows": {"split_support", "_outer_task_step", "_adapt_labelled"},
+    # training's outer step and test time's _adapt_labelled (eval,
+    # validation, predict) split labelled rows with split_support and
+    # adapt w through the one inner loop, inner_adapt
+    assert meta_callers("inner_adapt", "split_support") == {
+        "inner_adapt": {"_outer_task_step", "_adapt_labelled"},
+        "split_support": {"_outer_task_step", "_adapt_labelled"},
     }
 
 
 def test_meta_runs_backward_only_in_the_inner_loop_and_the_outer_step():
-    # _adapt takes every inner-loop step; _named_grads is the outer step's
-    # one sweep, so no other function in meta.py differentiates
-    assert meta_callers("backward") == {"backward": {"_named_grads", "_adapt"}}
+    # inner_adapt takes every inner-loop step; _named_grads is the outer
+    # step's one sweep, so no other function in meta.py differentiates
+    assert meta_callers("backward") == {"backward": {"_named_grads", "inner_adapt"}}
+
+
+def test_training_names_take_rows():
+    # the inner loop and the outer loss read a level stack by row; neither
+    # encodes, so neither takes precomputed embeddings in place of an encode
+    from molmatch import matcher, meta
+
+    assert list(inspect.signature(meta.inner_adapt).parameters) == [
+        "match_params", "stacked", "labels", "splits", "cfg", "task_id"
+    ]
+    assert list(inspect.signature(meta.episode_loss).parameters)[:4] == [
+        "levels", "labels", "support_rows", "query_rows"
+    ]
+    assert not {"levels", "matcher_dropout", "rng"} & set(
+        inspect.signature(matcher.predict_detailed).parameters
+    )
+
+
+def test_only_the_matcher_builds_layer_predictions():
+    # per-layer views are built for criterion 2's predict_detailed alone;
+    # the package re-exports that name and no module calls it
+    package = Path(molmatch.__file__).parent
+    pattern = re.compile(r"\b(predict_detailed|layer_predictions)\b")
+    naming = {
+        path.name: set(pattern.findall(path.read_text(encoding="utf-8")))
+        for path in package.glob("*.py")
+    }
+    assert {name: found for name, found in naming.items() if found} == {
+        "__init__.py": {"predict_detailed"},
+        "matcher.py": {"predict_detailed", "layer_predictions"},
+    }
+
+
+def test_taskrel_adapts_only_through_the_inner_loop():
+    # an adapted-w-delta task vector adapts w with meta.inner_adapt on the
+    # frozen rows of its split; taskrel neither matches nor differentiates
+    tree = package_trees()["taskrel.py"]
+    imported = {
+        alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported["inner_adapt"] == "meta"
+    assert not {"backward", "match_levels", "episode_loss", "predict_detailed"} & set(imported)
+    (call,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "inner_adapt"
+    ]
+    assert ast.unparse(call.args[0]) == "model.matcher"
 
 
 def test_only_the_encoder_batches_graphs():
