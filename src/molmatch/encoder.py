@@ -114,7 +114,9 @@ class GraphBatch:
     layer's forward and backward.  ``bond_sums``, each atom's summed
     incoming bond features, is summed through ``by_dst`` straight from
     the bond rows (directed edge i carries bond i // 2).  ``atom_feats``
-    and ``bond_sums`` are plain numpy arrays: no op differentiates them.
+    and ``bond_sums`` are plain float64 numpy arrays: no op
+    differentiates them.  This is the one place the graphs' compact bool
+    rows and int32 bonds are widened.
     """
 
     def __init__(self, graphs: list[MolGraph]):
@@ -124,16 +126,16 @@ class GraphBatch:
         sizes = np.array([g.n_atoms for g in graphs], dtype=np.int64)
         offsets = np.cumsum(sizes) - sizes
         self.n_atoms = int(sizes.sum())
-        self.atom_feats = np.concatenate([g.atom_feats for g in graphs])
+        self.atom_feats = np.concatenate([g.atom_feats for g in graphs], dtype=np.float64)
         self.mol_ids = np.repeat(np.arange(self.n_mols, dtype=np.int64), sizes)
         # one (u, v) row per bond in batch atom numbers; each bond becomes
         # the directed edges u->v then v->u, in bond order
-        bonds = np.array([b for g in graphs for b in g.bonds], dtype=np.int64).reshape(-1, 2)
+        bonds = np.concatenate([g.bonds for g in graphs], dtype=np.int64)
         bonds += np.repeat(offsets, [g.n_bonds for g in graphs])[:, None]
         self.edge_src = bonds.reshape(-1)
         self.edge_dst = bonds[:, ::-1].reshape(-1)
         self.n_edges = self.edge_src.size
-        bond_rows = np.concatenate([g.bond_feats for g in graphs])
+        bond_rows = np.concatenate([g.bond_feats for g in graphs], dtype=np.float64)
         self.by_dst = SlotTable(self.edge_dst, self.n_atoms)
         self.by_src = SlotTable(self.edge_src, self.n_atoms)
         self.bond_sums = self.by_dst.sum(bond_rows, np.arange(self.n_edges) // 2)

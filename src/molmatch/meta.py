@@ -372,6 +372,25 @@ def _outer_task_step(
     return value, _named_grads(loss, watched, task.task_id)
 
 
+def _owned_sums(gmap: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Copies of one task's gradients, by name, as views of one flat block
+    that ``meta_train`` adds the batch's other gradients into in place.
+
+    The gradients are copied because they may alias one another.  The
+    block is one allocation per epoch, freed at the next epoch's start;
+    at paper width it is 8.4 MB, and freeing a block that size lifts
+    glibc's dynamic heap-trim threshold above one task's working set, so
+    the heap is not trimmed and faulted back in after every task.
+    """
+    flat = np.empty(sum(g.size for g in gmap.values()))
+    sums, start = {}, 0
+    for name, g in gmap.items():
+        sums[name] = flat[start : start + g.size].reshape(g.shape)
+        sums[name][...] = g
+        start += g.size
+    return sums
+
+
 def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     """Episodic training over the train split.
 
@@ -379,7 +398,8 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     Tasks inside a batch may be dispatched to worker threads; each
     task's loss and gradients are added to the running sums as it is
     taken, in slot order, so results do not depend on the worker count
-    and no more than a few gradient maps are held at once.  With
+    and no more than a few gradient maps are held at once; the sums are
+    arrays this function owns (``_owned_sums``).  With
     validation tasks, the weights of ``best_epoch(logs)`` are returned.
     """
     cfg.validate()
@@ -415,8 +435,11 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
             )
             for value, gmap in steps:  # slot order: deterministic sums
                 total_loss += value
-                for name, g in gmap.items():
-                    summed[name] = summed[name] + g if name in summed else g
+                if not summed:
+                    summed = _owned_sums(gmap)
+                else:
+                    for name, g in gmap.items():
+                        summed[name] += g
         if not np.isfinite(total_loss):
             raise NumericalError(f"epoch {epoch}: non-finite batch loss")
 

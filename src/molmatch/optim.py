@@ -1,9 +1,10 @@
 """Adam and AdamW over named parameter dictionaries.
 
 Both operate functionally: ``step`` takes current values and gradients
-keyed by name and returns the next values, keeping moment state inside
-the optimizer.  AdamW applies decoupled weight decay; plain Adam folds
-the decay into the gradient (classic L2).
+keyed by name and returns the next values as fresh arrays, writing into
+neither input; the moment state lives inside the optimizer, which
+updates it in place.  AdamW applies decoupled weight decay; plain Adam
+folds the decay into the gradient (classic L2).
 """
 
 from __future__ import annotations
@@ -43,15 +44,14 @@ class Adam:
             g = np.asarray(grads[name], dtype=np.float64)
             if self.weight_decay and not self.decoupled:
                 g = g + self.weight_decay * x
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(x)
-                v = np.zeros_like(x)
-            m = BETA1 * m + (1.0 - BETA1) * g
-            v = BETA2 * v + (1.0 - BETA2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
+            if name not in self._m:
+                self._m[name] = np.zeros(np.shape(x))
+                self._v[name] = np.zeros(np.shape(x))
+            m, v = self._m[name], self._v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             new = x - update
             if self.weight_decay and self.decoupled:

@@ -305,14 +305,16 @@ _BOND_COL = {order: col for col, order in enumerate(BOND_ORDERS)}
 class MolGraph:
     """Featurized molecular graph ready for the encoder.
 
-    ``atom_feats`` and ``bond_feats`` are plain float64 numpy rows.
-    ``bonds`` stores each undirected bond once as (u, v) with u < v;
-    ``bond_feats`` has one row per stored bond (possibly zero rows for
-    single-atom molecules).
+    Stored compact, since a registry holds every molecule at once:
+    ``atom_feats`` [n_atoms, D_ATOM] and ``bond_feats`` [n_bonds, D_BOND]
+    are bool one-hot rows, and ``bonds`` is an int32 [n_bonds, 2] array
+    holding each undirected bond once as (u, v) with u < v, one row per
+    ``bond_feats`` row (possibly zero rows for single-atom molecules).
+    ``encoder.GraphBatch`` widens the rows to float64, once per batch.
     """
 
     atom_feats: np.ndarray
-    bonds: list[tuple[int, int]]
+    bonds: np.ndarray
     bond_feats: np.ndarray
     source_smiles: str
 
@@ -322,7 +324,7 @@ class MolGraph:
 
     @property
     def n_bonds(self) -> int:
-        return len(self.bonds)
+        return self.bonds.shape[0]
 
 
 def featurize(mol: ParsedMolecule) -> MolGraph:
@@ -348,17 +350,16 @@ def featurize(mol: ParsedMolecule) -> MolGraph:
         if atom.aromatic:
             hot.append(base + _AROMATIC_COL)
         base += D_ATOM
-    atom_rows = np.zeros((mol.n_atoms, D_ATOM), dtype=np.float64)
-    atom_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = 1.0
-    bond_rows = np.zeros((mol.n_bonds, D_BOND), dtype=np.float64)
+    atom_rows = np.zeros((mol.n_atoms, D_ATOM), dtype=bool)
+    atom_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = True
+    bond_rows = np.zeros((mol.n_bonds, D_BOND), dtype=bool)
+    bonds = np.zeros((mol.n_bonds, 2), dtype=np.int32)
     if mol.bonds:
         hot = [row * D_BOND + _BOND_COL[order] for row, (_, _, order) in enumerate(mol.bonds)]
-        bond_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = 1.0
+        bond_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = True
+        bonds[:] = [(u, v) for u, v, _ in mol.bonds]
     return MolGraph(
-        atom_feats=atom_rows,
-        bonds=[(u, v) for u, v, _ in mol.bonds],
-        bond_feats=bond_rows,
-        source_smiles=mol.smiles,
+        atom_feats=atom_rows, bonds=bonds, bond_feats=bond_rows, source_smiles=mol.smiles
     )
 
 

@@ -672,9 +672,14 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
     """Single reverse sweep from a scalar loss.
 
     Returns the sweep's one gradient map, keyed by tensor (tensors hash
-    by identity): every visited requires_grad tensor's gradient, the
-    tensors themselves left untouched.  Tensors passed in ``params``
-    that the sweep never reaches get zero gradients.
+    by identity), the tensors themselves left untouched.  It holds the
+    gradient of every requires_grad leaf the sweep reaches and of every
+    tensor in ``params``; tensors in ``params`` that the sweep never
+    reaches get zero gradients.  An op node's gradient is dropped once
+    its VJP has consumed it, so the map never holds an intermediate
+    node's gradient unless that node is in ``params``.  Gradients may
+    alias one another (``add``'s VJP hands the same array to both
+    parents): copy one before writing into it.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -697,17 +702,21 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
             if p._vjp is not None and p not in visited:
                 stack.append((p, False))
 
+    params = list(params or ())
+    keep = set(params)
     grads = {loss: np.ones_like(loss.values)} if loss.requires_grad else {}
     for node in reversed(topo):
-        g = grads.get(node)
-        if g is None or node._vjp is None:
+        if node._vjp is None:  # a leaf loss keeps its gradient
+            continue
+        g = grads.get(node) if node in keep else grads.pop(node, None)
+        if g is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             grads[parent] = grads[parent] + pg if parent in grads else pg
 
-    for p in params or ():
+    for p in params:
         if p not in grads:
             grads[p] = np.zeros_like(p.values)
     return grads

@@ -191,6 +191,31 @@ def finetune_per_episode(matcher, levels, labels, fraction, seed, inner_steps, a
     return probs.values
 
 
+def backward_every_node(loss, params=()) -> dict:
+    """The reverse sweep that keeps every node's gradient to the end:
+    the reference for ``tensor.backward``, which drops an op node's
+    gradient once its VJP has consumed it but must add the same arrays
+    in the same order."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:  # backward's post-order, so sums add in the same order
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif node not in visited:
+            visited.add(node)
+            stack.append((node, True))
+            stack += [(p, False) for p in node._parents if p._vjp is not None and p not in visited]
+    grads = {loss: np.ones_like(loss.values)} if loss.requires_grad else {}
+    for node in reversed(topo):
+        if node in grads and node._vjp is not None:
+            for parent, pg in zip(node._parents, node._vjp(grads[node])):
+                if pg is not None and parent.requires_grad:
+                    grads[parent] = grads[parent] + pg if parent in grads else pg
+    for p in params:
+        grads.setdefault(p, np.zeros_like(p.values))
+    return grads
+
+
 def featurize_by_rows(mol) -> tuple[np.ndarray, np.ndarray]:
     """Row-by-row reference for ``smiles.featurize``: the atom and bond
     one-hot rows of a parsed molecule, each row its own array, then
@@ -241,12 +266,13 @@ def graph_batch_per_bond(graphs) -> dict:
     """Per-bond loop reference for ``GraphBatch``'s flat arrays: each
     bond (u, v) becomes the edges u->v then v->u, both carrying the
     bond's feature row, and ``bond_sums`` adds every edge's row into its
-    destination atom in edge order."""
-    src, dst, rows, mol_ids = [], [], [], []
+    destination atom in edge order.  Feature rows are float64."""
+    src, dst, rows, atom_rows, mol_ids = [], [], [], [], []
     offset = 0
     for i, g in enumerate(graphs):
         mol_ids.extend([i] * g.n_atoms)
-        for (u, v), row in zip(g.bonds, g.bond_feats):
+        atom_rows.extend(g.atom_feats)
+        for (u, v), row in zip(g.bonds.tolist(), g.bond_feats):
             src += [offset + u, offset + v]
             dst += [offset + v, offset + u]
             rows += [row, row]
@@ -261,6 +287,7 @@ def graph_batch_per_bond(graphs) -> dict:
         "edge_dst": np.array(dst, dtype=np.int64),
         "edge_feats": edge_feats,
         "bond_sums": bond_sums,
+        "atom_feats": np.array(atom_rows, dtype=np.float64),
         "mol_ids": np.array(mol_ids, dtype=np.int64),
     }
 

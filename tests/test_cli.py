@@ -899,7 +899,7 @@ class TestPredict:
     def test_memory_grows_with_the_outputs_only(self, workspace, tmp_path, capsys):
         # At full width a request encoded as one batch holds about 110 KB
         # per query; streamed through the match, what stays per query is
-        # its parsed graph and output row, about 5 KB.
+        # its compact parsed graph and output row, about 2 KB.
         cfg = RunConfig()
         assert cfg.encoder.hidden == 300
         ckpt = tmp_path / "full.ckpt"
@@ -923,7 +923,7 @@ class TestPredict:
                 tracemalloc.stop()
         assert len(read_csv(capsys.readouterr().out)) == 1025
         per_query = (peaks[1024] - peaks[256]) / (1024 - 256)
-        assert per_query < 16 * 1024, f"peak grows {per_query / 1024:.1f} KB per query"
+        assert per_query < 3 * 1024, f"peak grows {per_query / 1024:.2f} KB per query"
 
     def test_single_class_support_warns(self, workspace, tmp_path, capsys):
         lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()

@@ -20,6 +20,7 @@ from molmatch.smiles import D_ATOM, D_BOND, MolGraph, graph_from_smiles
 from molmatch.tensor import SlotTable, Tensor, backward, mul, scatter_add_rows, sum_all
 from oracles import (
     assert_grads_match,
+    backward_every_node,
     encode_unfused,
     fd_gradients,
     gin_layer_unfused,
@@ -43,11 +44,11 @@ def small_params(seed=0, layers=2, hidden=5):
 def star_graph(n_leaves):
     """A hub atom bonded to ``n_leaves`` others: no molecule, but a valid
     graph whose hub collects more rows than one slot-table block holds."""
-    atom_feats = np.zeros((n_leaves + 1, D_ATOM))
-    atom_feats[:, 0] = 1.0
-    atom_feats[0, 1] = 1.0
-    bond_feats = np.eye(D_BOND)[np.arange(n_leaves) % D_BOND]
-    bonds = [(0, i) for i in range(1, n_leaves + 1)]
+    atom_feats = np.zeros((n_leaves + 1, D_ATOM), dtype=bool)
+    atom_feats[:, 0] = True
+    atom_feats[0, 1] = True
+    bond_feats = np.eye(D_BOND, dtype=bool)[np.arange(n_leaves) % D_BOND]
+    bonds = np.array([(0, i) for i in range(1, n_leaves + 1)], dtype=np.int32)
     return MolGraph(atom_feats, bonds, bond_feats, "star")
 
 
@@ -125,6 +126,7 @@ class TestGraphBatch:
             "edge_src": batch.edge_src,
             "edge_dst": batch.edge_dst,
             "bond_sums": batch.bond_sums,
+            "atom_feats": batch.atom_feats,
             "mol_ids": batch.mol_ids,
         }
         for name, value in got.items():
@@ -468,3 +470,17 @@ class TestEncoderGradients:
         named = {name: analytic[t] for name, t in tensors.items()}
         numeric = fd_gradients(lambda: build_loss().item(), tensors)
         assert_grads_match(named, numeric)
+
+    def test_sweep_equals_the_keep_every_node_sweep_bitwise(self):
+        # backward drops each op node's gradient once consumed; the leaf
+        # gradients must be the very sums the keep-everything sweep adds
+        params = EncoderParams.init(3, 16, seed=2)
+        graphs = corpus_graphs()
+        levels = encode_multilevel(graphs, params, dropout_rate=0.1, rng=np.random.default_rng(3))
+        loss = sum_all(mul(levels, Tensor(np.random.default_rng(4).normal(size=levels.shape))))
+        watched = list(params.tensors().values())
+        got = backward(loss, params=watched)
+        want = backward_every_node(loss, watched)
+        assert set(got) == set(watched)
+        for t in watched:
+            assert got[t].tobytes() == want[t].tobytes()

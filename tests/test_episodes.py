@@ -306,10 +306,12 @@ class TestSynthGenerate:
             synth_generate(1, 0, 3, seed=0)
 
     # SHA-256 digests of the generator's output, taken before synth
-    # skipped re-parsing candidates it had already classed and before the
-    # column-code featurizer: both must leave every task, molecule, label
-    # and feature byte as it was, since the benchmark and criterion 5
-    # train on these tasks.
+    # skipped re-parsing candidates it had already classed, before the
+    # column-code featurizer and before graphs were stored as bool rows
+    # and int32 bonds: each must leave every task, molecule, label and
+    # feature value as it was, since the benchmark and criterion 5 train
+    # on these tasks.  The digest reads the rows as float64 and the bonds
+    # as a list of int pairs, the stored form when it was taken.
     def test_registry_is_pinned(self):
         registry = synth_generate(6, 2, 20, seed=0)
         digest = hashlib.sha256()
@@ -317,9 +319,10 @@ class TestSynthGenerate:
             for record in records:
                 digest.update(f"{split}/{record.task_id}\n".encode())
                 for ex in record.examples:
-                    digest.update(f"{ex.smiles}\t{ex.label}\t{ex.graph.bonds}\n".encode())
-                    digest.update(ex.graph.atom_feats.tobytes())
-                    digest.update(ex.graph.bond_feats.tobytes())
+                    bonds = [tuple(map(int, b)) for b in ex.graph.bonds]
+                    digest.update(f"{ex.smiles}\t{ex.label}\t{bonds}\n".encode())
+                    digest.update(ex.graph.atom_feats.astype(np.float64).tobytes())
+                    digest.update(ex.graph.bond_feats.astype(np.float64).tobytes())
         assert digest.hexdigest() == (
             "5438d4fbd06c54831abcec8084b5a1deff4c47e8e79c0d545713f441da3002ac"
         )

@@ -308,6 +308,19 @@ class TestMetaTrain:
         assert len(alive_at_start) == batch_tasks
         assert max(alive_at_start) <= 2
 
+    def test_running_sums_copy_gradients_that_alias(self):
+        # add's VJP hands one array to both parents, so the sums that
+        # meta_train adds into in place must start as copies
+        shared = np.arange(4.0).reshape(2, 2)
+        gmap = {"a": shared, "b": shared, "eps": np.array(1.5)}
+        sums = meta._owned_sums(gmap)
+        for name, g in gmap.items():
+            assert sums[name].shape == g.shape and not np.shares_memory(sums[name], g)
+            np.testing.assert_array_equal(sums[name], g)
+        sums["a"] += 1.0
+        np.testing.assert_array_equal(sums["b"], np.arange(4.0).reshape(2, 2))
+        np.testing.assert_array_equal(shared, np.arange(4.0).reshape(2, 2))
+
     def test_one_epoch_matches_hand_stepped_oracle(self):
         # replay epoch 0 outside the trainer: sample the same batch and
         # episodes, adapt, take gradients at the adapted point and apply

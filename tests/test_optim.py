@@ -67,3 +67,33 @@ def test_names_the_config_refuses_are_refused(kind):
     # RunConfig.validate checks train.optimizer against OPTIMIZERS exactly
     with pytest.raises(ValueError, match="expected one of"):
         make_optimizer(kind, LR)
+
+
+def read_only(arrays):
+    arrays = {name: np.asarray(a) for name, a in arrays.items()}  # 0-d steps return scalars
+    for a in arrays.values():
+        a.flags.writeable = False
+    return arrays
+
+
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+def test_step_writes_into_neither_input_and_returns_fresh_arrays(kind):
+    # meta_train keeps the best epoch's weights by reference, so a step
+    # must never write into the values it is given or hand back an array
+    # it will later update in place; the gradients belong to the caller
+    rng = np.random.default_rng(5)
+    values = read_only({"w": rng.normal(size=(3, 2)), "eps": np.array(0.5)})
+    opt = make_optimizer(kind, LR, weight_decay=DECAY)
+    seen = []
+    for _ in range(3):
+        grads = read_only({"w": rng.normal(size=(3, 2)), "eps": np.array(-1.0)})
+        before = [{name: a.copy() for name, a in d.items()} for d in (values, grads)]
+        out = opt.step(values, grads)
+        for name in grads:
+            np.testing.assert_array_equal(values[name], before[0][name])
+            np.testing.assert_array_equal(grads[name], before[1][name])
+            assert not np.shares_memory(out[name], values[name])
+            assert not np.shares_memory(out[name], grads[name])
+            assert all(not np.shares_memory(out[name], old) for old in seen), name
+            seen.append(out[name])
+        values = read_only(out)

@@ -6,6 +6,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import molmatch
@@ -310,3 +311,46 @@ def test_each_choice_list_has_one_owner():
         and not any(value is t for t in config_tuples)
     ]
     assert not own, f"taskrel defines choice tuples of its own: {own}"
+
+
+def test_stored_graphs_keep_the_compact_layout():
+    # a registry holds every molecule at once, so a MolGraph keeps its
+    # one-hot rows as bool and its bonds as one int32 [n_bonds, 2] array
+    from molmatch.smiles import graph_from_smiles
+
+    corpus = Path(molmatch.__file__).with_name("data") / "smiles_corpus.txt"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    graphs = [graph_from_smiles(line.split("\t")[0]) for line in lines if line and line[0] != "#"]
+    assert len(graphs) == 50
+    for g in graphs:
+        assert g.atom_feats.dtype == g.bond_feats.dtype == np.bool_, g.source_smiles
+        assert g.bonds.dtype == np.int32 and g.bonds.shape == (g.n_bonds, 2), g.source_smiles
+
+
+def test_only_the_graph_batch_widens_stored_graphs():
+    # encoder.GraphBatch casts the stored rows to float64 once per batch;
+    # no other code widens a MolGraph's rows
+    rows = {"atom_feats", "bond_feats"}
+    wide = {"float64", "float", "double"}
+
+    def names(node):
+        for sub in ast.walk(node):
+            yield getattr(sub, "attr", None) or getattr(sub, "id", None) or getattr(sub, "value", None)
+
+    def widening_scopes(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call):
+                found = set(names(child))
+                if found & rows and found & wide:
+                    yield inner
+            yield from widening_scopes(child, inner)
+
+    scopes = {
+        scope
+        for name, tree in package_trees().items()
+        for scope in widening_scopes(tree, name.removesuffix(".py"))
+    }
+    assert scopes == {"encoder.GraphBatch.__init__"}

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,20 @@ class TestFeaturize:
     def test_source_smiles_retained(self):
         assert graph_from_smiles("CCO").source_smiles == "CCO"
 
+    def test_stored_graphs_are_compact(self):
+        # a registry holds every molecule at once: bool rows and int32
+        # bonds take about 0.8 KB a graph here, float64 rows and a list
+        # of bond tuples took 2.95 KB
+        smiles = [s for s, _, _ in corpus_rows()] * 40
+        tracemalloc.start()
+        try:
+            graphs = [graph_from_smiles(s) for s in smiles]
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_graph = grown / len(graphs)
+        assert per_graph < 1.5 * 1024, f"{per_graph:.0f} bytes per stored graph"
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.one_of(SYNTH_MOLECULES, HUB_MOLECULES))
     @example("C")  # one atom, no bonds
@@ -317,10 +332,13 @@ class TestFeaturize:
         mol = parse(smiles)
         graph = featurize(mol)
         atom_rows, bond_rows = featurize_by_rows(mol)
+        # stored compact: bool rows and int32 bonds, the reference's values
+        assert graph.atom_feats.dtype == graph.bond_feats.dtype == np.bool_
+        assert graph.bonds.dtype == np.int32 and graph.bonds.shape == (len(mol.bonds), 2)
         for got, want in ((graph.atom_feats, atom_rows), (graph.bond_feats, bond_rows)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), smiles
-        assert graph.bonds == [(u, v) for u, v, _ in mol.bonds]
+            assert got.shape == want.shape
+            assert got.astype(np.float64).tobytes() == want.tobytes(), smiles
+        assert graph.bonds.tolist() == [[u, v] for u, v, _ in mol.bonds]
 
 
 class TestIsomorphism:

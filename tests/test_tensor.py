@@ -31,7 +31,13 @@ from molmatch.tensor import (
     sum_all,
     transpose,
 )
-from oracles import add_at_rows, assert_grads_match, broadcast_batched_matmul, fd_gradients
+from oracles import (
+    add_at_rows,
+    assert_grads_match,
+    backward_every_node,
+    broadcast_batched_matmul,
+    fd_gradients,
+)
 
 
 def leaf(rng, *shape):
@@ -436,6 +442,22 @@ class TestBackwardSemantics:
         x = Tensor([2.0], requires_grad=True)
         grads = backward(sum_all(mul(x.detach(), x)))
         np.testing.assert_array_equal(grads[x], [2.0])  # only the live branch
+
+    def test_map_holds_the_reached_leaves_and_params_only(self):
+        # every op node's gradient is dropped once consumed, unless the
+        # node is in params; add's VJP hands one array to both parents
+        rng = np.random.default_rng(7)
+        x, y, unreached = leaf(rng, 3, 3), leaf(rng, 3, 3), leaf(rng, 2)
+        const = Tensor(rng.normal(size=(3, 3)))
+        shared = add(x, x)
+        watched = matmul(relu(shared), y)
+        loss = sum_all(mul(add(watched, softmax_rows(add(shared, const))), watched))
+        params = [y, watched, unreached]
+        got = backward(loss, params=params)
+        assert set(got) == {x, y, watched, unreached}
+        want = backward_every_node(loss, params)
+        for t in got:
+            assert got[t].tobytes() == want[t].tobytes()
 
     def test_op_output_inherits_requires_grad(self):
         a = Tensor(np.ones(2))
