@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -206,6 +207,20 @@ def _csv_file(path, header: list):
         yield writer
 
 
+@contextmanager
+def _ties_logged(subject: str):
+    """Run the block with ``metrics.auprc``'s tied-scores warnings caught;
+    log one line naming ``subject`` if it raised any, and show the rest."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", metrics.TIED_SCORES, RuntimeWarning)
+        yield
+    for w in caught:
+        if str(w.message) != metrics.TIED_SCORES:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if any(str(w.message) == metrics.TIED_SCORES for w in caught):
+        log.warning("%s: tied scores across classes; AUPRC depends on query order", subject)
+
+
 def _read_molecules(path):
     """Each non-blank line of ``path`` as (line number, SMILES, graph or
     the ``SmilesError`` that parsing it raised)."""
@@ -270,7 +285,8 @@ def cmd_train(args) -> int:
                 entry.wall_seconds,
             )
 
-    model, logs = meta_train(registry, cfg, on_epoch=report)
+    with _ties_logged("validation"):
+        model, logs = meta_train(registry, cfg, on_epoch=report)
     best = best_epoch(logs)
     epochs = len(logs) if best is None else best + 1
     _save_model(args.out, model, cfg, epoch=epochs)
@@ -326,10 +342,11 @@ def cmd_eval(args) -> int:
             continue
         skipped = repeats - len(scored)
         status = "ok" if not skipped else f"ok:{skipped}-repeats-skipped"
-        results = {
-            name: metrics.aggregate([fn(s, y) for s, y in scored])
-            for name, fn in EVAL_METRICS.items()
-        }
+        with _ties_logged(f"task {task.task_id}"):
+            results = {
+                name: metrics.aggregate([fn(s, y) for s, y in scored])
+                for name, fn in EVAL_METRICS.items()
+            }
         rows.append((task.task_id, status, results))
 
     per_task = [results for _, _, results in rows if results]

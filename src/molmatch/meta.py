@@ -44,6 +44,7 @@ __all__ = [
     "split_support",
     "episode_loss",
     "inner_adapt",
+    "adapt_labelled",
     "meta_train",
     "finetune_and_predict",
     "finetune_and_predict_detailed",
@@ -253,6 +254,7 @@ def inner_adapt(
     share no term, so each episode's weights receive exactly the
     gradient, and take exactly the steps, that adapting it alone gives.
     An episode whose loss or gradient goes non-finite leaves its stack.
+    The program calls it through ``adapt_labelled``, which draws the splits.
 
     Returns w stacked [E, ...] by name, each episode's inner-loss
     history, and the NumericalError of each episode whose adaptation
@@ -322,11 +324,11 @@ def _outer_task_step(
     point and return its gradients keyed by shared-parameter name.
 
     The episode's molecules are encoded once, graph-tracked, and the
-    outer loss reads those levels.  The inner loop adapts on the
-    inference-mode rows of its split, support side first: theta does not
-    change before the outer loss, so without encoder dropout those are
-    the detached levels; dropped-out rows are not, so with encoder
-    dropout the split is encoded again by ``encode_frozen``.
+    outer loss reads those levels.  ``adapt_labelled`` adapts w on the
+    inference-mode rows of the support: theta does not change before the
+    outer loss, so without encoder dropout those are the detached levels;
+    dropped-out rows are not, so with encoder dropout the support is
+    encoded again by ``encode_frozen``, in episode order.
     """
     seed = cfg.train.seed
     episode = sample_episode(task, cfg.protocol, [seed, KEY_EPISODE, epoch, slot])
@@ -334,23 +336,14 @@ def _outer_task_step(
     graphs = [g for g, _ in pairs]
     labels = np.asarray([y for _, y in pairs], dtype=np.float64)
     n_support = len(episode.support)
-    s_rows, q_rows = split_support(
-        labels[:n_support], cfg.train.support_split_fraction, [seed, KEY_SPLIT, epoch, slot]
-    )
     rng = _rng(seed, KEY_DROPOUT, epoch, slot)
     levels = encode_multilevel(graphs, model.encoder, dropout_rate=cfg.encoder.dropout, rng=rng)
-    split = s_rows + q_rows
+    frozen = levels.values
     if cfg.encoder.dropout > 0.0:
-        frozen = encode_frozen([graphs[i] for i in split], model.encoder)
-    else:
-        frozen = levels.values[:, split]
-    w, _, errors = inner_adapt(
-        model.matcher,
-        frozen,
-        labels[split],
-        [(np.arange(len(s_rows)), np.arange(len(s_rows), len(split)))],
-        cfg.train,
-        task.task_id,
+        frozen = encode_frozen(graphs[:n_support], model.encoder)
+    support = np.arange(n_support)[None]
+    w, _, errors = adapt_labelled(
+        model.matcher, frozen, labels, support, cfg, [[seed, KEY_SPLIT, epoch, slot]], task.task_id
     )
     if errors:
         raise errors[0]
@@ -512,7 +505,7 @@ def score_task(
     support = np.array([np.searchsorted(used, e.support_idx) for _, e in episodes])
     query = np.array([np.searchsorted(used, e.query_idx) for _, e in episodes])
     fine_seeds = [[*seed, 1] for seed, _ in episodes]
-    w, _, errors = _adapt_labelled(
+    w, _, errors = adapt_labelled(
         model.matcher, stacked, labels, support, cfg, fine_seeds, task.task_id
     )
     levels = Tensor(stacked)
@@ -526,7 +519,7 @@ def score_task(
     return [(p[:, 0], [y for _, y in episode.query]) for p, (_, episode) in zip(probs, episodes)]
 
 
-def _adapt_labelled(
+def adapt_labelled(
     match_params: MatchParams,
     stacked: np.ndarray,
     labels: np.ndarray,
@@ -535,11 +528,12 @@ def _adapt_labelled(
     seeds,
     task_id: str,
 ) -> tuple[dict[str, np.ndarray], list[list[float]], dict[int, NumericalError]]:
-    """Test-time adaptation of w for E episodes on the rows of one frozen
-    [L, n, d] stack: episode e's labelled set is the rows
-    ``labelled_rows[e]``, labelled ``labels[r]``, and it adapts w on the
-    split ``seeds[e]`` makes of that set.  Returns what ``inner_adapt``
-    returns for those splits.
+    """Adaptation of w for E episodes on the rows of one frozen [L, n, d]
+    stack, for training, eval, validation, predict and task vectors
+    alike: episode e's labelled set is the rows ``labelled_rows[e]``,
+    labelled ``labels[r]``, and it adapts w on the split ``seeds[e]``
+    makes of that set.  Returns what ``inner_adapt`` returns for those
+    splits.
     """
     splits = [
         [rows[side] for side in split_support(labels[rows], cfg.train.support_split_fraction, seed)]
@@ -603,7 +597,7 @@ def finetune_and_predict_detailed(
         raise ValueError("finetune_and_predict: empty query list")
     support = encode_frozen([g for g, _ in support_set], model.encoder)
     labels = np.asarray([y for _, y in support_set], dtype=np.float64)
-    w, _, errors = _adapt_labelled(
+    w, _, errors = adapt_labelled(
         model.matcher, support, labels, np.arange(len(labels))[None], cfg, [seed], "finetune"
     )
     if errors:

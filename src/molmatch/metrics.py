@@ -24,6 +24,8 @@ __all__ = [
     "pca_project",
 ]
 
+TIED_SCORES = "tied scores across classes: average precision depends on input order"
+
 
 class MetricError(ValueError):
     """Scores and labels unusable for the requested metric."""
@@ -80,11 +82,7 @@ def auprc(scores, labels) -> float:
     sorted_labels = y[order]
     dup = sorted_scores[1:] == sorted_scores[:-1]
     if np.any(dup & (sorted_labels[1:] != sorted_labels[:-1])):
-        warnings.warn(
-            "tied scores across classes: average precision depends on input order",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(TIED_SCORES, RuntimeWarning, stacklevel=2)
     tp = np.cumsum(sorted_labels)
     k = np.arange(1, y.size + 1)
     precision = tp / k

@@ -19,7 +19,7 @@ from .config import METRICS, MODES, RunConfig
 from .encoder import encode_frozen
 from .episodes import TaskRecord, sample_episode
 from .matcher import MatchParams
-from .meta import KEY_EPISODE, KEY_SPLIT, ModelParams, NumericalError, inner_adapt, split_support
+from .meta import KEY_EPISODE, KEY_SPLIT, ModelParams, NumericalError, adapt_labelled
 
 __all__ = [
     "TaskVector",
@@ -61,30 +61,24 @@ def _unflatten(params: MatchParams, vector: np.ndarray) -> MatchParams:
 
 
 def task_vector(task: TaskRecord, model: ModelParams, cfg: RunConfig, mode: str, seed) -> TaskVector:
-    """Summarise a task as a fixed-length vector under the chosen mode."""
+    """Summarise a task as a fixed-length vector under the chosen mode;
+    both modes read its sampled support, encoded once in episode order."""
     if mode not in MODES:
         raise ValueError(f"unknown task-vector mode {mode!r} (expected one of {MODES})")
     base = list(seed)
     episode = sample_episode(task, cfg.protocol, base + [KEY_EPISODE])
+    stacked = encode_frozen([g for g, _ in episode.support], model.encoder)
     if mode == "adapted-w-delta":
         labels = np.asarray([y for _, y in episode.support], dtype=np.float64)
-        s_rows, q_rows = split_support(labels, cfg.train.support_split_fraction, base + [KEY_SPLIT])
-        split = s_rows + q_rows
-        stacked = encode_frozen([episode.support[i][0] for i in split], model.encoder)
-        w, _, errors = inner_adapt(
-            model.matcher,
-            stacked,
-            labels[split],
-            [(np.arange(len(s_rows)), np.arange(len(s_rows), len(split)))],
-            cfg.train,
-            task.task_id,
+        support = np.arange(len(labels))[None]
+        w, _, errors = adapt_labelled(
+            model.matcher, stacked, labels, support, cfg, [base + [KEY_SPLIT]], task.task_id
         )
         if errors:
             raise errors[0]
         w_tau = model.matcher.replace_values({name: v[0] for name, v in w.items()})
         return TaskVector(task.task_id, _flatten(w_tau) - _flatten(model.matcher), mode)
-    graphs = [g for g, _ in episode.support]
-    vec = np.concatenate([z.mean(axis=0) for z in encode_frozen(graphs, model.encoder)])
+    vec = np.concatenate([z.mean(axis=0) for z in stacked])
     if not np.isfinite(vec).all():
         raise NumericalError(f"task {task.task_id}: non-finite mean support embedding")
     return TaskVector(task.task_id, vec, mode)

@@ -13,12 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molmatch import cli, encoder, meta
+from molmatch import cli, encoder, meta, metrics
 from molmatch.checkpoint import load_checkpoint, save_checkpoint
 from molmatch.cli import _save_model, main
 from molmatch.episodes import load_registry, sample_episode
 from molmatch.meta import finetune_and_predict
-from helpers import SCENARIO_CONFIG, cli_scenario, first_name_offset, poison_first_gradient
+from helpers import (
+    SCENARIO_CONFIG,
+    cli_scenario,
+    distinct_smiles,
+    first_name_offset,
+    poison_first_gradient,
+)
 from molmatch.config import RunConfig
 from molmatch.meta import init_model
 
@@ -735,6 +741,71 @@ class TestEval:
         assert not (tmp_path / "m.ckpt").exists()
         assert main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(workspace["data"])]) == 4
         assert "non-finite gradient" in capsys.readouterr().err
+
+
+class TestTiedScores:
+    """A task that lists each molecule twice, with opposite labels, gives
+    every such pair of queries one score: ``metrics.auprc`` warns, and the
+    CLI turns its warnings into one log line instead of letting them out."""
+
+    @staticmethod
+    def tied_data(root):
+        data = root / "data"
+        assert main(["synth", "--out", str(data), "--train", "3", "--test", "0",
+                     "--molecules", "12", "--seed", "0"]) == 0
+        for split in ("valid", "test"):
+            (data / split).mkdir(exist_ok=True)
+            (data / split / f"tied-{split}.jsonl").write_text("".join(
+                json.dumps({"smiles": s, "label": y}) + "\n"
+                for s in distinct_smiles(20) for y in (0, 1)
+            ), encoding="utf-8")
+        config = root / "tied.cfg"
+        config.write_text(TINY_CONFIG.replace("query_size = 8", "query_size = 64"), encoding="utf-8")
+        return data, config
+
+    @staticmethod
+    def tie_lines(caplog):
+        return [r.getMessage() for r in caplog.records if "tied scores" in r.getMessage()]
+
+    def test_other_warnings_still_show(self, caplog):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            with caplog.at_level(logging.WARNING, logger="molmatch"):
+                with cli._ties_logged("task t"):
+                    for _ in range(3):
+                        metrics.auprc([0.5, 0.5], [0, 1])
+                    warnings.warn("unrelated", UserWarning)
+        assert [str(w.message) for w in shown] == ["unrelated"]
+        assert self.tie_lines(caplog) == [
+            "task t: tied scores across classes; AUPRC depends on query order"
+        ]
+
+    def test_eval_logs_one_line_per_tied_task(self, workspace, tmp_path, capsys, caplog):
+        data, _ = self.tied_data(tmp_path)
+        shutil.copy(workspace["data"] / "test" / "synth-0003.jsonl", data / "test")
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            assert main_without_warnings(
+                ["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(data)]
+            ) == 0
+        assert self.tie_lines(caplog) == [
+            "task tied-test: tied scores across classes; AUPRC depends on query order"
+        ]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+    def test_early_stopping_train_logs_one_line(self, tmp_path, capsys, caplog):
+        data, config = self.tied_data(tmp_path)
+        config.write_text(config.read_text().replace(
+            "max_epochs = 2", "max_epochs = 3\nearly_stop = true\npatience = 5"
+        ), encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            assert main_without_warnings(["train", "--config", str(config), "--data", str(data),
+                                          "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert self.tie_lines(caplog) == [
+            "validation: tied scores across classes; AUPRC depends on query order"
+        ]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 class TestPredict:

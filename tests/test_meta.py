@@ -233,7 +233,37 @@ class TestOuterTaskStep:
             self.model.matcher, stacked, self.labels, [self.split], self.cfg.train, "t"
         )
         ((_, (step,), _),) = adapted
-        np.testing.assert_allclose(step, plain, rtol=1e-12, atol=0)
+        if encoder_dropout > 0.0:  # the step encodes the support as the reference does
+            assert step == plain
+        else:  # the step reads the rows of its one graph-tracked encode
+            np.testing.assert_allclose(step, plain, rtol=1e-12, atol=0)
+
+    def test_undropped_step_equals_the_split_order_recipe(self):
+        # without encoder dropout the step adapts on the support's rows of
+        # the episode's own levels, read in place; this reference copies
+        # them out in split order first, and the bits must not tell apart
+        assert self.cfg.encoder.dropout == 0.0
+        value, grads = meta._outer_task_step(self.model, self.task, self.cfg, 0, 0)
+        pairs = self.episode.support + self.episode.query
+        labels = np.array([y for _, y in pairs], dtype=np.float64)
+        n_support = len(self.episode.support)
+        rng = meta._rng(self.cfg.train.seed, meta.KEY_DROPOUT, 0, 0)
+        levels = encode_multilevel([g for g, _ in pairs], self.model.encoder, dropout_rate=0.0, rng=rng)
+        s, q = self.split
+        w, _, _ = inner_adapt(
+            self.model.matcher, levels.values[:, s + q], labels[s + q],
+            [(np.arange(len(s)), np.arange(len(s), len(s + q)))], self.cfg.train, "t",
+        )
+        w_tau = self.model.matcher.replace_values({name: v[0] for name, v in w.items()})
+        loss = episode_loss(
+            levels, labels, np.arange(n_support), np.arange(n_support, len(pairs)), w_tau,
+            matcher_dropout=self.cfg.matcher.dropout, rng=rng,
+        )
+        expected = meta._named_grads(loss, meta.ModelParams.join(self.model.encoder, w_tau), "t")
+        assert np.float64(value).tobytes() == np.float64(loss.item()).tobytes()
+        assert list(grads) == list(expected)
+        for name, g in expected.items():
+            assert grads[name].tobytes() == g.tobytes(), name
 
 
 class TestEpisodeLoss:
@@ -439,9 +469,9 @@ class TestMetaTrain:
         # the balanced 4-example support takes both positives of "v", so
         # every query is negative: validation could never score an episode
         calls = []
-        real = meta._adapt_labelled
+        real = meta.adapt_labelled
         monkeypatch.setattr(
-            meta, "_adapt_labelled", lambda *a, **k: calls.append(a) or real(*a, **k)
+            meta, "adapt_labelled", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         registry = make_registry(self.registry().split_tasks("train"), valid=[chain_task("v", 10, 2)])
         cfg = tiny_cfg(meta_lr=0.0, early_stop=True, patience=2, max_epochs=30)
@@ -629,10 +659,10 @@ class TestScoreTask:
 
     @staticmethod
     def captured_calls(monkeypatch):
-        """Record the arguments of every ``_adapt_labelled`` call, the
+        """Record the arguments of every ``adapt_labelled`` call, the
         split sizes of every ``inner_adapt`` call and every backward sweep."""
         calls, shapes, sweeps = [], [], []
-        adapt_labelled, adapt, real_backward = meta._adapt_labelled, meta.inner_adapt, meta.backward
+        adapt_labelled, adapt, real_backward = meta.adapt_labelled, meta.inner_adapt, meta.backward
 
         def recording(*args):
             calls.append(args)
@@ -642,7 +672,7 @@ class TestScoreTask:
             shapes.append({(len(s), len(q)) for s, q in args[3]})
             return adapt(*args)
 
-        monkeypatch.setattr(meta, "_adapt_labelled", recording)
+        monkeypatch.setattr(meta, "adapt_labelled", recording)
         monkeypatch.setattr(meta, "inner_adapt", adapting)
         monkeypatch.setattr(
             meta, "backward", lambda *a, **k: sweeps.append(a) or real_backward(*a, **k)
@@ -680,7 +710,7 @@ class TestScoreTask:
             assert s_rows.tolist() == np.searchsorted(used, episode.support_idx).tolist()
             rows = levels[:, np.r_[s_rows, np.searchsorted(used, episode.query_idx)]]
             n_s = len(s_rows)
-            w, _, errors = meta._adapt_labelled(
+            w, _, errors = meta.adapt_labelled(
                 self.model.matcher, rows, labels[s_rows], np.arange(n_s)[None], cfg, [fine_seed],
                 task_id,
             )
@@ -714,7 +744,7 @@ class TestScoreTask:
             tuple(map(len, split_support(labels[r], cfg.train.support_split_fraction, seed)))
             for r, seed in zip(rows, seeds)
         }) == 2
-        w, histories, errors = meta._adapt_labelled(
+        w, histories, errors = meta.adapt_labelled(
             self.model.matcher, stacked, labels, rows, cfg, seeds, "t"
         )
         assert list(errors) == [1]
@@ -723,7 +753,7 @@ class TestScoreTask:
         for name, t in self.model.matcher.tensors().items():
             assert w[name][1].tobytes() == t.values.tobytes(), name
         for e in (0, 2, 3):
-            w_alone, (history,), errors = meta._adapt_labelled(
+            w_alone, (history,), errors = meta.adapt_labelled(
                 self.model.matcher, stacked, labels, [rows[e]], cfg, [seeds[e]], "t"
             )
             assert errors == {}

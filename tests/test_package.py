@@ -75,12 +75,14 @@ def meta_callers(*names: str) -> dict[str, set[str]]:
 
 
 def test_test_time_adaptation_has_one_owner():
-    # training's outer step and test time's _adapt_labelled (eval,
-    # validation, predict) split labelled rows with split_support and
-    # adapt w through the one inner loop, inner_adapt
-    assert meta_callers("inner_adapt", "split_support") == {
-        "inner_adapt": {"_outer_task_step", "_adapt_labelled"},
-        "split_support": {"_outer_task_step", "_adapt_labelled"},
+    # adaptation has one entry point: adapt_labelled alone splits labelled
+    # rows with split_support and adapts w through inner_adapt, for
+    # training's outer step, score_task (eval, validation), predict and
+    # taskrel alike
+    assert meta_callers("inner_adapt", "split_support", "adapt_labelled") == {
+        "inner_adapt": {"adapt_labelled"},
+        "split_support": {"adapt_labelled"},
+        "adapt_labelled": {"_outer_task_step", "score_task", "finetune_and_predict_detailed"},
     }
 
 
@@ -122,8 +124,9 @@ def test_only_the_matcher_builds_layer_predictions():
 
 
 def test_taskrel_adapts_only_through_the_inner_loop():
-    # an adapted-w-delta task vector adapts w with meta.inner_adapt on the
-    # frozen rows of its split; taskrel neither matches nor differentiates
+    # an adapted-w-delta task vector adapts w through meta.adapt_labelled,
+    # the entry point of the inner loop, on the frozen rows of its support;
+    # taskrel neither splits, matches nor differentiates
     tree = package_trees()["taskrel.py"]
     imported = {
         alias.name: node.module
@@ -131,11 +134,14 @@ def test_taskrel_adapts_only_through_the_inner_loop():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert imported["inner_adapt"] == "meta"
-    assert not {"backward", "match_levels", "episode_loss", "predict_detailed"} & set(imported)
+    assert imported["adapt_labelled"] == "meta"
+    assert not {
+        "inner_adapt", "split_support", "backward", "match_levels", "episode_loss",
+        "predict_detailed",
+    } & set(imported)
     (call,) = [
         node for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "inner_adapt"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "adapt_labelled"
     ]
     assert ast.unparse(call.args[0]) == "model.matcher"
 

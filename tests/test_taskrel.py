@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from molmatch.config import RunConfig
+from molmatch import taskrel
+from molmatch.config import MODES, RunConfig
+from molmatch.encoder import encode_frozen
+from molmatch.episodes import sample_episode
 from molmatch.matcher import MatchParams
-from molmatch.meta import init_model
+from molmatch.meta import KEY_EPISODE, KEY_SPLIT, adapt_labelled, init_model, inner_adapt, split_support
 from molmatch.taskrel import (
     TaskVector,
     allocate_shadow_block,
@@ -338,6 +341,60 @@ class TestTaskVector:
         model = init_model(cfg)
         tv = task_vector(chain_task("t", 12, 5), model, cfg, "adapted-w-delta", seed=[2])
         np.testing.assert_array_equal(tv.vector, 0.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_support_is_encoded_once(self, monkeypatch, mode):
+        cfg = self.cfg()
+        encoded = []
+        real = taskrel.encode_frozen
+        monkeypatch.setattr(
+            taskrel, "encode_frozen", lambda graphs, params: encoded.append(graphs) or real(graphs, params)
+        )
+        task = chain_task("t", 12, 5)
+        task_vector(task, init_model(cfg), cfg, mode, seed=[4])
+        episode = sample_episode(task, cfg.protocol, [4, KEY_EPISODE])
+        assert encoded == [[g for g, _ in episode.support]]  # once, in episode order
+
+    def wide(self):
+        """Paper width and a 20-example support, where a row's place in the
+        encoder batch shows in the last bits: (cfg, model, task, the
+        sampled episode, its support's labels and frozen rows in episode
+        order)."""
+        cfg = self.cfg()
+        cfg.encoder.hidden, cfg.protocol.support_size = 300, 20
+        model = init_model(cfg)
+        task = chain_task("t", 40, 19)
+        episode = sample_episode(task, cfg.protocol, [3, KEY_EPISODE])
+        labels = np.array([y for _, y in episode.support], dtype=np.float64)
+        stacked = encode_frozen([g for g, _ in episode.support], model.encoder)
+        return cfg, model, task, episode, labels, stacked
+
+    def test_adapted_delta_is_what_adapt_labelled_gives(self):
+        cfg, model, task, _, labels, stacked = self.wide()
+        tv = task_vector(task, model, cfg, "adapted-w-delta", seed=[3])
+        w, _, errors = adapt_labelled(
+            model.matcher, stacked, labels, np.arange(len(labels))[None], cfg, [[3, KEY_SPLIT]], "t"
+        )
+        assert errors == {}
+        named = sorted(model.matcher.tensors().items())
+        delta = np.concatenate([(w[name][0] - t.values).reshape(-1) for name, t in named])
+        assert tv.vector.tobytes() == delta.tobytes()
+
+    def test_adapted_delta_is_near_the_split_order_recipe(self):
+        # the split's rows, encoded alone support side first, adapt to the
+        # same w up to the rounding of their place in the encoder batch
+        cfg, model, task, episode, labels, _ = self.wide()
+        tv = task_vector(task, model, cfg, "adapted-w-delta", seed=[3])
+        s, q = split_support(labels, cfg.train.support_split_fraction, [3, KEY_SPLIT])
+        rows = encode_frozen([episode.support[i][0] for i in s + q], model.encoder)
+        w, _, errors = inner_adapt(
+            model.matcher, rows, labels[s + q], [(np.arange(len(s)), np.arange(len(s), len(s + q)))],
+            cfg.train, "t",
+        )
+        assert errors == {}
+        named = sorted(model.matcher.tensors().items())
+        recipe = np.concatenate([(w[name][0] - t.values).reshape(-1) for name, t in named])
+        np.testing.assert_allclose(tv.vector, recipe, rtol=0, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
         cfg = self.cfg()
