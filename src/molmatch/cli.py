@@ -384,14 +384,11 @@ def _fmt(value) -> str:
 def _read_support_file(path) -> list[tuple]:
     record, malformed = load_task_file(Path(path))
     if malformed:
-        print(f"support file: {malformed} malformed lines skipped", file=sys.stderr)
+        log.warning("support file: %d malformed lines skipped", malformed)
     if not record.examples:
         raise DataError(f"{path}: no usable support examples")
     if min(record.class_counts()) == 0:
-        print(
-            "warning: single-class support set; predictions will be degenerate",
-            file=sys.stderr,
-        )
+        log.warning("single-class support set; predictions will be degenerate")
     return [(e.graph, e.label) for e in record.examples]
 
 

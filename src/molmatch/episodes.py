@@ -2,8 +2,10 @@
 
 A dataset lives on disk as ``root/{train,valid,test}/<task_id>.jsonl``
 with one ``{"smiles": ..., "label": 0|1}`` record per line.  Loading
-parses and featurizes every molecule of the splits asked for once;
-episodes then sample from the cached graphs.
+parses and featurizes each distinct SMILES of the splits asked for once:
+every example that lists the string, in any task file or split, holds
+that one read-only graph with its own label.  ``synth_generate`` shares
+its graphs the same way.  Episodes then sample from the cached graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ProtocolConfig
-from .smiles import MolGraph, SmilesError, featurize, graph_from_smiles, parse
+from .smiles import MolGraph, SmilesError, graph_from_smiles
 
 __all__ = [
     "DataError",
@@ -98,9 +100,20 @@ def read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_task_file(path: Path) -> tuple[TaskRecord, int]:
+def _shared_graph(graphs: dict[str, MolGraph], smiles: str) -> MolGraph:
+    """The graph of ``smiles``: parsed on its first sight, then shared."""
+    graph = graphs.get(smiles)
+    if graph is None:
+        graph = graphs[smiles] = graph_from_smiles(smiles)
+    return graph
+
+
+def load_task_file(path: Path, graphs: dict[str, MolGraph] | None = None) -> tuple[TaskRecord, int]:
     """One task's featurized examples and its count of malformed lines,
-    which are skipped with a warning."""
+    which are skipped with a warning.  ``graphs`` maps each SMILES seen so
+    far to its graph, and gains the file's new ones; a SMILES already there
+    is not parsed again."""
+    graphs = {} if graphs is None else graphs
     examples = []
     malformed = 0
     for line_no, line in enumerate(read_lines(path), start=1):
@@ -115,7 +128,7 @@ def load_task_file(path: Path) -> tuple[TaskRecord, int]:
                 raise ValueError(f"smiles must be a string, got {json.dumps(smiles)}")
             if isinstance(label, bool) or label not in (0, 1):  # JSON true == 1 in Python
                 raise ValueError(f"label must be 0 or 1, got {json.dumps(label)}")
-            graph = graph_from_smiles(smiles)
+            graph = _shared_graph(graphs, smiles)
         except (KeyError, ValueError, TypeError, SmilesError) as exc:
             malformed += 1
             log.warning("%s line %d skipped: %s", path.name, line_no, exc)
@@ -130,7 +143,8 @@ def load_registry(root, splits=SPLITS) -> Registry:
 
     Malformed lines are skipped and tasks with fewer than two usable
     examples are dropped, each with a warning.  A task id appearing in
-    more than one split is an error, in every split.
+    more than one split is an error, in every split.  Each distinct
+    SMILES is parsed once, and its examples share the one graph.
     """
     root = Path(root)
     if not root.is_dir():
@@ -150,12 +164,13 @@ def load_registry(root, splits=SPLITS) -> Registry:
     if not seen:
         raise DataError(f"no task files found under {root} (expected train/valid/test subdirs)")
     registry = Registry()
+    graphs: dict[str, MolGraph] = {}
     for split, paths in split_paths.items():
         if split not in splits:
             continue
         records = []
         for path in paths:
-            record, _ = load_task_file(path)
+            record, _ = load_task_file(path, graphs)
             if len(record.examples) < 2:
                 log.warning("task %s skipped: fewer than 2 usable examples", record.task_id)
                 continue
@@ -336,25 +351,27 @@ def _random_molecule(rng: np.random.Generator) -> str:
 
 
 def _rule_pool(rng: np.random.Generator) -> tuple[str, Callable]:
-    """Draw a labelling rule: its name and its test of a parsed molecule."""
+    """Draw a labelling rule: its name and its test of a molecule's graph."""
     roll = rng.random()
     if roll < 0.5:
         element = ("O", "N", "S", "F", "Cl")[int(rng.integers(5))]
-        return f"element:{element}", lambda mol: any(a.element == element for a in mol.atoms)
+        return f"element:{element}", lambda graph: graph.has_element(element)
     if roll < 0.7:
-        return "ring", lambda mol: len(mol.bonds) >= len(mol.atoms)  # cyclomatic number >= 1
+        return "ring", lambda graph: graph.n_bonds >= graph.n_atoms  # cyclomatic number >= 1
     if roll < 0.9:
-        return "double_bond", lambda mol: any(order == "double" for _, _, order in mol.bonds)
+        return "double_bond", lambda graph: graph.has_bond_order("double")
     min_atoms = int(rng.integers(6, 10))
-    return f"atoms>={min_atoms}", lambda mol: len(mol.atoms) >= min_atoms
+    return f"atoms>={min_atoms}", lambda graph: graph.n_atoms >= min_atoms
 
 
-def _synth_task(task_id: str, n_molecules: int, rng: np.random.Generator) -> TaskRecord:
+def _synth_task(
+    task_id: str, n_molecules: int, rng: np.random.Generator, graphs: dict[str, MolGraph]
+) -> TaskRecord:
     rule, applies = _rule_pool(rng)
     target_pos = int(round(n_molecules * rng.uniform(0.4, 0.6)))
     target_pos = min(max(target_pos, int(0.35 * n_molecules) + 1), int(0.65 * n_molecules))
-    pos_pool: dict[str, object] = {}
-    neg_pool: dict[str, object] = {}
+    pos_pool: dict[str, MolGraph] = {}
+    neg_pool: dict[str, MolGraph] = {}
     attempts = 0
     while (len(pos_pool) < target_pos or len(neg_pool) < n_molecules - target_pos) and attempts < 20000:
         attempts += 1
@@ -362,17 +379,17 @@ def _synth_task(task_id: str, n_molecules: int, rng: np.random.Generator) -> Tas
         if smiles in pos_pool or smiles in neg_pool:
             continue  # already classed; parse draws nothing from rng
         try:
-            mol = parse(smiles)
+            graph = _shared_graph(graphs, smiles)
         except SmilesError:  # template bug guard; templates should always parse
             continue
-        pool = pos_pool if applies(mol) else neg_pool
-        pool[smiles] = mol
+        pool = pos_pool if applies(graph) else neg_pool
+        pool[smiles] = graph
     if len(pos_pool) < target_pos or len(neg_pool) < n_molecules - target_pos:
         raise DataError(f"synthetic task {task_id}: could not reach class balance for {rule}")
     examples = [
-        TaskExample(s, 1, featurize(m)) for s, m in list(pos_pool.items())[:target_pos]
+        TaskExample(s, 1, g) for s, g in list(pos_pool.items())[:target_pos]
     ] + [
-        TaskExample(s, 0, featurize(m)) for s, m in list(neg_pool.items())[: n_molecules - target_pos]
+        TaskExample(s, 0, g) for s, g in list(neg_pool.items())[: n_molecules - target_pos]
     ]
     order = rng.permutation(len(examples))
     return TaskRecord(task_id=task_id, examples=[examples[i] for i in order])
@@ -389,18 +406,21 @@ def synth_generate(
 
     Labels come from simple structural rules (contains element E, has a
     ring, has a double bond, has at least k atoms) applied to each
-    molecule, with per-task class balance kept within 35-65%.
+    molecule, with per-task class balance kept within 35-65%.  Each
+    distinct candidate SMILES is parsed once, and every task that lists
+    it shares the one graph.
     """
     if molecules_per_task < 4:
         raise DataError("synthetic tasks need at least 4 molecules each")
     registry = Registry()
     plan = [("train", n_train), ("valid", n_valid), ("test", n_test)]
     counter = 0
+    graphs: dict[str, MolGraph] = {}
     for split, count in plan:
         records = []
         for _ in range(count):
             rng = np.random.default_rng([int(seed), counter])
-            records.append(_synth_task(f"synth-{counter:04d}", molecules_per_task, rng))
+            records.append(_synth_task(f"synth-{counter:04d}", molecules_per_task, rng, graphs))
             counter += 1
         registry.tasks[split] = records
     return registry

@@ -311,6 +311,8 @@ class MolGraph:
     holding each undirected bond once as (u, v) with u < v, one row per
     ``bond_feats`` row (possibly zero rows for single-atom molecules).
     ``encoder.GraphBatch`` widens the rows to float64, once per batch.
+    ``featurize`` makes the three arrays read-only, because every task
+    that lists a molecule shares its one graph.
     """
 
     atom_feats: np.ndarray
@@ -325,6 +327,14 @@ class MolGraph:
     @property
     def n_bonds(self) -> int:
         return self.bonds.shape[0]
+
+    def has_element(self, symbol: str) -> bool:
+        """Whether some atom is ``symbol``, one of ``ELEMENTS``."""
+        return bool(np.count_nonzero(self.atom_feats[:, _ELEMENT_COL[symbol]]))
+
+    def has_bond_order(self, order: str) -> bool:
+        """Whether some bond has ``order``, one of ``BOND_ORDERS``."""
+        return bool(np.count_nonzero(self.bond_feats[:, _BOND_COL[order]]))
 
 
 def featurize(mol: ParsedMolecule) -> MolGraph:
@@ -358,6 +368,8 @@ def featurize(mol: ParsedMolecule) -> MolGraph:
         hot = [row * D_BOND + _BOND_COL[order] for row, (_, _, order) in enumerate(mol.bonds)]
         bond_rows.reshape(-1)[np.array(hot, dtype=np.intp)] = True
         bonds[:] = [(u, v) for u, v, _ in mol.bonds]
+    for rows in (atom_rows, bonds, bond_rows):
+        rows.flags.writeable = False
     return MolGraph(
         atom_feats=atom_rows, bonds=bonds, bond_feats=bond_rows, source_smiles=mol.smiles
     )

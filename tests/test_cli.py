@@ -884,9 +884,9 @@ class TestPredict:
             fh.write('{"smiles": ["C", "C", "O"], "label": 1}\n{"smiles": "CCF", "label": true}\n')
         with caplog.at_level(logging.WARNING, logger="molmatch"):
             assert main(argv) == 0
-        out, err = capsys.readouterr()
-        assert out == clean
-        assert "support file: 2 malformed lines skipped" in err
+        assert capsys.readouterr().out == clean
+        skipped = ("molmatch", logging.WARNING, "support file: 2 malformed lines skipped")
+        assert skipped in caplog.record_tuples
         assert "line 9 skipped: smiles must be a string" in caplog.text
         assert "line 10 skipped: label must be 0 or 1, got true" in caplog.text
 
@@ -996,7 +996,7 @@ class TestPredict:
         per_query = (peaks[1024] - peaks[256]) / (1024 - 256)
         assert per_query < 3 * 1024, f"peak grows {per_query / 1024:.2f} KB per query"
 
-    def test_single_class_support_warns(self, workspace, tmp_path, capsys):
+    def test_single_class_support_warns(self, workspace, tmp_path, capsys, caplog):
         lines = (workspace["data"] / "test" / "synth-0003.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in lines]
         positive = [r for r in rows if r["label"] == 1][:4]
@@ -1004,10 +1004,13 @@ class TestPredict:
         support.write_text("\n".join(json.dumps(r) for r in positive) + "\n", encoding="utf-8")
         query = tmp_path / "query.txt"
         query.write_text(task_file_smiles(workspace, "test", 1)[0] + "\n", encoding="utf-8")
-        assert main(["predict", "--ckpt", str(workspace["ckpt"]),
-                     "--support", str(support), "--query", str(query)]) == 0
-        captured = capsys.readouterr()
-        assert "single-class support" in captured.err
+        with caplog.at_level(logging.WARNING, logger="molmatch"):
+            assert main(["predict", "--ckpt", str(workspace["ckpt"]),
+                         "--support", str(support), "--query", str(query)]) == 0
+        assert "single-class" not in capsys.readouterr().err  # logged, not printed
+        assert caplog.record_tuples == [
+            ("molmatch", logging.WARNING, "single-class support set; predictions will be degenerate")
+        ]
 
 
 class TestTaskRel:

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from molmatch import episodes
 from molmatch.cli import main
 from molmatch.config import ProtocolConfig
 from molmatch.episodes import (
@@ -32,6 +34,34 @@ def write_task(path, rows):
 
 def skipped_lines(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if " skipped: " in r.getMessage()]
+
+
+def count_parses(monkeypatch) -> Counter:
+    """Count, by SMILES, the graphs ``episodes`` builds from here on."""
+    parsed = Counter()
+    real = episodes.graph_from_smiles
+
+    def counting(smiles):
+        parsed[smiles] += 1
+        return real(smiles)
+
+    monkeypatch.setattr(episodes, "graph_from_smiles", counting)
+    return parsed
+
+
+def registry_digest(registry) -> str:
+    """SHA-256 of every task, molecule, label and feature value, with the
+    rows read as float64 and the bonds as a list of int pairs."""
+    digest = hashlib.sha256()
+    for split, records in registry.tasks.items():
+        for record in records:
+            digest.update(f"{split}/{record.task_id}\n".encode())
+            for ex in record.examples:
+                bonds = [tuple(map(int, b)) for b in ex.graph.bonds]
+                digest.update(f"{ex.smiles}\t{ex.label}\t{bonds}\n".encode())
+                digest.update(ex.graph.atom_feats.astype(np.float64).tobytes())
+                digest.update(ex.graph.bond_feats.astype(np.float64).tobytes())
+    return digest.hexdigest()
 
 
 class TestLoadRegistry:
@@ -67,6 +97,40 @@ class TestLoadRegistry:
             ("CCS", 0),
         ]
         assert task.class_counts() == (2, 1)
+
+    def test_each_distinct_smiles_is_parsed_once(self, tmp_path, monkeypatch):
+        # CCO is listed in two splits' task files, and twice in one file
+        # with opposite labels: one parse, one shared graph, own labels
+        for split in ("train", "test"):
+            (tmp_path / split).mkdir()
+        write_task(tmp_path / "train" / "a.jsonl", [
+            {"smiles": "CCO", "label": 1},
+            {"smiles": "CCC", "label": 0},
+            {"smiles": "CCO", "label": 0},
+        ])
+        write_task(tmp_path / "test" / "b.jsonl", [
+            {"smiles": "CCO", "label": 0}, {"smiles": "CCN", "label": 1},
+        ])
+        parsed = count_parses(monkeypatch)
+        registry = load_registry(tmp_path)
+        assert parsed == {"CCO": 1, "CCC": 1, "CCN": 1}
+        (a,) = registry.split_tasks("train")
+        (b,) = registry.split_tasks("test")
+        assert [(e.smiles, e.label) for e in a.examples] == [("CCO", 1), ("CCC", 0), ("CCO", 0)]
+        assert [(e.smiles, e.label) for e in b.examples] == [("CCO", 0), ("CCN", 1)]
+        assert a.examples[0].graph is a.examples[2].graph is b.examples[0].graph
+
+    def test_loaded_graphs_are_read_only(self, tmp_path):
+        # a graph is shared by every example that lists its SMILES, so
+        # writing into one would change them all
+        (tmp_path / "train").mkdir()
+        write_task(tmp_path / "train" / "a.jsonl", [
+            {"smiles": "CCO", "label": 1}, {"smiles": "CCC", "label": 0},
+        ])
+        graph = load_registry(tmp_path).split_tasks("train")[0].examples[0].graph
+        for rows in (graph.atom_feats, graph.bonds, graph.bond_feats):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = rows[0]
 
     def test_byte_order_mark_is_skipped(self, tmp_path, caplog):
         (tmp_path / "train").mkdir()
@@ -305,6 +369,24 @@ class TestSynthGenerate:
         with pytest.raises(DataError, match="at least 4"):
             synth_generate(1, 0, 3, seed=0)
 
+    def test_each_distinct_candidate_is_parsed_once(self, monkeypatch):
+        drawn = []
+        real_draw = episodes._random_molecule
+
+        def draw(rng):
+            drawn.append(real_draw(rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(episodes, "_random_molecule", draw)
+        parsed = count_parses(monkeypatch)
+        registry = synth_generate(40, 5, 60, seed=0)
+        assert len(drawn) > len(set(drawn))  # candidates recur within and across tasks
+        assert parsed == Counter(set(drawn))
+        examples = [e for records in registry.tasks.values() for r in records for e in r.examples]
+        shared = {e.smiles: e.graph for e in examples}
+        assert len(shared) < len(examples)
+        assert all(e.graph is shared[e.smiles] for e in examples)
+
     # SHA-256 digests of the generator's output, taken before synth
     # skipped re-parsing candidates it had already classed, before the
     # column-code featurizer and before graphs were stored as bool rows
@@ -313,18 +395,15 @@ class TestSynthGenerate:
     # on these tasks.  The digest reads the rows as float64 and the bonds
     # as a list of int pairs, the stored form when it was taken.
     def test_registry_is_pinned(self):
-        registry = synth_generate(6, 2, 20, seed=0)
-        digest = hashlib.sha256()
-        for split, records in registry.tasks.items():
-            for record in records:
-                digest.update(f"{split}/{record.task_id}\n".encode())
-                for ex in record.examples:
-                    bonds = [tuple(map(int, b)) for b in ex.graph.bonds]
-                    digest.update(f"{ex.smiles}\t{ex.label}\t{bonds}\n".encode())
-                    digest.update(ex.graph.atom_feats.astype(np.float64).tobytes())
-                    digest.update(ex.graph.bond_feats.astype(np.float64).tobytes())
-        assert digest.hexdigest() == (
+        assert registry_digest(synth_generate(6, 2, 20, seed=0)) == (
             "5438d4fbd06c54831abcec8084b5a1deff4c47e8e79c0d545713f441da3002ac"
+        )
+
+    # taken before tasks shared the graphs of the molecules they have in
+    # common: 2700 examples of 1687 distinct molecules
+    def test_registry_with_shared_molecules_is_pinned(self):
+        assert registry_digest(synth_generate(40, 5, 60, seed=0)) == (
+            "58ca29fa2239add3e162dd6de8bf29659ed24530d8df685b509af21b3ba4aa8c"
         )
 
     def test_synth_command_files_are_pinned(self, tmp_path):

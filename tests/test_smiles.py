@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from molmatch.episodes import _random_molecule
 from molmatch.smiles import (
+    BOND_ORDERS,
     D_ATOM,
     D_BOND,
     ELEMENTS,
@@ -306,6 +307,18 @@ class TestFeaturize:
 
     def test_source_smiles_retained(self):
         assert graph_from_smiles("CCO").source_smiles == "CCO"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(SYNTH_MOLECULES, HUB_MOLECULES))
+    def test_accessors_agree_with_the_parsed_molecule(self, smiles):
+        # synth's labelling rules read these on the shared graph in
+        # place of the parsed atoms and bonds
+        mol = parse(smiles)
+        graph = featurize(mol)
+        for element in ELEMENTS:
+            assert graph.has_element(element) == any(a.element == element for a in mol.atoms)
+        for order in BOND_ORDERS:
+            assert graph.has_bond_order(order) == any(o == order for _, _, o in mol.bonds)
 
     def test_stored_graphs_are_compact(self):
         # a registry holds every molecule at once: bool rows and int32
