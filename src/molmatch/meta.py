@@ -390,9 +390,11 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
     Returns the trained ModelParams and a list of EpochLog entries.
     Tasks inside a batch may be dispatched to worker threads; each
     task's loss and gradients are added to the running sums as it is
-    taken, in slot order, so results do not depend on the worker count
-    and no more than a few gradient maps are held at once; the sums are
-    arrays this function owns (``_owned_sums``).  With
+    taken, in slot order, so results do not depend on the worker count.
+    A task's gradient map is freed as soon as it is added, before the
+    next one is taken, so only the maps of tasks that finish ahead of
+    their slot (with more than one worker) wait beside the sums; the
+    sums are arrays this function owns (``_owned_sums``).  With
     validation tasks, the weights of ``best_epoch(logs)`` are returned.
     """
     cfg.validate()
@@ -431,8 +433,9 @@ def meta_train(registry: Registry, cfg: RunConfig, *, on_epoch=None):
                 if not summed:
                     summed = _owned_sums(gmap)
                 else:
-                    for name, g in gmap.items():
-                        summed[name] += g
+                    for name in gmap:
+                        summed[name] += gmap[name]
+                del gmap  # summed: free this task's gradients before the next task's
         if not np.isfinite(total_loss):
             raise NumericalError(f"epoch {epoch}: non-finite batch loss")
 

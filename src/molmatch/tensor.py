@@ -5,11 +5,14 @@ Only the operations the matching model actually needs: matrix products
 gathers/scatters, elementwise arithmetic, ReLU, column concatenation,
 inverted-scaling dropout, a summed cross-entropy, one fused GIN layer
 and one fused attention-match block.  Op functions build the graph
-implicitly; ``backward`` replays it once in reverse topological order.
+implicitly; ``backward`` sweeps it once in reverse topological order
+and consumes it: each op node lets go of its VJP, the arrays that VJP
+saved and its parents as soon as the VJP has run, so a graph is swept
+at most once and a second sweep raises ``ValueError``.
 
-Tensors are immutable once created, so parameter updates always
-construct fresh tensors and in-flight graphs keep reading a consistent
-snapshot.  A gradient lives only in the map that ``backward`` returns.
+A tensor's values never change, so parameter updates always construct
+fresh tensors and in-flight graphs keep reading a consistent snapshot.
+A gradient lives only in the map that ``backward`` returns.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ LOG_CLAMP = 1e-12
 
 
 class Tensor:
-    """An immutable autodiff node: a float64 array plus the bookkeeping
-    needed for backward().
+    """An autodiff node: a float64 array, never changed, plus the
+    bookkeeping backward() needs, which a sweep consumes.
 
     ``requires_grad`` marks leaves whose gradient the caller wants; op
     outputs inherit it from their inputs.  A tensor holds no gradient;
@@ -668,18 +671,29 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _make(a.values * factor, (a,), vjp)
 
 
+def _swept(g):
+    raise ValueError("backward: this graph was already swept; build it again to sweep it")
+
+
 def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
-    """Single reverse sweep from a scalar loss.
+    """Single reverse sweep from a scalar loss, consuming its graph.
 
     Returns the sweep's one gradient map, keyed by tensor (tensors hash
-    by identity), the tensors themselves left untouched.  It holds the
-    gradient of every requires_grad leaf the sweep reaches and of every
-    tensor in ``params``; tensors in ``params`` that the sweep never
-    reaches get zero gradients.  An op node's gradient is dropped once
-    its VJP has consumed it, so the map never holds an intermediate
-    node's gradient unless that node is in ``params``.  Gradients may
-    alias one another (``add``'s VJP hands the same array to both
-    parents): copy one before writing into it.
+    by identity).  It holds the gradient of every requires_grad leaf the
+    sweep reaches and of every tensor in ``params``; tensors in
+    ``params`` that the sweep never reaches get zero gradients.  An op
+    node's gradient is dropped once its VJP has consumed it, so the map
+    never holds an intermediate node's gradient unless that node is in
+    ``params``.  Gradients may alias one another (``add``'s VJP hands
+    the same array to both parents): copy one before writing into it.
+
+    Every op node the sweep reaches keeps its values but drops its
+    parents and its VJP, with the arrays the VJP saved, once the VJP has
+    run, so the graph's memory is freed during the sweep even while the
+    caller holds ``loss``.  The VJP's place is taken by one that raises
+    ``ValueError``: sweeping the graph again, or any new graph through
+    one of its op nodes, fails instead of returning zero gradients.
+    Leaves are left untouched.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -702,16 +716,21 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None):
             if p._vjp is not None and p not in visited:
                 stack.append((p, False))
 
+    del visited  # topo alone holds the nodes still to run
+
     params = list(params or ())
     keep = set(params)
     grads = {loss: np.ones_like(loss.values)} if loss.requires_grad else {}
-    for node in reversed(topo):
-        if node._vjp is None:  # a leaf loss keeps its gradient
+    while topo:
+        node = topo.pop()
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:  # a leaf loss keeps its gradient
             continue
+        node._vjp, node._parents = _swept, ()
         g = grads.get(node) if node in keep else grads.pop(node, None)
         if g is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             grads[parent] = grads[parent] + pg if parent in grads else pg

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from molmatch import encoder as encoder_module
 from molmatch import tensor as tensor_module
+from molmatch.config import RunConfig
 from molmatch.encoder import (
     FROZEN_BATCH_ATOMS,
     EncoderParams,
@@ -479,8 +481,30 @@ class TestEncoderGradients:
         levels = encode_multilevel(graphs, params, dropout_rate=0.1, rng=np.random.default_rng(3))
         loss = sum_all(mul(levels, Tensor(np.random.default_rng(4).normal(size=levels.shape))))
         watched = list(params.tensors().values())
+        want = backward_every_node(loss, watched)  # first: backward consumes the graph
         got = backward(loss, params=watched)
-        want = backward_every_node(loss, watched)
         assert set(got) == set(watched)
         for t in watched:
             assert got[t].tobytes() == want[t].tobytes()
+
+    def test_sweep_frees_each_layers_saved_rows(self):
+        # backward consumes the graph: with the loss still held, every
+        # gin_conv node's saved rows (x and the post-ReLU r) are freed
+        width = RunConfig().encoder
+        params = EncoderParams.init(width.layers, width.hidden, seed=2)
+        loss = sum_all(encode_multilevel(corpus_graphs(), params))
+        saved, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack += node._parents
+            if node._vjp is not None and node._vjp.__qualname__ == "gin_conv.<locals>.vjp":
+                cells = dict(zip(node._vjp.__code__.co_freevars, node._vjp.__closure__))
+                saved += [weakref.ref(cells[name].cell_contents) for name in ("x", "r")]
+        assert len(saved) == 2 * width.layers
+        del node, cells, seen
+        assert all(ref() is not None for ref in saved)
+        backward(loss, params=params.tensors().values())
+        assert [ref() is None for ref in saved] == [True] * len(saved)

@@ -1,3 +1,5 @@
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -337,6 +339,39 @@ class TestMetaTrain:
         meta_train(self.registry(), tiny_cfg(batch_tasks=batch_tasks, max_epochs=1))
         assert len(alive_at_start) == batch_tasks
         assert max(alive_at_start) <= 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_gradient_map_outlives_its_sum(self, monkeypatch, workers):
+        # when task k + 1's backward sweep starts, task k's gradient
+        # arrays are freed; with 2 workers task k + 1 can get there before
+        # task k is summed, so it waits, up to a bound, for that sum
+        refs, where, left_alive = {}, threading.local(), []
+        real_step, real_grads = meta._outer_task_step, meta._named_grads
+
+        def step(model, task, cfg, epoch, slot):
+            where.key = (epoch, slot)
+            return real_step(model, task, cfg, epoch, slot)
+
+        def named_grads(*args):
+            epoch, slot = where.key
+            if slot:
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and (
+                    (epoch, slot - 1) not in refs
+                    or any(ref() is not None for ref in refs[epoch, slot - 1])
+                ):
+                    time.sleep(0.005)
+                left_alive.append(sum(ref() is not None for ref in refs.get((epoch, slot - 1), [])))
+            gmap = real_grads(*args)
+            # the eps gradients are numpy scalars, which take no weak reference
+            refs[epoch, slot] = [weakref.ref(g) for g in gmap.values() if isinstance(g, np.ndarray)]
+            return gmap
+
+        monkeypatch.setattr(meta, "_outer_task_step", step)
+        monkeypatch.setattr(meta, "_named_grads", named_grads)
+        meta_train(self.registry(), tiny_cfg(batch_tasks=4, max_epochs=2, workers=workers))
+        assert len(refs) == 8 and all(refs.values())
+        assert left_alive == [0] * 6
 
     def test_running_sums_copy_gradients_that_alias(self):
         # add's VJP hands one array to both parents, so the sums that

@@ -401,13 +401,26 @@ class TestGradients:
 
 
 class TestBackwardSemantics:
-    def test_repeat_sweep_identical(self):
+    def test_two_builds_sweep_identically(self):
         rng = np.random.default_rng(0)
         x = leaf(rng, 3, 3)
-        loss = sum_all(mul(softmax_rows(x), x))
-        first = backward(loss)[x].copy()
-        second = backward(loss)[x]
-        np.testing.assert_array_equal(first, second)
+        first = backward(sum_all(mul(softmax_rows(x), x)))[x]
+        second = backward(sum_all(mul(softmax_rows(x), x)))[x]
+        assert first.tobytes() == second.tobytes()
+
+    def test_a_swept_graph_cannot_be_swept_again(self):
+        # backward consumes the graph; a swept node left looking like a
+        # leaf would make the second sweep return zeros
+        rng = np.random.default_rng(0)
+        x = leaf(rng, 3, 3)
+        inner = softmax_rows(x)
+        loss = sum_all(mul(inner, x))
+        backward(loss)
+        with pytest.raises(ValueError, match="already swept"):
+            backward(loss)
+        with pytest.raises(ValueError, match="already swept"):
+            backward(sum_all(inner))  # a new graph through a swept node
+        np.testing.assert_array_equal(backward(sum_all(x))[x], np.ones((3, 3)))  # leaves live on
 
     def test_shared_input_accumulates_within_sweep(self):
         x = Tensor([[2.0]], requires_grad=True)
@@ -453,9 +466,9 @@ class TestBackwardSemantics:
         watched = matmul(relu(shared), y)
         loss = sum_all(mul(add(watched, softmax_rows(add(shared, const))), watched))
         params = [y, watched, unreached]
+        want = backward_every_node(loss, params)  # first: backward consumes the graph
         got = backward(loss, params=params)
         assert set(got) == {x, y, watched, unreached}
-        want = backward_every_node(loss, params)
         for t in got:
             assert got[t].tobytes() == want[t].tobytes()
 
